@@ -14,6 +14,7 @@ and on two-torsion points both collapse to N = M with 2M = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
@@ -27,13 +28,8 @@ from .torus import (
 )
 
 
-def lattice_matrix(
-    h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
-) -> Matrix:
-    """The matrix of h in lattice coordinates, validated to preserve the lattice."""
-    if not h.is_gaussian_integral():
-        raise NotIntegralError("element has a coefficient outside Z[i]")
-    ambient = table.represent(h)
+def _lattice_coordinates(ambient: Matrix, lattice: LatticeSpec) -> Matrix:
+    """Conjugate an ambient matrix into lattice coordinates; raise if it leaves Z[i]."""
     conjugated = ambient if lattice.is_default else lattice.inverse_basis @ ambient @ lattice.basis
     if not conjugated.is_gaussian_integer():
         raise LatticeNotPreservedError(
@@ -42,13 +38,24 @@ def lattice_matrix(
     return conjugated
 
 
+def lattice_matrix(
+    h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
+) -> Matrix:
+    """The matrix of h in lattice coordinates, validated to preserve the lattice."""
+    if not h.is_gaussian_integral():
+        raise NotIntegralError("element has a coefficient outside Z[i]")
+    return _lattice_coordinates(table.represent(h), lattice)
+
+
 def preserves_lattice(
     h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> bool:
     """Whether the matrix of h maps the lattice into itself."""
-    ambient = table.represent(h)
-    conjugated = ambient if lattice.is_default else lattice.inverse_basis @ ambient @ lattice.basis
-    return conjugated.is_gaussian_integer()
+    try:
+        _lattice_coordinates(table.represent(h), lattice)
+    except LatticeNotPreservedError:
+        return False
+    return True
 
 
 def group_lattice_matrix(
@@ -59,13 +66,7 @@ def group_lattice_matrix(
     Signed blades are always integral, so only the lattice-preservation check
     remains; this is the hot path for orbit scans.
     """
-    ambient = table.represent_group_element(g)
-    conjugated = ambient if lattice.is_default else lattice.inverse_basis @ ambient @ lattice.basis
-    if not conjugated.is_gaussian_integer():
-        raise LatticeNotPreservedError(
-            "element does not map the lattice into itself"
-        )
-    return conjugated
+    return _lattice_coordinates(table.represent_group_element(g), lattice)
 
 
 def apply_matrix(m: Matrix, p: TorusPoint) -> TorusPoint:
@@ -153,15 +154,22 @@ def verify_two_torsion(
     table: RepresentationTable,
     lattice: LatticeSpec,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    points: Iterable[TorusPoint] | None = None,
 ) -> TwoTorsionReport:
-    """On every two-torsion point: both translations coincide and are 2-torsion."""
+    """On each scanned two-torsion point: both translations coincide and are 2-torsion.
+
+    ``points`` defaults to every two-torsion point, enumerated under ``cap``;
+    pass a subset to scan a sample instead.
+    """
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("the scan needs an actor of order at least 2")
     matrix = group_lattice_matrix(g, table, lattice)
+    if points is None:
+        points = torsion_points(2, lattice, cap=cap)
     checked = 0
     failures: list[str] = []
-    for eps in torsion_points(2, lattice, cap=cap):
+    for eps in points:
         first = apply_matrix(matrix, eps)
         second = apply_matrix(matrix, first)
         m = first - eps

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import IndexOutOfRangeError, SignatureMismatchError
 from .scalars import GaussianRational, as_gaussian
@@ -339,8 +339,13 @@ def in_integer_subring(u: CliffordElement) -> bool:
     return u.is_gaussian_integral()
 
 
-def basis_elements(sig: Signature) -> Iterator[CliffordElement]:
-    """The 2 * 4^k integral basis elements e_I and i*e_I, blades ascending."""
+def basis_blades(sig: Signature) -> Iterator[GeneratorGroupElement]:
+    """The signed blades e_I, then i*e_I, blades ascending: a Z[i]-basis of the algebra."""
     for t in (0, 1):
         for mask in range(1 << sig.n):
-            yield GeneratorGroupElement(mask, t).to_element(sig)
+            yield GeneratorGroupElement(mask, t)
+
+
+def basis_elements(sig: Signature) -> Iterator[CliffordElement]:
+    """The 2 * 4^k integral basis elements e_I and i*e_I, blades ascending."""
+    return (g.to_element(sig) for g in basis_blades(sig))

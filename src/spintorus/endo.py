@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import lattice_matrix, preserves_lattice
-from .clifford import CliffordElement, GeneratorGroupElement, Signature, element_order
+from .clifford import (
+    CliffordElement,
+    GeneratorGroupElement,
+    basis_elements,
+    element_order,
+    generator_group,
+)
 from .errors import NonUnimodularError, NotIntegralError, WitnessFailedError
 from .matrices import Matrix, rank_of_rows, smith_form
 from .scalars import GaussianRational, as_gaussian
@@ -38,13 +44,16 @@ def realify(m: Matrix) -> list[list[Fraction]]:
     return out
 
 
+def _integer_realify(m: Matrix) -> list[list[int]]:
+    """The realified matrix of a Gaussian-integer matrix, as plain ints."""
+    return [[x.numerator for x in row] for row in realify(m)]
+
+
 def rational_representation(
     h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> list[list[int]]:
     """The integer matrix of h on the realified lattice basis."""
-    complex_matrix = lattice_matrix(h, table, lattice)
-    rows = realify(complex_matrix)
-    return [[x.numerator for x in row] for row in rows]
+    return _integer_realify(lattice_matrix(h, table, lattice))
 
 
 def representation_determinants_match(
@@ -53,7 +62,7 @@ def representation_determinants_match(
     """det of the rational matrix equals the Gaussian norm of the analytic det."""
     complex_matrix = lattice_matrix(h, table, lattice)
     analytic_det = complex_matrix.det()
-    rational_det = Matrix(rational_representation(h, table, lattice)).det()
+    rational_det = Matrix(_integer_realify(complex_matrix)).det()
     return rational_det == as_gaussian(analytic_det.norm())
 
 
@@ -67,16 +76,9 @@ class EndoLattice:
 
 def endo_lattice(table: RepresentationTable, lattice: LatticeSpec) -> EndoLattice:
     """Images of e_I then i*e_I (blades ascending) in lattice coordinates."""
-    sig = table.sig
-    generators = []
-    realified = []
-    for t in (0, 1):
-        for mask in range(1 << sig.n):
-            element = GeneratorGroupElement(mask, t).to_element(sig)
-            matrix = lattice_matrix(element, table, lattice)
-            generators.append(matrix)
-            realified.append(tuple(tuple(x.numerator for x in row) for row in realify(matrix)))
-    return EndoLattice(generators=tuple(generators), realified=tuple(realified))
+    generators = tuple(lattice_matrix(u, table, lattice) for u in basis_elements(table.sig))
+    realified = tuple(tuple(tuple(row) for row in _integer_realify(m)) for m in generators)
+    return EndoLattice(generators=generators, realified=realified)
 
 
 def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
@@ -112,32 +114,21 @@ def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIn
     basis of the full matrix ring and takes the product of Smith divisors.
     Route two takes the Gaussian norm of the complex flattening determinant.
     """
-    sig = table.sig
-    dim = table.dim
-    blade_count = 1 << sig.n
+    generators = endo_lattice(table, lattice).generators
+    flattened = [m.flatten() for m in generators]
+    integer_rows = [
+        [x.re.numerator for x in flat] + [x.im.numerator for x in flat] for flat in flattened
+    ]
 
-    complex_rows = []
-    integer_rows_list = []
-    for t in (0, 1):
-        for mask in range(blade_count):
-            element = GeneratorGroupElement(mask, t).to_element(sig)
-            matrix = lattice_matrix(element, table, lattice)
-            flat = matrix.flatten()
-            if t == 0:
-                complex_rows.append(flat)
-            row = [x.re.numerator for x in flat] + [x.im.numerator for x in flat]
-            if any(x.re.denominator != 1 or x.im.denominator != 1 for x in flat):
-                raise NotIntegralError("basis image left Z[i]; cannot take an index")
-            integer_rows_list.append(row)
-
-    divisors = smith_form(integer_rows_list)
+    divisors = smith_form(integer_rows)
     index = None
     if all(divisors):
         index = 1
         for d in divisors:
             index *= d
 
-    complex_det = Matrix(complex_rows).det()
+    # The e_I images alone: the i*e_I rows are i times these over C.
+    complex_det = Matrix(flattened[: len(generators) // 2]).det()
     norm = complex_det.norm()
     if norm.denominator != 1:
         raise NotIntegralError("flattening determinant is not integral")
@@ -236,13 +227,8 @@ def transport_table(f: Matrix, table: RepresentationTable) -> RepresentationTabl
 
 def automorphism_containment(table: RepresentationTable, lattice: LatticeSpec) -> bool:
     """Every generator-group element acts as an invertible lattice self-map."""
+    # The group holds every inverse, so checking each element covers invertibility.
     sig = table.sig
-    for mask in range(1 << sig.n):
-        for t in range(4):
-            g = GeneratorGroupElement(mask, t)
-            element = g.to_element(sig)
-            if not preserves_lattice(element, table, lattice):
-                return False
-            if not preserves_lattice(g.inverse(sig).to_element(sig), table, lattice):
-                return False
-    return True
+    return all(
+        preserves_lattice(g.to_element(sig), table, lattice) for g in generator_group(sig)
+    )

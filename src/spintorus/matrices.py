@@ -218,19 +218,6 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def integer_rows(m: Matrix) -> list[list[int]]:
-    """Extract a plain-int row list from a matrix of rational integers."""
-    out = []
-    for row in m.entries():
-        ints = []
-        for x in row:
-            if x.im or x.re.denominator != 1:
-                raise NotIntegralError(f"entry {x} is not a rational integer")
-            ints.append(x.re.numerator)
-        out.append(ints)
-    return out
-
-
 def rank_of_rows(rows: Iterable[Sequence[GaussianRational]]) -> int:
     """Rank of the row span, by incremental exact elimination.
 

@@ -18,7 +18,7 @@ from .action import act, apply_matrix, group_lattice_matrix, translation_system
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
 from .matrices import Matrix
-from .scalars import GaussianRational, as_gaussian
+from .scalars import GaussianRational, as_gaussian, as_rational, format_rational
 from .spinrep import RepresentationTable
 from .torus import PolarizationData, TorusPoint, is_principal
 
@@ -29,7 +29,7 @@ class BundleClass:
     __slots__ = ("k", "chars")
 
     def __init__(self, k: int, chars: Sequence[Fraction | int]) -> None:
-        values = tuple(Fraction(x) % 1 for x in chars)
+        values = tuple(as_rational(x) % 1 for x in chars)
         if len(values) != 2 << k:
             raise ValueError(f"expected {2 << k} components for k={k}, got {len(values)}")
         self.k = k
@@ -72,10 +72,7 @@ class BundleClass:
         return f"BundleClass({self})"
 
     def __str__(self) -> str:
-        def fmt(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-        return "[" + ", ".join(fmt(x) for x in self.chars) + "]"
+        return "[" + ", ".join(format_rational(x) for x in self.chars) + "]"
 
 
 def _require_principal(pol: PolarizationData) -> None:

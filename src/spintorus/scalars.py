@@ -15,7 +15,8 @@ from .errors import InvalidScalarError
 Rational = Fraction
 
 
-def _as_fraction(x: int | Fraction) -> Fraction:
+def as_rational(x: int | Fraction) -> Fraction:
+    """Coerce an int or Fraction to a Fraction; anything else (floats included) is a TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -36,12 +37,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
-
-    @classmethod
-    def from_int(cls, n: int) -> GaussianRational:
-        return cls(Fraction(n), Fraction(0))
+        self.re = as_rational(re)
+        self.im = as_rational(im)
 
     def conjugate(self) -> GaussianRational:
         return GaussianRational(self.re, -self.im)
@@ -169,7 +166,7 @@ def _coerce(x: object) -> GaussianRational | None:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(_as_fraction(x))
+        return GaussianRational(as_rational(x))
     return None
 
 
@@ -181,6 +178,5 @@ def as_gaussian(x: int | Fraction | GaussianRational) -> GaussianRational:
     return g
 
 
-ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)
 I = GaussianRational(0, 1)

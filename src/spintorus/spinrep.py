@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .clifford import CliffordElement, GeneratorGroupElement, Signature
+from .clifford import CliffordElement, GeneratorGroupElement, Signature, basis_blades
 from .errors import NotUnitVectorError, SignatureMismatchError
 from .matrices import Matrix, rank_of_rows
 from .scalars import GaussianRational
@@ -32,6 +32,24 @@ def _tensor_chain(factors: Sequence[Matrix]) -> Matrix:
     for f in factors[1:]:
         out = out.kron(f)
     return out
+
+
+def clifford_relation_failure(
+    sig: Signature, gamma: Sequence[Matrix]
+) -> tuple[int, int] | None:
+    """The first generator pair (1-indexed) breaking a Clifford relation, or None.
+
+    The relations are ``gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab q(e_a) Id``.
+    """
+    dim = gamma[0].rows
+    identity = Matrix.identity(dim)
+    for a in range(sig.n):
+        for b in range(a, sig.n):
+            anti = gamma[a] @ gamma[b] + gamma[b] @ gamma[a]
+            expected = identity * (2 * sig.square_sign(a + 1)) if a == b else Matrix.zero(dim, dim)
+            if anti != expected:
+                return a + 1, b + 1
+    return None
 
 
 class RepresentationTable:
@@ -56,12 +74,9 @@ class RepresentationTable:
                 raise ValueError("generator matrix has the wrong shape")
             if not m.is_gaussian_integer():
                 raise ValueError("generator matrices must have entries in Z[i]")
-        for a in range(sig.n):
-            for b in range(a, sig.n):
-                anti = self.gamma[a] @ self.gamma[b] + self.gamma[b] @ self.gamma[a]
-                expected = identity * (2 * sig.square_sign(a + 1)) if a == b else Matrix.zero(self.dim, self.dim)
-                if anti != expected:
-                    raise ValueError(f"Clifford relation fails for generators {a + 1}, {b + 1}")
+        broken = clifford_relation_failure(sig, self.gamma)
+        if broken is not None:
+            raise ValueError(f"Clifford relation fails for generators {broken[0]}, {broken[1]}")
         images: dict[int, Matrix] = {0: identity}
         for mask in range(1, 1 << sig.n):
             low = mask & -mask
@@ -151,13 +166,11 @@ def verify_unitary(table: RepresentationTable) -> UnitaryReport:
     """Compare the image of u* with the conjugate transpose for all e_I, i*e_I."""
     failures = []
     checked = 0
-    for t in (0, 1):
-        for mask in range(1 << table.sig.n):
-            g = GeneratorGroupElement(mask, t)
-            u = g.to_element(table.sig)
-            checked += 1
-            if table.represent(u.star()) != table.represent(u).adjoint():
-                failures.append(g.label())
+    for g in basis_blades(table.sig):
+        u = g.to_element(table.sig)
+        checked += 1
+        if table.represent(u.star()) != table.represent(u).adjoint():
+            failures.append(g.label())
     return UnitaryReport(checked=checked, failures=tuple(failures))
 
 

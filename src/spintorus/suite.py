@@ -16,14 +16,14 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from ._version import __version__
 from .action import (
     act,
-    apply_matrix,
     group_lattice_matrix,
     preserves_lattice,
     translation_system,
@@ -33,6 +33,7 @@ from .clifford import (
     CliffordElement,
     GeneratorGroupElement,
     Signature,
+    basis_elements,
     element_order,
     generator_group,
 )
@@ -60,6 +61,7 @@ from .scalars import GaussianRational
 from .spinrep import (
     RepresentationTable,
     build_generators,
+    clifford_relation_failure,
     verify_algebra_iso,
     verify_spin_preserves_form,
     verify_unitary,
@@ -183,6 +185,14 @@ class VerificationReport:
         return any(entry.get("index") != "1" for entry in per_k.values())
 
 
+def _render(value: object) -> str:
+    if callable(value):
+        value = value()
+    if isinstance(value, CliffordElement):
+        return element_source(value)
+    return str(value)
+
+
 class _Checker:
     def __init__(self, name: str) -> None:
         self.name = name
@@ -190,17 +200,20 @@ class _Checker:
         self.failures: list[Failure] = []
         self.details: dict | None = None
 
-    def record(self, ok: bool, inputs: dict, expected: object, actual: object) -> bool:
+    def record(self, ok: bool, inputs: dict, expected: object, actual: object) -> None:
+        """Count one check; render its inputs and messages only when it fails.
+
+        Values may be raw objects or zero-argument callables producing them.
+        """
         self.checks += 1
         if not ok:
             self.failures.append(
                 Failure(
-                    inputs={key: str(value) for key, value in inputs.items()},
-                    expected=str(expected),
-                    actual=str(actual),
+                    inputs={key: _render(value) for key, value in inputs.items()},
+                    expected=_render(expected),
+                    actual=_render(actual),
                 )
             )
-        return ok
 
     def result(self) -> SuiteResult:
         return SuiteResult(
@@ -225,6 +238,19 @@ class _Env:
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.config.seed}|{self.k}|{tag}")
+
+    @cached_property
+    def order_partition(self) -> tuple[list[GeneratorGroupElement], list[GeneratorGroupElement]]:
+        """Group elements of order exactly 4, and of order exactly 2."""
+        order4 = []
+        order2 = []
+        for g in generator_group(self.sig):
+            order = element_order(g, self.sig)
+            if order == 4:
+                order4.append(g)
+            elif order == 2:
+                order2.append(g)
+        return order4, order2
 
 
 def _unit_fraction(rng: random.Random) -> Fraction:
@@ -286,34 +312,16 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
 
     for _ in range(25):
         u, v, w = (_random_element(sig, rng) for _ in range(3))
-        inputs = {
-            "k": env.k,
-            "u": element_source(u),
-            "v": element_source(v),
-            "w": element_source(w),
-        }
-        chk.record(
-            (u * v) * w == u * (v * w),
-            inputs,
-            element_source((u * v) * w),
-            element_source(u * (v * w)),
-        )
+        left, right = (u * v) * w, u * (v * w)
+        chk.record(left == right, {"k": env.k, "u": u, "v": v, "w": w}, left, right)
 
     for _ in range(25):
         u, v = _random_element(sig, rng), _random_element(sig, rng)
-        inputs = {"k": env.k, "u": element_source(u), "v": element_source(v)}
-        chk.record(
-            u.star().star() == u,
-            inputs,
-            element_source(u),
-            element_source(u.star().star()),
-        )
-        chk.record(
-            (u * v).star() == v.star() * u.star(),
-            inputs,
-            element_source((u * v).star()),
-            element_source(v.star() * u.star()),
-        )
+        inputs = {"k": env.k, "u": u, "v": v}
+        twice = u.star().star()
+        chk.record(twice == u, inputs, u, twice)
+        left, right = (u * v).star(), v.star() * u.star()
+        chk.record(left == right, inputs, left, right)
 
     for _ in range(25):
         u = _random_element(sig, rng)
@@ -324,12 +332,7 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
             total = total + piece
             if not piece.is_zero() and piece.grades() != {grade}:
                 pure = False
-        chk.record(
-            total == u and pure,
-            {"k": env.k, "u": element_source(u)},
-            element_source(u),
-            element_source(total),
-        )
+        chk.record(total == u and pure, {"k": env.k, "u": u}, u, total)
 
     group = generator_group(sig)
     chk.record(
@@ -363,11 +366,12 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
     for _ in range(25):
         u = _random_integral_element(sig, rng)
         v = _random_integral_element(sig, rng)
+        product = u * v
         chk.record(
-            (u * v).is_gaussian_integral() and (u + v).is_gaussian_integral(),
-            {"k": env.k, "u": element_source(u), "v": element_source(v)},
+            product.is_gaussian_integral() and (u + v).is_gaussian_integral(),
+            {"k": env.k, "u": u, "v": v},
             "integral closure",
-            element_source(u * v),
+            product,
         )
 
     return chk.result()
@@ -381,19 +385,8 @@ def _run_spinor_rep(env: _Env) -> SuiteResult:
     sig = env.sig
     table = env.table
     rng = env.rng("rep")
-    identity = Matrix.identity(table.dim)
 
-    relations_ok = True
-    for a in range(sig.n):
-        for b in range(a, sig.n):
-            anti = table.gamma[a] @ table.gamma[b] + table.gamma[b] @ table.gamma[a]
-            expected = (
-                identity * (2 * sig.square_sign(a + 1))
-                if a == b
-                else Matrix.zero(table.dim, table.dim)
-            )
-            if anti != expected:
-                relations_ok = False
+    relations_ok = clifford_relation_failure(sig, table.gamma) is None
     chk.record(relations_ok, {"k": env.k}, "Clifford relations", relations_ok)
     entries_ok = all(g.is_gaussian_integer() for g in table.gamma)
     chk.record(entries_ok, {"k": env.k}, "generator entries in Z[i]", entries_ok)
@@ -408,7 +401,7 @@ def _run_spinor_rep(env: _Env) -> SuiteResult:
 
     for _ in range(20):
         u, v = _random_element(sig, rng), _random_element(sig, rng)
-        inputs = {"k": env.k, "u": element_source(u), "v": element_source(v)}
+        inputs = {"k": env.k, "u": u, "v": v}
         chk.record(
             table.represent(u * v) == table.represent(u) @ table.represent(v),
             inputs,
@@ -428,7 +421,7 @@ def _run_spinor_rep(env: _Env) -> SuiteResult:
             unitary.all_compatible,
             {"k": env.k, "checked": unitary.checked},
             "image of star equals adjoint on all basis elements",
-            f"failures: {', '.join(unitary.failures) or 'none'}",
+            lambda: f"failures: {', '.join(unitary.failures) or 'none'}",
         )
     else:
         chk.record(True, {"k": env.k}, "informational", "informational")
@@ -449,11 +442,7 @@ def _run_spinor_rep(env: _Env) -> SuiteResult:
             other = CliffordElement.generator(sig, rng.randint(1, sig.n))
             chk.record(
                 verify_spin_preserves_form(table, [vector, other]),
-                {
-                    "k": env.k,
-                    "v1": element_source(vector),
-                    "v2": element_source(other),
-                },
+                {"k": env.k, "v1": vector, "v2": other},
                 "unitary image",
                 "form not preserved",
             )
@@ -479,51 +468,40 @@ def _run_spinor_torus(env: _Env) -> SuiteResult:
     chk.record(riemann.positive, {"k": env.k}, "positive definite", riemann.positive)
 
     ptype = polarization_type(pol)
-    chk.record(
-        ptype == (1,) * g,
-        {"k": env.k},
-        str((1,) * g),
-        str(ptype),
-    )
+    chk.record(ptype == (1,) * g, {"k": env.k}, (1,) * g, ptype)
 
     if lattice.is_default:
         expected_form = [
             [0] * g + [-1 if a == b else 0 for b in range(g)] for a in range(g)
         ] + [[1 if a == b else 0 for b in range(g)] + [0] * g for a in range(g)]
-        chk.record(
-            pol.integer_form() == expected_form,
-            {"k": env.k},
-            "standard alternating block form",
-            str(pol.integer_form()),
-        )
+        form = pol.integer_form()
+        chk.record(form == expected_form, {"k": env.k}, "standard alternating block form", form)
 
     for _ in range(25):
         p, q, r = (_random_point(lattice, rng) for _ in range(3))
-        inputs = {"k": env.k, "p": str(p), "q": str(q), "r": str(r)}
+        inputs = {"k": env.k, "p": p, "q": q, "r": r}
         chk.record((p + q) + r == p + (q + r), inputs, "associative addition", "mismatch")
         chk.record(p + q == q + p, inputs, "commutative addition", "mismatch")
-        chk.record(p + (-p) == TorusPoint.zero(lattice), inputs, "negation", str(p + (-p)))
+        cancelled = p + (-p)
+        chk.record(cancelled == TorusPoint.zero(lattice), inputs, "negation", cancelled)
 
     for _ in range(25):
         ambient = _random_ambient(lattice, rng)
         reduced = lattice.reduce(ambient)
+        again = lattice.reduce(reduced.lift())
         chk.record(
-            lattice.reduce(reduced.lift()) == reduced,
-            {"k": env.k, "ambient": ", ".join(str(x) for x in ambient)},
-            str(reduced),
-            str(lattice.reduce(reduced.lift())),
+            again == reduced,
+            {"k": env.k, "ambient": lambda: ", ".join(str(x) for x in ambient)},
+            reduced,
+            again,
         )
 
     unit_i = GaussianRational(0, 1)
     for _ in range(10):
         p = _random_point(lattice, rng)
         via_ambient = lattice.reduce(tuple(unit_i * x for x in p.lift()))
-        chk.record(
-            p.scale(unit_i) == via_ambient,
-            {"k": env.k, "p": str(p)},
-            str(via_ambient),
-            str(p.scale(unit_i)),
-        )
+        scaled = p.scale(unit_i)
+        chk.record(scaled == via_ambient, {"k": env.k, "p": p}, via_ambient, scaled)
 
     for n in (1, 2, 3):
         expected = torsion_count(n, env.k)
@@ -548,19 +526,6 @@ def _run_spinor_torus(env: _Env) -> SuiteResult:
     return chk.result()
 
 
-def _order_partition(sig: Signature) -> tuple[list[GeneratorGroupElement], list[GeneratorGroupElement]]:
-    """Group elements of order exactly 4, and of order exactly 2."""
-    order4 = []
-    order2 = []
-    for g in generator_group(sig):
-        order = element_order(g, sig)
-        if order == 4:
-            order4.append(g)
-        elif order == 2:
-            order2.append(g)
-    return order4, order2
-
-
 def _run_clifford_action(env: _Env) -> SuiteResult:
     chk = _Checker(f"clifford_action:k={env.k}")
     sig = env.sig
@@ -578,13 +543,9 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
         through_quotient = act(h, lattice.reduce(ambient), table)
         chk.record(
             direct == through_quotient,
-            {
-                "k": env.k,
-                "element": element_source(h),
-                "ambient": ", ".join(str(x) for x in ambient),
-            },
-            str(direct),
-            str(through_quotient),
+            {"k": env.k, "element": h, "ambient": lambda: ", ".join(str(x) for x in ambient)},
+            direct,
+            through_quotient,
         )
 
     for _ in range(20):
@@ -595,14 +556,9 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
         chained = act(g1.to_element(sig), act(g2.to_element(sig), p, table), table)
         chk.record(
             composed == chained,
-            {
-                "k": env.k,
-                "first": element_source(g1.to_element(sig)),
-                "second": element_source(g2.to_element(sig)),
-                "point": str(p),
-            },
-            str(composed),
-            str(chained),
+            {"k": env.k, "first": g1.to_element(sig), "second": g2.to_element(sig), "point": p},
+            composed,
+            chained,
         )
 
     half_e1 = CliffordElement.generator(sig, 1) * Fraction(1, 2)
@@ -612,32 +568,27 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
     except NotIntegralError:
         chk.record(True, {"k": env.k}, "NotIntegralError", "raised")
 
-    order4, order2 = _order_partition(sig)
+    order4, order2 = env.order_partition
     points = [_random_point(lattice, rng) for _ in range(env.config.points_per_k)]
     mixed_phase = sum(1 for g in order4 if g.i_power % 2 == 1)
 
-    systems_ok = True
     for g in order4:
-        actor_src = element_source(g.to_element(sig))
+        actor = g.to_element(sig)
         for p in points:
             system = translation_system(g, p, table)
-            inputs = {"k": env.k, "actor": actor_src, "point": str(p)}
-            ok = chk.record(
+            inputs = {"k": env.k, "actor": actor, "point": p}
+            chk.record(
                 system.four_step_holds(),
                 inputs,
                 "orbit matches p, p+M, p+M+N, p+N, p",
-                " | ".join(str(q) for q in system.orbit),
+                lambda: " | ".join(str(q) for q in system.orbit),
             )
-            ok = (
-                chk.record(
-                    system.closure_identity_holds(),
-                    inputs,
-                    "2p + M + N = 0",
-                    str(system.base + system.base + system.first_translation + system.second_translation),
-                )
-                and ok
+            chk.record(
+                system.closure_identity_holds(),
+                inputs,
+                "2p + M + N = 0",
+                lambda: system.base + system.base + system.first_translation + system.second_translation,
             )
-            systems_ok = systems_ok and ok
     if mixed_phase:
         env.warnings.append(
             f"k={env.k}: {mixed_phase} of {len(order4)} order-4 actors carry phase "
@@ -647,31 +598,19 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
 
     degenerate_points = points[:10]
     for g in order2:
-        actor_src = element_source(g.to_element(sig))
+        actor = g.to_element(sig)
         for p in degenerate_points:
             system = translation_system(g, p, table)
             chk.record(
                 system.degenerate_pair_holds(),
-                {"k": env.k, "actor": actor_src, "point": str(p)},
+                {"k": env.k, "actor": actor, "point": p},
                 "N = -M and the orbit closes after two steps",
-                str(system.second_translation),
+                system.second_translation,
             )
 
-    actors = order4 + order2
-    if env.k <= 2:
-        for g in actors:
-            report = verify_two_torsion(g, table, lattice, cap=env.config.cap)
-            chk.record(
-                report.all_pass,
-                {
-                    "k": env.k,
-                    "actor": element_source(g.to_element(sig)),
-                    "checked": report.checked,
-                },
-                "N = M and 2M = 0 on all two-torsion points",
-                f"failing points: {', '.join(report.failures) or 'none'}",
-            )
-    else:
+    sampled = None
+    scope = "all"
+    if env.k > 2:
         sample_rng = env.rng("two-torsion-sample")
         half = Fraction(1, 2)
         sampled = [
@@ -686,31 +625,18 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
             )
             for _ in range(100)
         ]
-        for g in actors:
-            matrix = group_lattice_matrix(g, table, lattice)
-            ok = True
-            witness = ""
-            for eps in sampled:
-                first = apply_matrix(matrix, eps)
-                second = apply_matrix(matrix, first)
-                m = first - eps
-                if second - first != m or not (m + m).is_zero():
-                    ok = False
-                    witness = str(eps)
-                    break
-            chk.record(
-                ok,
-                {
-                    "k": env.k,
-                    "actor": element_source(g.to_element(sig)),
-                    "sampled": len(sampled),
-                },
-                "N = M and 2M = 0 on sampled two-torsion points",
-                f"failing point: {witness or 'none'}",
-            )
+        scope = "sampled"
         env.warnings.append(
             f"k={env.k}: two-torsion scan used 100 seeded points per actor; "
             "the exhaustive scan runs at k <= 2"
+        )
+    for g in order4 + order2:
+        report = verify_two_torsion(g, table, lattice, cap=env.config.cap, points=sampled)
+        chk.record(
+            report.all_pass,
+            {"k": env.k, "actor": g.to_element(sig), "checked": report.checked},
+            f"N = M and 2M = 0 on {scope} two-torsion points",
+            lambda: f"failing points: {', '.join(report.failures) or 'none'}",
         )
 
     return chk.result()
@@ -727,27 +653,17 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
     for _ in range(25):
         p = _random_point(lattice, rng)
         roundtrip = bundle_to_point(point_to_bundle(p, pol), pol)
-        chk.record(
-            roundtrip == p,
-            {"k": env.k, "point": str(p)},
-            str(p),
-            str(roundtrip),
-        )
+        chk.record(roundtrip == p, {"k": env.k, "point": p}, p, roundtrip)
         bundle = _random_bundle(env.k, rng)
         back = point_to_bundle(bundle_to_point(bundle, pol), pol)
-        chk.record(
-            back == bundle,
-            {"k": env.k, "bundle": str(bundle)},
-            str(bundle),
-            str(back),
-        )
+        chk.record(back == bundle, {"k": env.k, "bundle": bundle}, bundle, back)
 
     for _ in range(15):
         p, q = _random_point(lattice, rng), _random_point(lattice, rng)
         chk.record(
             point_to_bundle(p + q, pol)
             == point_to_bundle(p, pol).tensor(point_to_bundle(q, pol)),
-            {"k": env.k, "p": str(p), "q": str(q)},
+            {"k": env.k, "p": p, "q": q},
             "duality is a homomorphism",
             "mismatch",
         )
@@ -757,43 +673,30 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
         p = _random_point(lattice, rng)
         left = point_to_bundle(act(h.to_element(sig), p, table), pol)
         right = bundle_action(h.to_element(sig), point_to_bundle(p, pol), table, pol)
-        chk.record(
-            left == right,
-            {
-                "k": env.k,
-                "element": element_source(h.to_element(sig)),
-                "point": str(p),
-            },
-            str(left),
-            str(right),
-        )
+        chk.record(left == right, {"k": env.k, "element": h.to_element(sig), "point": p}, left, right)
 
     for _ in range(25):
         p = _random_point(lattice, rng)
-        chk.record(
-            point_to_bundle(p, pol).order() == p.order(),
-            {"k": env.k, "point": str(p)},
-            p.order(),
-            point_to_bundle(p, pol).order(),
-        )
+        bundle_order = point_to_bundle(p, pol).order()
+        chk.record(bundle_order == p.order(), {"k": env.k, "point": p}, p.order(), bundle_order)
 
-    order4, order2 = _order_partition(sig)
+    order4, order2 = env.order_partition
     histogram: dict[str, list[int]] = {}
     # The actor count grows 4x per k while each system costs more, so the
     # per-actor sample shrinks at k=3; every order-4 actor is still covered.
     per_actor = env.config.classes_per_k if env.k <= 2 else max(1, env.config.classes_per_k // 12)
     bundles = [_random_bundle(env.k, rng) for _ in range(per_actor)]
     for g in order4:
-        actor_src = element_source(g.to_element(sig))
+        actor = g.to_element(sig)
         observed: set[int] = set()
         for bundle in bundles:
             system = bundle_system(g, bundle, table, pol)
             observed.add(system.first_bundle.order())
             chk.record(
                 system.holds(),
-                {"k": env.k, "actor": actor_src, "bundle": str(bundle)},
+                {"k": env.k, "actor": actor, "bundle": bundle},
                 "four-step bundle system and dual-square identity",
-                f"steps: {' | '.join(str(s) for s in system.steps)}",
+                lambda: f"steps: {' | '.join(str(s) for s in system.steps)}",
             )
         histogram[g.label()] = sorted(observed)
     chk.details = {"translation_bundle_orders": histogram}
@@ -805,23 +708,17 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
             for chars in itertools.product((Fraction(0), half), repeat=2 << env.k)
         ]
         for g in order4 + order2:
-            ok = True
-            witness = ""
             actor_matrix = group_lattice_matrix(g, table, lattice)
+            witness = None
             for bundle in two_torsion_classes:
                 if not two_torsion_bundle_check(g, bundle, table, pol, actor_matrix):
-                    ok = False
-                    witness = str(bundle)
+                    witness = bundle
                     break
             chk.record(
-                ok,
-                {
-                    "k": env.k,
-                    "actor": element_source(g.to_element(sig)),
-                    "classes": len(two_torsion_classes),
-                },
+                witness is None,
+                {"k": env.k, "actor": g.to_element(sig), "classes": len(two_torsion_classes)},
                 "translation bundles agree and are 2-torsion",
-                f"failing class: {witness or 'none'}",
+                lambda: f"failing class: {witness}",
             )
     else:
         env.warnings.append(
@@ -838,12 +735,9 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
     lattice = env.lattice
     rng = env.rng("endo")
 
-    determinants_ok = True
-    for t in (0, 1):
-        for mask in range(1 << sig.n):
-            element = GeneratorGroupElement(mask, t).to_element(sig)
-            if not representation_determinants_match(element, table, lattice):
-                determinants_ok = False
+    determinants_ok = all(
+        representation_determinants_match(u, table, lattice) for u in basis_elements(sig)
+    )
     chk.record(
         determinants_ok,
         {"k": env.k},
@@ -858,8 +752,8 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
     chk.record(
         audit.consistent,
         {"k": env.k},
-        f"Smith product {audit.index_str}",
-        f"determinant norm {audit.determinant_norm}",
+        lambda: f"Smith product {audit.index_str}",
+        lambda: f"determinant norm {audit.determinant_norm}",
     )
     if env.k == 1:
         chk.record(audit.index == 16, {"k": env.k}, 16, audit.index_str)
@@ -881,7 +775,7 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
         == Matrix.identity(table.dim) * GaussianRational(0, 1),
         {"k": env.k},
         "i acts as i * identity",
-        str(witness.analytic_matrix),
+        witness.analytic_matrix,
     )
     chk.record(witness.order == 4, {"k": env.k}, 4, witness.order)
     if witness.basis_map is not None:
@@ -930,7 +824,7 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
             multiplicative_ok,
         )
 
-        order4, order2 = _order_partition(sig)
+        order4, order2 = env.order_partition
         transported_ok = True
         points = [_random_point(lattice, rng) for _ in range(env.config.points_per_k)]
         for g in order4:

@@ -266,13 +266,6 @@ class PolarizationData:
             raise NotIntegralError("the imaginary-part form is not integer valued on the lattice")
         return [[x.numerator for x in row] for row in self.imag_gram]
 
-    def pairing_with_basis(self, ambient: Sequence[GaussianRational]) -> tuple[Fraction, ...]:
-        """E(v, gamma_j) for every realified basis vector gamma_j."""
-        return tuple(
-            hermitian_value(self.hermitian, ambient, basis_vec).im
-            for basis_vec in self.real_basis
-        )
-
     def inverse_transpose_form(self) -> Matrix:
         """Exact inverse of E^T, cached; used by the duality solver."""
         if self._inverse_transpose is None:

@@ -147,6 +147,8 @@ def test_decomposition_witness_on_a_custom_basis(tables):
 def test_automorphism_containment(tables, lattices):
     assert automorphism_containment(tables[1], lattices[1])
     assert automorphism_containment(tables[2], lattices[2])
+    stretched = LatticeSpec(1, Matrix([[2, 0], [0, 1]]))
+    assert not automorphism_containment(tables[1], stretched)
 
 
 SHEAR = Matrix([[1, I], [0, 1]])

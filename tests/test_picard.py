@@ -108,6 +108,14 @@ def test_character_vectors_reduce_mod_one():
     assert b.chars == (Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(0))
 
 
+def test_character_vectors_must_be_exact_rationals():
+    # a float would be stored as its binary expansion, and a string is no number
+    with pytest.raises(TypeError):
+        BundleClass(1, [0.1, 0, 0, 0])
+    with pytest.raises(TypeError):
+        BundleClass(1, ["1/2", 0, 0, 0])
+
+
 def test_four_step_bundle_systems_hold_for_order_four_actors(tables, polarizations):
     pol = polarizations[1]
     base = BundleClass(1, [Fraction(1, 8), 0, Fraction(3, 8), Fraction(1, 2)])

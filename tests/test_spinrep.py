@@ -12,6 +12,7 @@ from spintorus import (
     GaussianRational,
     Matrix,
     NotUnitVectorError,
+    RepresentationTable,
     Signature,
     SignatureMismatchError,
     basis_elements,
@@ -43,6 +44,12 @@ def test_clifford_relations_hold_for_all_generator_pairs(tables):
                 anti = table.gamma[a] @ table.gamma[b] + table.gamma[b] @ table.gamma[a]
                 expected = Matrix.identity(dim) * (2 if a == b else 0)
                 assert anti == expected
+
+
+def test_tables_reject_generators_that_break_a_relation():
+    x = Matrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="generators 1, 2"):
+        RepresentationTable(Signature(2, 0), [x, x])
 
 
 def test_blade_images_have_gaussian_integer_entries(tables):

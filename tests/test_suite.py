@@ -8,8 +8,13 @@ import pytest
 
 from spintorus import (
     ALL_SUITES,
+    BundleClass,
+    BundleSystem,
+    CliffordElement,
+    Failure,
     Signature,
     SuiteConfig,
+    TorusPoint,
     element_source,
     emit_report,
     generator_group,
@@ -82,6 +87,111 @@ def test_text_rendering_mentions_every_suite(rank_one_report):
         assert f"{name}:k=1" in text
     assert "result: PASS" in text
     assert "index audit" in text
+
+
+def _failure(inputs: dict, expected: str, actual: str) -> Failure:
+    return Failure(inputs={"k": "1", **inputs}, expected=expected, actual=actual)
+
+
+# Each case forces some comparisons of one k=1 suite to fail and pins the
+# exact text of a few records, by their position in the suite's failure list.
+FORCED_FAILURES = [
+    (
+        "clifford_core",
+        [(CliffordElement, "__eq__")],
+        129,
+        101,
+        {
+            9: _failure(
+                {
+                    "u": "(7/2-12/29*i)*e2",
+                    "v": "0 - (17/7+25/19*i)",
+                    "w": "(41/3+13/36*i)*e1 + 32/19*e1*e2",
+                },
+                "(159472/10469+444368/73283*i)*e1 + (33965299/277704+14571313/277704*i)*e1*e2",
+                "(159472/10469+444368/73283*i)*e1 + (33965299/277704+14571313/277704*i)*e1*e2",
+            ),
+            55: _failure(
+                {"u": "(6/7-39/44*i)*e1", "v": "(61/54-3/20*i)"},
+                "(6/7-39/44*i)*e1",
+                "(6/7-39/44*i)*e1",
+            ),
+            100: _failure({}, "orders in {1, 2, 4} and minimal", "False"),
+        },
+    ),
+    (
+        "spinor_torus",
+        [(TorusPoint, "__eq__")],
+        121,
+        110,
+        {
+            47: _failure(
+                {"p": "19/25+13/25i, 5/56", "q": "1/19+5/28i, 25/39i", "r": "10/13+54/55i, 28/29"},
+                "negation",
+                "0, 0",
+            ),
+            84: _failure({"ambient": "3-6/23i, -21-4/47i"}, "17/23i, 43/47i", "17/23i, 43/47i"),
+        },
+    ),
+    (
+        "clifford_action",
+        [(TorusPoint, "__eq__")],
+        1726,
+        925,
+        {
+            9: _failure(
+                {"element": "(3-3*i)*e1*e2", "ambient": "13-10i, -10/7-1/3i"},
+                "0, 2/7+2/7i",
+                "0, 2/7+2/7i",
+            ),
+            113: _failure(
+                {"actor": "i", "point": "0, 7/13+3/8i"},
+                "orbit matches p, p+M, p+M+N, p+N, p",
+                "0, 7/13+3/8i | 0, 5/8+7/13i | 0, 6/13+5/8i | 0, 3/8+6/13i | 0, 7/13+3/8i",
+            ),
+            910: _failure(
+                {"actor": "i", "checked": "16"},
+                "N = M and 2M = 0 on all two-torsion points",
+                "failing points: 0, 0, 0, 1/2i, 0, 1/2, 0, 1/2+1/2i, 1/2i, 0, 1/2i, 1/2i, "
+                "1/2i, 1/2, 1/2i, 1/2+1/2i, 1/2, 0, 1/2, 1/2i, 1/2, 1/2, 1/2, 1/2+1/2i, "
+                "1/2+1/2i, 0, 1/2+1/2i, 1/2i, 1/2+1/2i, 1/2, 1/2+1/2i, 1/2+1/2i",
+            ),
+        },
+    ),
+    (
+        "dual_picard",
+        [(BundleSystem, "holds"), (BundleClass, "__eq__")],
+        930,
+        880,
+        {
+            74: _failure(
+                {"actor": "i", "bundle": "[4/9, 5/11, 0, 0]"},
+                "four-step bundle system and dual-square identity",
+                "steps: [0, 0, 4/9, 5/11] | [5/9, 6/11, 0, 0] | [0, 0, 5/9, 6/11] | [4/9, 5/11, 0, 0]",
+            ),
+            865: _failure(
+                {"actor": "i", "classes": "16"},
+                "translation bundles agree and are 2-torsion",
+                "failing class: [0, 0, 0, 0]",
+            ),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, forced, checks, failed, pinned", FORCED_FAILURES, ids=[case[0] for case in FORCED_FAILURES]
+)
+def test_failure_records_render_inputs_and_messages(monkeypatch, suite, forced, checks, failed, pinned):
+    for owner, method in forced:
+        monkeypatch.setattr(owner, method, lambda *args: False)
+    result = run_suite(SuiteConfig(ks=(1,), suites=(suite,))).suites[0]
+    monkeypatch.undo()
+    assert not result.passed
+    assert result.checks == checks
+    assert len(result.failures) == failed
+    for position, record in pinned.items():
+        assert result.failures[position] == record
 
 
 def test_indefinite_signatures_skip_torus_suites():
