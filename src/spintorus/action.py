@@ -70,8 +70,15 @@ def group_lattice_matrix(
 
 
 def apply_matrix(m: Matrix, p: TorusPoint) -> TorusPoint:
-    """Apply a lattice-coordinates matrix to a point and reduce."""
-    return TorusPoint(p.lattice, m.matvec(p.coords))
+    """Apply a lattice-coordinates matrix to a point, on its numerators mod its order.
+
+    The matrix must have entries in Z[i] (NotIntegralError otherwise), as
+    every matrix that descends to the torus does.
+    """
+    dim = p.lattice.dim
+    if m.rows != dim or m.cols != dim:
+        raise ValueError(f"a {m.rows}x{m.cols} matrix cannot act on a point with {dim} coordinates")
+    return p.transform(m.gaussian_rows())
 
 
 def act(h: CliffordElement, p: TorusPoint, table: RepresentationTable) -> TorusPoint:

@@ -81,9 +81,15 @@ def endo_lattice(table: RepresentationTable, lattice: LatticeSpec) -> EndoLattic
     return EndoLattice(generators=generators, realified=realified)
 
 
-def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
-    """Z-rank of the span of the realified basis images; expected 2^(2k+1)."""
-    lat = endo_lattice(table, lattice)
+def endo_rank(
+    table: RepresentationTable, lattice: LatticeSpec, images: EndoLattice | None = None
+) -> int:
+    """Z-rank of the span of the realified basis images; expected 2^(2k+1).
+
+    Pass ``images`` (the ``endo_lattice`` of the same table and lattice) to
+    reuse it instead of building it again.
+    """
+    lat = images or endo_lattice(table, lattice)
     rows = (
         tuple(as_gaussian(x) for row in matrix for x in row) for matrix in lat.realified
     )
@@ -107,14 +113,17 @@ class SubringIndex:
         return "infinite" if self.index is None else str(self.index)
 
 
-def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIndex:
+def subring_index(
+    table: RepresentationTable, lattice: LatticeSpec, images: EndoLattice | None = None
+) -> SubringIndex:
     """Measure the image's index inside all lattice endomorphisms, two ways.
 
     Route one flattens each realified basis image over the standard integer
     basis of the full matrix ring and takes the product of Smith divisors.
     Route two takes the Gaussian norm of the complex flattening determinant.
+    ``images`` may carry a prebuilt ``endo_lattice``, as for ``endo_rank``.
     """
-    generators = endo_lattice(table, lattice).generators
+    generators = (images or endo_lattice(table, lattice)).generators
     flattened = [m.flatten() for m in generators]
     integer_rows = [
         [x.re.numerator for x in flat] + [x.im.numerator for x in flat] for flat in flattened
@@ -164,9 +173,12 @@ class DecompositionWitness:
 
 
 def decomposition_witness(
-    table: RepresentationTable, lattice: LatticeSpec
+    table: RepresentationTable, lattice: LatticeSpec, images: EndoLattice | None = None
 ) -> DecompositionWitness:
-    """Certify the split induced by the scalar i, or raise WitnessFailedError."""
+    """Certify the split induced by the scalar i, or raise WitnessFailedError.
+
+    ``images`` may carry a prebuilt ``endo_lattice``, as for ``endo_rank``.
+    """
     sig = table.sig
     i_scalar = CliffordElement.scalar(sig, GaussianRational(0, 1))
     analytic = table.represent(i_scalar)
@@ -182,7 +194,7 @@ def decomposition_witness(
         basis_map: tuple[int, ...] | None = tuple(range(table.dim))
     else:
         basis_map = None
-        if endo_rank(table, lattice) != 1 << (2 * sig.k + 1):
+        if endo_rank(table, lattice, images) != 1 << (2 * sig.k + 1):
             raise WitnessFailedError("realified span is not full rank over the lattice")
     return DecompositionWitness(
         automorphism=i_scalar,

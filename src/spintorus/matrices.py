@@ -15,10 +15,14 @@ from .errors import InvalidScalarError, NonUnimodularError, NotIntegralError
 from .scalars import GaussianRational, as_gaussian
 
 
+# Per row, the nonzero entries of a Gaussian-integer matrix as ``(col, re, im)`` ints.
+GaussianRows = Sequence[Sequence[tuple[int, int, int]]]
+
+
 class Matrix:
     """An immutable dense matrix with GaussianRational entries."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_entries", "_gaussian_rows")
 
     def __init__(self, rows: Iterable[Iterable[int | Fraction | GaussianRational]]) -> None:
         entries = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
@@ -30,6 +34,7 @@ class Matrix:
         self.rows = len(entries)
         self.cols = width
         self._entries = entries
+        self._gaussian_rows: GaussianRows | None = None
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
@@ -127,6 +132,20 @@ class Matrix:
             out.append(acc if acc is not None else as_gaussian(0))
         return tuple(out)
 
+    def gaussian_rows(self) -> GaussianRows:
+        """Each row's nonzero entries as ``(col, re, im)`` ints; cached.
+
+        Raises NotIntegralError if an entry lies outside Z[i].
+        """
+        if self._gaussian_rows is None:
+            if not self.is_gaussian_integer():
+                raise NotIntegralError("matrix has an entry outside Z[i]")
+            self._gaussian_rows = tuple(
+                tuple((c, x.re.numerator, x.im.numerator) for c, x in enumerate(row) if x)
+                for row in self._entries
+            )
+        return self._gaussian_rows
+
     def transpose(self) -> Matrix:
         return Matrix(list(zip(*self._entries)))
 
@@ -148,6 +167,8 @@ class Matrix:
         return self.rows == self.cols
 
     def is_gaussian_integer(self) -> bool:
+        if self._gaussian_rows is not None:
+            return True
         return all(x.is_gaussian_integer() for row in self._entries for x in row)
 
     def is_hermitian(self) -> bool:

@@ -4,12 +4,13 @@ A degree-zero line bundle class is encoded by the values of the
 polarization's alternating form against the realified lattice basis,
 taken mod 1. For a principal polarization this encoding is a group
 isomorphism from the torus to its dual, which is what `point_to_bundle`
-and `bundle_to_point` implement in both directions.
+and `bundle_to_point` implement in both directions: the integer form E,
+and its integral inverse transpose, applied to integer numerators modulo
+their common denominator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,43 +19,77 @@ from .action import act, apply_matrix, group_lattice_matrix, translation_system
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
 from .matrices import Matrix
-from .scalars import GaussianRational, as_gaussian, as_rational, format_rational
+from .scalars import as_rational, format_rational
 from .spinrep import RepresentationTable
-from .torus import PolarizationData, TorusPoint, is_principal
+from .torus import (
+    IntegerRows,
+    PolarizationData,
+    TorusPoint,
+    combine_numerators,
+    fraction_numerators,
+    is_principal,
+    lowest_terms,
+)
 
 
 class BundleClass:
-    """A degree-zero bundle class: one value in [0, 1) per realified basis vector."""
+    """A degree-zero bundle class: one value in [0, 1) per realified basis vector.
 
-    __slots__ = ("k", "chars")
+    Stored like a torus point: ``den`` (the order, an int >= 1) and ``nums``,
+    the 2 * 2^k integer numerators in ``[0, den)``, with
+    ``gcd(den, *nums) == 1``; the trivial class has ``den == 1``. ``chars``
+    derives the Fraction values from these integers.
+    """
+
+    __slots__ = ("k", "den", "nums", "_chars")
 
     def __init__(self, k: int, chars: Sequence[Fraction | int]) -> None:
-        values = tuple(as_rational(x) % 1 for x in chars)
+        values = [as_rational(x) for x in chars]
         if len(values) != 2 << k:
             raise ValueError(f"expected {2 << k} components for k={k}, got {len(values)}")
         self.k = k
-        self.chars = values
+        self.den, self.nums = fraction_numerators(values)
+        self._chars: tuple[Fraction, ...] | None = None
+
+    @classmethod
+    def from_numerators(cls, k: int, den: int, nums: Sequence[int]) -> BundleClass:
+        """The class ``nums / den`` for numerators already reduced into [0, den)."""
+        b = cls.__new__(cls)
+        b.k = k
+        b.den, b.nums = lowest_terms(den, nums)
+        b._chars = None
+        return b
 
     @classmethod
     def trivial(cls, k: int) -> BundleClass:
-        return cls(k, (0,) * (2 << k))
+        return cls.from_numerators(k, 1, (0,) * (2 << k))
+
+    @property
+    def chars(self) -> tuple[Fraction, ...]:
+        """The component values, each in [0, 1)."""
+        if self._chars is None:
+            self._chars = tuple(Fraction(x, self.den) for x in self.nums)
+        return self._chars
 
     def tensor(self, other: BundleClass) -> BundleClass:
         self._require_same_dual(other)
-        return BundleClass(self.k, tuple(a + b for a, b in zip(self.chars, other.chars)))
+        den, nums = combine_numerators(self.den, self.nums, other.den, other.nums, 1)
+        return BundleClass.from_numerators(self.k, den, nums)
 
     def dual(self) -> BundleClass:
-        return BundleClass(self.k, tuple(-x for x in self.chars))
+        den = self.den
+        return BundleClass.from_numerators(self.k, den, [-x % den for x in self.nums])
 
     def power(self, n: int) -> BundleClass:
-        return BundleClass(self.k, tuple(x * n for x in self.chars))
+        den = self.den
+        return BundleClass.from_numerators(self.k, den, [x * n % den for x in self.nums])
 
     def order(self) -> int:
-        """Order in the dual group: lcm of the component denominators."""
-        return math.lcm(*[x.denominator for x in self.chars], 1)
+        """Order in the dual group: the common denominator."""
+        return self.den
 
     def is_trivial(self) -> bool:
-        return all(not x for x in self.chars)
+        return self.den == 1
 
     def _require_same_dual(self, other: BundleClass) -> None:
         if self.k != other.k:
@@ -63,16 +98,27 @@ class BundleClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BundleClass):
             return NotImplemented
-        return self.k == other.k and self.chars == other.chars
+        return self.k == other.k and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.k, self.chars))
+        return hash((self.k, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"BundleClass({self})"
 
     def __str__(self) -> str:
         return "[" + ", ".join(format_rational(x) for x in self.chars) + "]"
+
+
+def _apply_rows(rows: IntegerRows, den: int, nums: Sequence[int]) -> list[int]:
+    """Integer mat-vec on numerators mod ``den``; rows hold ``(index, coefficient)`` pairs."""
+    out = []
+    for row in rows:
+        total = 0
+        for i, c in row:
+            total += c * nums[i]
+        out.append(total % den)
+    return out
 
 
 def _require_principal(pol: PolarizationData) -> None:
@@ -83,35 +129,19 @@ def _require_principal(pol: PolarizationData) -> None:
 def point_to_bundle(p: TorusPoint, pol: PolarizationData) -> BundleClass:
     """Forward duality: pair the point's lift against the realified basis."""
     _require_principal(pol)
-    if p.lattice != pol.lattice:
+    if p.lattice is not pol.lattice and p.lattice != pol.lattice:
         raise ValueError("point and polarization use different lattices")
-    reals = [c.re for c in p.coords] + [c.im for c in p.coords]
-    gram = pol.imag_gram
-    size = len(reals)
-    chars = []
-    for j in range(size):
-        total = Fraction(0)
-        for a, x in enumerate(reals):
-            if not x:
-                continue
-            entry = gram[a][j]
-            if entry:
-                total += x * entry
-        chars.append(total % 1)
-    return BundleClass(pol.lattice.k, chars)
+    rows = pol.bundle_rows()
+    return BundleClass.from_numerators(pol.lattice.k, p.den, _apply_rows(rows, p.den, p.nums))
 
 
 def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
-    """Inverse duality, via the exact inverse of the transposed form."""
+    """Inverse duality, via the integral inverse of the transposed form."""
     _require_principal(pol)
     if bundle.k != pol.lattice.k:
         raise ValueError("bundle and polarization have different dimensions")
-    inverse = pol.inverse_transpose_form()
-    solution = inverse.matvec(tuple(as_gaussian(Fraction(x)) for x in bundle.chars))
-    reals = [x.re % 1 for x in solution]
-    g = pol.g
-    coords = tuple(GaussianRational(reals[a], reals[g + a]) for a in range(g))
-    return TorusPoint(pol.lattice, coords)
+    rows = pol.point_rows()
+    return TorusPoint.from_numerators(pol.lattice, bundle.den, _apply_rows(rows, bundle.den, bundle.nums))
 
 
 def bundle_action(

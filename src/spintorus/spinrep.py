@@ -55,9 +55,10 @@ def clifford_relation_failure(
 class RepresentationTable:
     """The 2k generator matrices plus every blade image, precomputed.
 
-    Immutable after construction. The constructor checks the Clifford
-    relations and integrality, so a table in hand is always a valid
-    representation.
+    Immutable after construction, apart from the memo of signed-blade
+    images that ``represent_group_element`` fills on use. The constructor
+    checks the Clifford relations and integrality, so a table in hand is
+    always a valid representation.
     """
 
     def __init__(self, sig: Signature, gamma: Sequence[Matrix], description: str = "") -> None:
@@ -82,6 +83,7 @@ class RepresentationTable:
             low = mask & -mask
             images[mask] = self.gamma[low.bit_length() - 1] @ images[mask ^ low]
         self._blade_images = images
+        self._signed_images: dict[tuple[int, int], Matrix] = {}
 
     def blade_image(self, mask: int) -> Matrix:
         return self._blade_images[mask]
@@ -96,9 +98,15 @@ class RepresentationTable:
         return acc
 
     def represent_group_element(self, g: GeneratorGroupElement) -> Matrix:
-        if g.i_power == 0:
-            return self._blade_images[g.blade]
-        return self._blade_images[g.blade] * g.phase
+        """The image of a signed blade, built once per (blade, i_power) and then reused."""
+        key = (g.blade, g.i_power)
+        image = self._signed_images.get(key)
+        if image is None:
+            image = self._blade_images[g.blade]
+            if g.i_power:
+                image = image * g.phase
+            self._signed_images[key] = image
+        return image
 
     def __repr__(self) -> str:
         return f"RepresentationTable(k={self.k}, sig=({self.sig.p},{self.sig.q}))"

@@ -40,6 +40,7 @@ from .clifford import (
 from .endo import (
     automorphism_containment,
     decomposition_witness,
+    endo_lattice,
     endo_rank,
     representation_determinants_match,
     subring_index,
@@ -745,10 +746,11 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
         determinants_ok,
     )
 
-    rank = endo_rank(table, lattice)
+    images = endo_lattice(table, lattice)
+    rank = endo_rank(table, lattice, images)
     chk.record(rank == 1 << (2 * env.k + 1), {"k": env.k}, 1 << (2 * env.k + 1), rank)
 
-    audit = subring_index(table, lattice)
+    audit = subring_index(table, lattice, images)
     chk.record(
         audit.consistent,
         {"k": env.k},
@@ -769,7 +771,7 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
         "consistent": audit.consistent,
     }
 
-    witness = decomposition_witness(table, lattice)
+    witness = decomposition_witness(table, lattice, images)
     chk.record(
         witness.analytic_matrix
         == Matrix.identity(table.dim) * GaussianRational(0, 1),

@@ -4,8 +4,12 @@ The spinor space has complex dimension 2^k. A :class:`LatticeSpec` holds an
 invertible basis matrix P whose columns generate the lattice P * Z[i]^(2^k);
 the default is the identity, i.e. the standard Gaussian lattice. Points on
 the quotient are stored in lattice coordinates with every real and
-imaginary part reduced into [0, 1), so equality of points is literal
-equality of representatives.
+imaginary part reduced into [0, 1). Every point of the torus that this
+package builds has finite order, so a point is stored as one denominator
+``den`` (its order) and integer numerators in ``[0, den)``, real and
+imaginary parts interleaved per coordinate, in lowest terms. Equality of
+points is literal equality of these integers, and the Gaussian-rational
+coordinates are derived from them on demand.
 
 Realified objects use the basis (u_1..u_g, i*u_1..i*u_g) where u_a is the
 a-th lattice generator and g = 2^k. With the identity polarization this
@@ -25,7 +29,7 @@ from .errors import (
     LatticeMismatchError,
     NotIntegralError,
 )
-from .matrices import Matrix, smith_form
+from .matrices import GaussianRows, Matrix, smith_form
 from .scalars import GaussianRational, as_gaussian
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -86,21 +90,84 @@ class LatticeSpec:
         return f"LatticeSpec(k={self.k}, default={self.is_default})"
 
 
-class TorusPoint:
-    """A point of the quotient torus, stored as reduced lattice coordinates."""
+def fraction_numerators(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """Values mod 1 as ``(den, nums)``: den the lcm of the denominators, nums in [0, den).
 
-    __slots__ = ("lattice", "coords")
+    The result is in lowest terms, ``gcd(den, *nums) == 1``, because some
+    value carries the full power of each prime dividing den.
+    """
+    den = math.lcm(*[x.denominator for x in values])
+    return den, tuple(x.numerator * (den // x.denominator) % den for x in values)
+
+
+def lowest_terms(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Divide ``den`` and numerators already reduced mod ``den`` by their gcd."""
+    common = math.gcd(den, *nums)
+    if common == 1:
+        return den, tuple(nums)
+    return den // common, tuple([x // common for x in nums])
+
+
+def combine_numerators(
+    den: int, nums: Sequence[int], other_den: int, other_nums: Sequence[int], sign: int
+) -> tuple[int, tuple[int, ...]]:
+    """``nums/den + sign * other_nums/other_den`` mod 1, in lowest terms."""
+    common = math.lcm(den, other_den)
+    a, b = common // den, sign * (common // other_den)
+    return lowest_terms(common, [(a * x + b * y) % common for x, y in zip(nums, other_nums)])
+
+
+# Sparse integer rows of the real duality maps: ``(index, coefficient)`` pairs.
+IntegerRows = Sequence[Sequence[tuple[int, int]]]
+
+
+class TorusPoint:
+    """A point of finite order on the quotient torus.
+
+    Stored as ``den`` (the order, an int >= 1) and ``nums``, the 2 * 2^k
+    integer numerators in ``[0, den)`` of the lattice coordinates, real and
+    imaginary parts interleaved per coordinate, with ``gcd(den, *nums) == 1``.
+    The zero point has ``den == 1``. ``coords`` derives the reduced
+    Gaussian-rational coordinates from these integers.
+    """
+
+    __slots__ = ("lattice", "den", "nums", "_coords")
 
     def __init__(self, lattice: LatticeSpec, coords: Sequence[int | Fraction | GaussianRational]) -> None:
-        values = tuple(as_gaussian(x).mod1() for x in coords)
-        if len(values) != lattice.dim:
-            raise ValueError(f"expected {lattice.dim} coordinates, got {len(values)}")
+        parts = []
+        for x in coords:
+            value = as_gaussian(x)
+            parts.append(value.re)
+            parts.append(value.im)
+        if len(parts) != 2 * lattice.dim:
+            raise ValueError(f"expected {lattice.dim} coordinates, got {len(parts) // 2}")
         self.lattice = lattice
-        self.coords = values
+        self.den, self.nums = fraction_numerators(parts)
+        self._coords: tuple[GaussianRational, ...] | None = None
+
+    @classmethod
+    def from_numerators(cls, lattice: LatticeSpec, den: int, nums: Sequence[int]) -> TorusPoint:
+        """The point ``nums / den`` for numerators already reduced into [0, den)."""
+        p = cls.__new__(cls)
+        p.lattice = lattice
+        p.den, p.nums = lowest_terms(den, nums)
+        p._coords = None
+        return p
 
     @classmethod
     def zero(cls, lattice: LatticeSpec) -> TorusPoint:
-        return cls(lattice, (0,) * lattice.dim)
+        return cls.from_numerators(lattice, 1, (0,) * (2 * lattice.dim))
+
+    @property
+    def coords(self) -> tuple[GaussianRational, ...]:
+        """The lattice coordinates, each part reduced into [0, 1)."""
+        if self._coords is None:
+            den, nums = self.den, self.nums
+            self._coords = tuple(
+                GaussianRational(Fraction(nums[j], den), Fraction(nums[j + 1], den))
+                for j in range(0, len(nums), 2)
+            )
+        return self._coords
 
     def lift(self) -> tuple[GaussianRational, ...]:
         """The canonical ambient representative P * coords."""
@@ -109,56 +176,81 @@ class TorusPoint:
         return self.lattice.basis.matvec(self.coords)
 
     def is_zero(self) -> bool:
-        return all(not x for x in self.coords)
+        return self.den == 1
 
     def order(self) -> int:
-        """Order in the torsion group: lcm of all coordinate denominators."""
-        denominators = [1]
-        for x in self.coords:
-            denominators.append(x.re.denominator)
-            denominators.append(x.im.denominator)
-        return math.lcm(*denominators)
+        """Order in the torsion group: the common denominator."""
+        return self.den
+
+    def transform(self, rows: GaussianRows) -> TorusPoint:
+        """Apply a Gaussian-integer matrix, given per row as ``(col, re, im)`` entries.
+
+        Output coordinate r is ``sum (a + b i)(x_c + y_c i)`` over the row's
+        entries, computed on the numerators mod ``den``.
+        """
+        den, nums = self.den, self.nums
+        out = []
+        for row in rows:
+            re = im = 0
+            for col, a, b in row:
+                x = nums[2 * col]
+                y = nums[2 * col + 1]
+                re += a * x - b * y
+                im += a * y + b * x
+            out.append(re % den)
+            out.append(im % den)
+        return TorusPoint.from_numerators(self.lattice, den, out)
 
     def scale(self, c: int | GaussianRational) -> TorusPoint:
         """Multiply by a Gaussian integer; well defined since i preserves Z[i]."""
         scalar = as_gaussian(c)
         if not scalar.is_gaussian_integer():
             raise NotIntegralError(f"scale factor {scalar} is not a Gaussian integer")
-        return TorusPoint(self.lattice, tuple(scalar * x for x in self.coords))
+        a, b = scalar.re.numerator, scalar.im.numerator
+        return self.transform([((col, a, b),) for col in range(self.lattice.dim)])
 
     def _require_same_lattice(self, other: TorusPoint) -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("points live on different tori")
+
+    def _combine(self, other: TorusPoint, sign: int) -> TorusPoint:
+        self._require_same_lattice(other)
+        den, nums = combine_numerators(self.den, self.nums, other.den, other.nums, sign)
+        return TorusPoint.from_numerators(self.lattice, den, nums)
 
     def __add__(self, other: TorusPoint) -> TorusPoint:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        self._require_same_lattice(other)
-        return TorusPoint(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: TorusPoint) -> TorusPoint:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        self._require_same_lattice(other)
-        return TorusPoint(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> TorusPoint:
-        return TorusPoint(self.lattice, tuple(-x for x in self.coords))
+        den = self.den
+        return TorusPoint.from_numerators(self.lattice, den, [-x % den for x in self.nums])
 
     def __mul__(self, n: int) -> TorusPoint:
         if not isinstance(n, int):
             return NotImplemented
-        return TorusPoint(self.lattice, tuple(x * n for x in self.coords))
+        den = self.den
+        return TorusPoint.from_numerators(self.lattice, den, [x * n % den for x in self.nums])
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        return self.lattice == other.lattice and self.coords == other.coords
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and (self.lattice is other.lattice or self.lattice == other.lattice)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.lattice, self.coords))
+        return hash((self.lattice, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"TorusPoint({self})"
@@ -186,12 +278,9 @@ def torsion_points(
     dim = lattice.dim
 
     def generate() -> Iterator[TorusPoint]:
+        # Digits interleave real and imaginary numerators per coordinate.
         for digits in itertools.product(range(n), repeat=2 * dim):
-            coords = tuple(
-                GaussianRational(Fraction(digits[2 * c], n), Fraction(digits[2 * c + 1], n))
-                for c in range(dim)
-            )
-            yield TorusPoint(lattice, coords)
+            yield TorusPoint.from_numerators(lattice, n, digits)
 
     return generate()
 
@@ -214,6 +303,11 @@ def hermitian_value(
     return acc
 
 
+def _interleaved(a: int, g: int) -> int:
+    """Position of realified index a among a point's interleaved numerators."""
+    return 2 * a if a < g else 2 * (a - g) + 1
+
+
 class PolarizationData:
     """A Hermitian form on the spinor space and its imaginary part on the lattice.
 
@@ -229,6 +323,8 @@ class PolarizationData:
         "imag_gram",
         "_inverse_transpose",
         "_principal",
+        "_bundle_rows",
+        "_point_rows",
     )
 
     def __init__(self, hermitian: Matrix, lattice: LatticeSpec) -> None:
@@ -249,6 +345,8 @@ class PolarizationData:
         )
         self._inverse_transpose: Matrix | None = None
         self._principal: bool | None = None
+        self._bundle_rows: IntegerRows | None = None
+        self._point_rows: IntegerRows | None = None
 
     @classmethod
     def default(cls, lattice: LatticeSpec) -> PolarizationData:
@@ -273,6 +371,42 @@ class PolarizationData:
             transposed = [[e_int[b][a] for b in range(len(e_int))] for a in range(len(e_int))]
             self._inverse_transpose = Matrix(transposed).inv()
         return self._inverse_transpose
+
+    def bundle_rows(self) -> IntegerRows:
+        """Sparse integer rows of E acting on a point's numerators; cached.
+
+        Realified index a is the real part of coordinate a for a < g and the
+        imaginary part of coordinate a - g otherwise, which sits at position
+        2a or 2(a - g) + 1 of the interleaved numerators. Row j holds the
+        ``(position, E[a][j])`` pairs with E[a][j] nonzero.
+        """
+        if self._bundle_rows is None:
+            e_int = self.integer_form()
+            size = len(e_int)
+            self._bundle_rows = tuple(
+                tuple((_interleaved(a, self.g), e_int[a][j]) for a in range(size) if e_int[a][j])
+                for j in range(size)
+            )
+        return self._bundle_rows
+
+    def point_rows(self) -> IntegerRows:
+        """Sparse integer rows of E^-T, ordered by interleaved point position; cached.
+
+        Raises NotIntegralError if E^-T leaves the integers, as it does
+        exactly when the polarization is not principal.
+        """
+        if self._point_rows is None:
+            # E is real, so its inverse transpose is real too.
+            inverse = self.inverse_transpose_form()
+            if not inverse.is_gaussian_integer():
+                raise NotIntegralError("the inverse of the transposed form is not integral")
+            size = inverse.rows
+            by_position = sorted(range(size), key=lambda a: _interleaved(a, self.g))
+            self._point_rows = tuple(
+                tuple((j, x.re.numerator) for j, x in enumerate(inverse.row(a)) if x)
+                for a in by_position
+            )
+        return self._point_rows
 
     def __repr__(self) -> str:
         return f"PolarizationData(g={self.g})"
