@@ -217,17 +217,6 @@ def test_point_rows_need_an_integral_inverse_form():
         pol.point_rows()
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
-def test_points_and_bundles_reject_floats_and_strings(bad):
-    lattice = LatticeSpec.default(1)
-    with pytest.raises(TypeError):
-        TorusPoint(lattice, [bad, 0])
-    with pytest.raises(TypeError):
-        TorusPoint(lattice, [GaussianRational(0), bad])
-    with pytest.raises(TypeError):
-        BundleClass(1, [bad, 0, 0, 0])
-
-
 def test_signed_blade_images_are_built_once():
     table = build_generators(2)
     for g in generator_group(table.sig):

@@ -41,6 +41,15 @@ def test_coordinates_are_reduced_into_the_fundamental_domain():
     assert p == parse_point("5/4-1/2i, 0", 1)
 
 
+def test_coordinates_must_be_exact():
+    # numerators over a common denominator need exact rationals, not floats or strings
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            TorusPoint(LATTICE, [bad, 0])
+        with pytest.raises(TypeError):
+            TorusPoint(LATTICE, [GaussianRational(0), bad])
+
+
 @settings(max_examples=60)
 @given(points, points, points)
 def test_point_addition_is_an_abelian_group(a, b, c):
