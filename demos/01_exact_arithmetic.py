@@ -33,7 +33,6 @@ m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
 print(f"  smith_form({m}) = {smith_form(m)}")
 
 print()
-print("Unimodular systems can be solved modulo 1, which is how lattice")
-print("translations are inverted on the torus:")
+print("Unimodular integer systems can also be solved modulo 1, exactly:")
 solution = solve_mod1([[0, -1], [1, 0]], (Fraction(0), Fraction(1, 2)))
 print(f"  J x = (0, 1/2) mod 1  =>  x = ({', '.join(str(x) for x in solution)})")

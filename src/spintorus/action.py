@@ -61,12 +61,18 @@ def preserves_lattice(
 def group_lattice_matrix(
     g: GeneratorGroupElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> Matrix:
-    """Lattice-coordinates matrix of a signed blade, skipping the sparse-sum path.
+    """Lattice-coordinates matrix of a signed blade, built once per lattice and reused.
 
     Signed blades are always integral, so only the lattice-preservation check
-    remains; this is the hot path for orbit scans.
+    remains; this is the hot path for orbit scans. The result is memoized in
+    ``table.lattice_images`` per (blade, i_power, lattice).
     """
-    return _lattice_coordinates(table.represent_group_element(g), lattice)
+    key = (g.blade, g.i_power, lattice)
+    matrix = table.lattice_images.get(key)
+    if matrix is None:
+        matrix = _lattice_coordinates(table.represent_group_element(g), lattice)
+        table.lattice_images[key] = matrix
+    return matrix
 
 
 def apply_matrix(m: Matrix, p: TorusPoint) -> TorusPoint:
@@ -78,7 +84,7 @@ def apply_matrix(m: Matrix, p: TorusPoint) -> TorusPoint:
     dim = p.lattice.dim
     if m.rows != dim or m.cols != dim:
         raise ValueError(f"a {m.rows}x{m.cols} matrix cannot act on a point with {dim} coordinates")
-    return p.transform(m.gaussian_rows())
+    return p.transform(m.realified_rows())
 
 
 def act(h: CliffordElement, p: TorusPoint, table: RepresentationTable) -> TorusPoint:

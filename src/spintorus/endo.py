@@ -13,7 +13,6 @@ independently and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .action import lattice_matrix, preserves_lattice
 from .clifford import (
@@ -24,24 +23,10 @@ from .clifford import (
     generator_group,
 )
 from .errors import NonUnimodularError, NotIntegralError, WitnessFailedError
-from .matrices import Matrix, rank_of_rows, smith_form
+from .matrices import Matrix, rank_of_rows, realify, smith_form
 from .scalars import GaussianRational, as_gaussian
 from .spinrep import RepresentationTable
 from .torus import LatticeSpec, TorusPoint
-
-
-def realify(m: Matrix) -> list[list[Fraction]]:
-    """Real 2n x 2n matrix of a complex n x n one, on the (u, i*u) basis."""
-    n = m.rows
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        for b in range(n):
-            entry = m[a, b]
-            out[a][b] = entry.re
-            out[a][b + n] = -entry.im
-            out[a + n][b] = entry.im
-            out[a + n][b + n] = entry.re
-    return out
 
 
 def _integer_realify(m: Matrix) -> list[list[int]]:

@@ -1,4 +1,8 @@
-"""Dense exact matrices over Q(i), plus the integer lattice routines.
+"""Dense exact matrices over Q(i), their realification, and the integer routines.
+
+The integer routines are the lattice ones (Smith form, the mod-1 solver)
+and one sparse kernel: a matrix with integer entries kept as sparse rows,
+applied to integer numerators modulo their common denominator.
 
 Everything here is deterministic: elimination always picks the first
 nonzero pivot in row/column order, and the Smith reduction always picks
@@ -15,14 +19,14 @@ from .errors import InvalidScalarError, NonUnimodularError, NotIntegralError
 from .scalars import GaussianRational, as_gaussian
 
 
-# Per row, the nonzero entries of a Gaussian-integer matrix as ``(col, re, im)`` ints.
-GaussianRows = Sequence[Sequence[tuple[int, int, int]]]
+# Sparse integer rows: per row, the ``(index, coefficient)`` int pairs of its nonzero entries.
+IntegerRows = Sequence[Sequence[tuple[int, int]]]
 
 
 class Matrix:
     """An immutable dense matrix with GaussianRational entries."""
 
-    __slots__ = ("rows", "cols", "_entries", "_gaussian_rows")
+    __slots__ = ("rows", "cols", "_entries", "_realified_rows")
 
     def __init__(self, rows: Iterable[Iterable[int | Fraction | GaussianRational]]) -> None:
         entries = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
@@ -34,7 +38,7 @@ class Matrix:
         self.rows = len(entries)
         self.cols = width
         self._entries = entries
-        self._gaussian_rows: GaussianRows | None = None
+        self._realified_rows: IntegerRows | None = None
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
@@ -132,19 +136,14 @@ class Matrix:
             out.append(acc if acc is not None else as_gaussian(0))
         return tuple(out)
 
-    def gaussian_rows(self) -> GaussianRows:
-        """Each row's nonzero entries as ``(col, re, im)`` ints; cached.
+    def realified_rows(self) -> IntegerRows:
+        """The realified matrix (see ``realify``) as sparse integer rows; cached.
 
         Raises NotIntegralError if an entry lies outside Z[i].
         """
-        if self._gaussian_rows is None:
-            if not self.is_gaussian_integer():
-                raise NotIntegralError("matrix has an entry outside Z[i]")
-            self._gaussian_rows = tuple(
-                tuple((c, x.re.numerator, x.im.numerator) for c, x in enumerate(row) if x)
-                for row in self._entries
-            )
-        return self._gaussian_rows
+        if self._realified_rows is None:
+            self._realified_rows = sparse_rows(realify(self))
+        return self._realified_rows
 
     def transpose(self) -> Matrix:
         return Matrix(list(zip(*self._entries)))
@@ -167,8 +166,6 @@ class Matrix:
         return self.rows == self.cols
 
     def is_gaussian_integer(self) -> bool:
-        if self._gaussian_rows is not None:
-            return True
         return all(x.is_gaussian_integer() for row in self._entries for x in row)
 
     def is_hermitian(self) -> bool:
@@ -237,6 +234,44 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._entries)
         return f"Matrix[{body}]"
+
+
+def realify(m: Matrix) -> list[list[Fraction]]:
+    """Real 2n x 2n matrix of a complex n x n one, on the (u, i*u) basis."""
+    n = m.rows
+    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        for b in range(n):
+            entry = m[a, b]
+            out[a][b] = entry.re
+            out[a][b + n] = -entry.im
+            out[a + n][b] = entry.im
+            out[a + n][b + n] = entry.re
+    return out
+
+
+def sparse_rows(rows: Iterable[Sequence[int | Fraction]]) -> IntegerRows:
+    """Each row's nonzero entries as ``(index, coefficient)`` int pairs.
+
+    Raises NotIntegralError if an entry is not an integer.
+    """
+    out = []
+    for row in rows:
+        if any(x.denominator != 1 for x in row):
+            raise NotIntegralError("matrix has a non-integer entry")
+        out.append(tuple((j, x.numerator) for j, x in enumerate(row) if x))
+    return tuple(out)
+
+
+def sparse_matvec_mod(rows: IntegerRows, nums: Sequence[int], den: int) -> list[int]:
+    """The integer mat-vec of sparse ``rows`` with ``nums``, each entry reduced mod ``den``."""
+    out = []
+    for row in rows:
+        total = 0
+        for j, c in row:
+            total += c * nums[j]
+        out.append(total % den)
+    return out
 
 
 def rank_of_rows(rows: Iterable[Sequence[GaussianRational]]) -> int:

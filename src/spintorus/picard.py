@@ -2,11 +2,12 @@
 
 A degree-zero line bundle class is encoded by the values of the
 polarization's alternating form against the realified lattice basis,
-taken mod 1. For a principal polarization this encoding is a group
-isomorphism from the torus to its dual, which is what `point_to_bundle`
-and `bundle_to_point` implement in both directions: the integer form E,
-and its integral inverse transpose, applied to integer numerators modulo
-their common denominator.
+taken mod 1. Classes and torus points store integer numerators in the same
+realified order (u_1..u_g, i*u_1..i*u_g). For a principal polarization the
+encoding is a group isomorphism from the torus to its dual, which is what
+`point_to_bundle` and `bundle_to_point` implement in both directions: E^T
+and its integral inverse E^-T, applied as sparse integer rows to the
+numerators modulo their common denominator.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from typing import Sequence
 from .action import act, apply_matrix, group_lattice_matrix, translation_system
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
-from .matrices import Matrix
+from .matrices import Matrix, sparse_matvec_mod
 from .scalars import as_rational, format_rational
 from .spinrep import RepresentationTable
 from .torus import (
-    IntegerRows,
     PolarizationData,
     TorusPoint,
     combine_numerators,
@@ -35,10 +35,10 @@ from .torus import (
 class BundleClass:
     """A degree-zero bundle class: one value in [0, 1) per realified basis vector.
 
-    Stored like a torus point: ``den`` (the order, an int >= 1) and ``nums``,
-    the 2 * 2^k integer numerators in ``[0, den)``, with
-    ``gcd(den, *nums) == 1``; the trivial class has ``den == 1``. ``chars``
-    derives the Fraction values from these integers.
+    Stored like a torus point, on the same realified basis: ``den`` (the
+    order, an int >= 1) and ``nums``, the 2 * 2^k integer numerators in
+    ``[0, den)``, with ``gcd(den, *nums) == 1``; the trivial class has
+    ``den == 1``. ``chars`` derives the Fraction values from these integers.
     """
 
     __slots__ = ("k", "den", "nums", "_chars")
@@ -110,17 +110,6 @@ class BundleClass:
         return "[" + ", ".join(format_rational(x) for x in self.chars) + "]"
 
 
-def _apply_rows(rows: IntegerRows, den: int, nums: Sequence[int]) -> list[int]:
-    """Integer mat-vec on numerators mod ``den``; rows hold ``(index, coefficient)`` pairs."""
-    out = []
-    for row in rows:
-        total = 0
-        for i, c in row:
-            total += c * nums[i]
-        out.append(total % den)
-    return out
-
-
 def _require_principal(pol: PolarizationData) -> None:
     if not is_principal(pol):
         raise NotPrincipalError("the duality maps need a principal polarization")
@@ -131,8 +120,8 @@ def point_to_bundle(p: TorusPoint, pol: PolarizationData) -> BundleClass:
     _require_principal(pol)
     if p.lattice is not pol.lattice and p.lattice != pol.lattice:
         raise ValueError("point and polarization use different lattices")
-    rows = pol.bundle_rows()
-    return BundleClass.from_numerators(pol.lattice.k, p.den, _apply_rows(rows, p.den, p.nums))
+    nums = sparse_matvec_mod(pol.bundle_rows(), p.nums, p.den)
+    return BundleClass.from_numerators(pol.lattice.k, p.den, nums)
 
 
 def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
@@ -140,8 +129,8 @@ def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
     _require_principal(pol)
     if bundle.k != pol.lattice.k:
         raise ValueError("bundle and polarization have different dimensions")
-    rows = pol.point_rows()
-    return TorusPoint.from_numerators(pol.lattice, bundle.den, _apply_rows(rows, bundle.den, bundle.nums))
+    nums = sparse_matvec_mod(pol.point_rows(), bundle.nums, bundle.den)
+    return TorusPoint.from_numerators(pol.lattice, bundle.den, nums)
 
 
 def bundle_action(
@@ -215,8 +204,8 @@ def two_torsion_bundle_check(
 ) -> bool:
     """For order-2 bundles: both translation bundles agree and are 2-torsion.
 
-    Callers scanning many bundles against one actor may pass the actor's
-    lattice matrix to avoid recomputing it per bundle.
+    ``matrix`` is the actor's lattice matrix; by default it is looked up
+    through ``group_lattice_matrix``, which builds it once per lattice.
     """
     base_point = bundle_to_point(bundle, pol)
     if matrix is None:

@@ -15,12 +15,15 @@ later on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, Signature, basis_blades
 from .errors import NotUnitVectorError, SignatureMismatchError
 from .matrices import Matrix, rank_of_rows
 from .scalars import GaussianRational
+
+if TYPE_CHECKING:
+    from .torus import LatticeSpec
 
 PAULI_X = Matrix([[0, 1], [1, 0]])
 PAULI_Y = Matrix([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]])
@@ -55,10 +58,11 @@ def clifford_relation_failure(
 class RepresentationTable:
     """The 2k generator matrices plus every blade image, precomputed.
 
-    Immutable after construction, apart from the memo of signed-blade
-    images that ``represent_group_element`` fills on use. The constructor
-    checks the Clifford relations and integrality, so a table in hand is
-    always a valid representation.
+    Immutable after construction, apart from ``lattice_images``, the memo of
+    signed-blade matrices in lattice coordinates, keyed by (blade, i_power,
+    lattice), that ``action.group_lattice_matrix`` fills on use. The
+    constructor checks the Clifford relations and integrality, so a table in
+    hand is always a valid representation.
     """
 
     def __init__(self, sig: Signature, gamma: Sequence[Matrix], description: str = "") -> None:
@@ -83,7 +87,7 @@ class RepresentationTable:
             low = mask & -mask
             images[mask] = self.gamma[low.bit_length() - 1] @ images[mask ^ low]
         self._blade_images = images
-        self._signed_images: dict[tuple[int, int], Matrix] = {}
+        self.lattice_images: dict[tuple[int, int, LatticeSpec], Matrix] = {}
 
     def blade_image(self, mask: int) -> Matrix:
         return self._blade_images[mask]
@@ -98,15 +102,9 @@ class RepresentationTable:
         return acc
 
     def represent_group_element(self, g: GeneratorGroupElement) -> Matrix:
-        """The image of a signed blade, built once per (blade, i_power) and then reused."""
-        key = (g.blade, g.i_power)
-        image = self._signed_images.get(key)
-        if image is None:
-            image = self._blade_images[g.blade]
-            if g.i_power:
-                image = image * g.phase
-            self._signed_images[key] = image
-        return image
+        """The image of a signed blade: its blade image times its phase."""
+        image = self._blade_images[g.blade]
+        return image * g.phase if g.i_power else image
 
     def __repr__(self) -> str:
         return f"RepresentationTable(k={self.k}, sig=({self.sig.p},{self.sig.q}))"

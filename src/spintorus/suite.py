@@ -24,7 +24,6 @@ from typing import Callable
 from ._version import __version__
 from .action import (
     act,
-    group_lattice_matrix,
     preserves_lattice,
     translation_system,
     verify_two_torsion,
@@ -91,6 +90,12 @@ _TORUS_SUITES = frozenset(
     {"spinor_torus", "clifford_action", "dual_picard", "endo_decomp"}
 )
 
+# Sample sizes per k: random points for the translation systems
+# (clifford_action, endo_decomp) and random bundle classes for the bundle
+# systems (dual_picard); the report's meta records both.
+POINTS_PER_K = 100
+CLASSES_PER_K = 100
+
 SUITE_STATEMENTS: dict[str, tuple[str, ...]] = {
     "clifford_core": (
         "(uv)w = u(vw)",
@@ -143,8 +148,6 @@ class SuiteConfig:
     lattice: LatticeSpec | None = None
     seed: int = 1729
     cap: int = DEFAULT_ENUMERATION_CAP
-    points_per_k: int = 100
-    classes_per_k: int = 100
     suites: tuple[str, ...] = ALL_SUITES
     strict: bool = False
 
@@ -570,7 +573,7 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
         chk.record(True, {"k": env.k}, "NotIntegralError", "raised")
 
     order4, order2 = env.order_partition
-    points = [_random_point(lattice, rng) for _ in range(env.config.points_per_k)]
+    points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
     mixed_phase = sum(1 for g in order4 if g.i_power % 2 == 1)
 
     for g in order4:
@@ -685,7 +688,7 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
     histogram: dict[str, list[int]] = {}
     # The actor count grows 4x per k while each system costs more, so the
     # per-actor sample shrinks at k=3; every order-4 actor is still covered.
-    per_actor = env.config.classes_per_k if env.k <= 2 else max(1, env.config.classes_per_k // 12)
+    per_actor = CLASSES_PER_K if env.k <= 2 else max(1, CLASSES_PER_K // 12)
     bundles = [_random_bundle(env.k, rng) for _ in range(per_actor)]
     for g in order4:
         actor = g.to_element(sig)
@@ -709,10 +712,9 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
             for chars in itertools.product((Fraction(0), half), repeat=2 << env.k)
         ]
         for g in order4 + order2:
-            actor_matrix = group_lattice_matrix(g, table, lattice)
             witness = None
             for bundle in two_torsion_classes:
-                if not two_torsion_bundle_check(g, bundle, table, pol, actor_matrix):
+                if not two_torsion_bundle_check(g, bundle, table, pol):
                     witness = bundle
                     break
             chk.record(
@@ -828,7 +830,7 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
 
         order4, order2 = env.order_partition
         transported_ok = True
-        points = [_random_point(lattice, rng) for _ in range(env.config.points_per_k)]
+        points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
         for g in order4:
             for p in points:
                 system = translation_system(g, p, moved)
@@ -930,8 +932,8 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
         "seed": config.seed,
         "version": __version__,
         "cap": config.cap,
-        "points_per_k": config.points_per_k,
-        "classes_per_k": config.classes_per_k,
+        "points_per_k": POINTS_PER_K,
+        "classes_per_k": CLASSES_PER_K,
         "suites": list(config.suites),
         "strict": config.strict,
         "representation": description,

@@ -4,16 +4,19 @@ The spinor space has complex dimension 2^k. A :class:`LatticeSpec` holds an
 invertible basis matrix P whose columns generate the lattice P * Z[i]^(2^k);
 the default is the identity, i.e. the standard Gaussian lattice. Points on
 the quotient are stored in lattice coordinates with every real and
-imaginary part reduced into [0, 1). Every point of the torus that this
-package builds has finite order, so a point is stored as one denominator
-``den`` (its order) and integer numerators in ``[0, den)``, real and
-imaginary parts interleaved per coordinate, in lowest terms. Equality of
-points is literal equality of these integers, and the Gaussian-rational
-coordinates are derived from them on demand.
+imaginary part reduced into [0, 1).
 
 Realified objects use the basis (u_1..u_g, i*u_1..i*u_g) where u_a is the
 a-th lattice generator and g = 2^k. With the identity polarization this
 ordering pins the imaginary-part form to the block matrix [[0, -I], [I, 0]].
+
+Every point of the torus that this package builds has finite order, so a
+point is stored as one denominator ``den`` (its order) and integer
+numerators in ``[0, den)`` on that realified basis: the real parts of the
+g coordinates, then their imaginary parts, in lowest terms. Equality of
+points is literal equality of these integers, and the Gaussian-rational
+coordinates are derived from them on demand. Lattice matrices (realified)
+and the duality forms act on the numerators as sparse integer rows.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     LatticeMismatchError,
     NotIntegralError,
 )
-from .matrices import GaussianRows, Matrix, smith_form
+from .matrices import IntegerRows, Matrix, smith_form, sparse_matvec_mod, sparse_rows
 from .scalars import GaussianRational, as_gaussian
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -38,7 +41,7 @@ DEFAULT_ENUMERATION_CAP = 1 << 20
 class LatticeSpec:
     """An invertible Gaussian-rational basis for a full lattice."""
 
-    __slots__ = ("k", "basis", "inverse_basis", "_default")
+    __slots__ = ("k", "basis", "inverse_basis", "_default", "_hash")
 
     def __init__(self, k: int, basis: Matrix | None = None) -> None:
         if k < 1:
@@ -55,6 +58,8 @@ class LatticeSpec:
         except ValueError as exc:
             raise ValueError("lattice basis must be invertible") from exc
         self._default = basis == Matrix.identity(dim)
+        # Hashing walks every basis entry; lattices key the per-table matrix memo.
+        self._hash = hash((k, basis))
 
     @classmethod
     def default(cls, k: int) -> LatticeSpec:
@@ -84,7 +89,7 @@ class LatticeSpec:
         return self.k == other.k and self.basis == other.basis
 
     def __hash__(self) -> int:
-        return hash((self.k, self.basis))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LatticeSpec(k={self.k}, default={self.is_default})"
@@ -117,37 +122,32 @@ def combine_numerators(
     return lowest_terms(common, [(a * x + b * y) % common for x, y in zip(nums, other_nums)])
 
 
-# Sparse integer rows of the real duality maps: ``(index, coefficient)`` pairs.
-IntegerRows = Sequence[Sequence[tuple[int, int]]]
-
-
 class TorusPoint:
     """A point of finite order on the quotient torus.
 
     Stored as ``den`` (the order, an int >= 1) and ``nums``, the 2 * 2^k
-    integer numerators in ``[0, den)`` of the lattice coordinates, real and
-    imaginary parts interleaved per coordinate, with ``gcd(den, *nums) == 1``.
-    The zero point has ``den == 1``. ``coords`` derives the reduced
-    Gaussian-rational coordinates from these integers.
+    integer numerators in ``[0, den)`` of the lattice coordinates on the
+    realified basis: the 2^k real parts, then the 2^k imaginary parts, with
+    ``gcd(den, *nums) == 1``. The zero point has ``den == 1``. ``coords``
+    derives the reduced Gaussian-rational coordinates from these integers.
     """
 
     __slots__ = ("lattice", "den", "nums", "_coords")
 
     def __init__(self, lattice: LatticeSpec, coords: Sequence[int | Fraction | GaussianRational]) -> None:
-        parts = []
-        for x in coords:
-            value = as_gaussian(x)
-            parts.append(value.re)
-            parts.append(value.im)
-        if len(parts) != 2 * lattice.dim:
-            raise ValueError(f"expected {lattice.dim} coordinates, got {len(parts) // 2}")
+        values = [as_gaussian(x) for x in coords]
+        if len(values) != lattice.dim:
+            raise ValueError(f"expected {lattice.dim} coordinates, got {len(values)}")
         self.lattice = lattice
-        self.den, self.nums = fraction_numerators(parts)
+        self.den, self.nums = fraction_numerators([x.re for x in values] + [x.im for x in values])
         self._coords: tuple[GaussianRational, ...] | None = None
 
     @classmethod
     def from_numerators(cls, lattice: LatticeSpec, den: int, nums: Sequence[int]) -> TorusPoint:
-        """The point ``nums / den`` for numerators already reduced into [0, den)."""
+        """The point ``nums / den`` for numerators already reduced into [0, den).
+
+        ``nums`` holds the real parts of the coordinates, then the imaginary parts.
+        """
         p = cls.__new__(cls)
         p.lattice = lattice
         p.den, p.nums = lowest_terms(den, nums)
@@ -162,10 +162,9 @@ class TorusPoint:
     def coords(self) -> tuple[GaussianRational, ...]:
         """The lattice coordinates, each part reduced into [0, 1)."""
         if self._coords is None:
-            den, nums = self.den, self.nums
+            den, nums, g = self.den, self.nums, self.lattice.dim
             self._coords = tuple(
-                GaussianRational(Fraction(nums[j], den), Fraction(nums[j + 1], den))
-                for j in range(0, len(nums), 2)
+                GaussianRational(Fraction(nums[j], den), Fraction(nums[j + g], den)) for j in range(g)
             )
         return self._coords
 
@@ -182,32 +181,17 @@ class TorusPoint:
         """Order in the torsion group: the common denominator."""
         return self.den
 
-    def transform(self, rows: GaussianRows) -> TorusPoint:
-        """Apply a Gaussian-integer matrix, given per row as ``(col, re, im)`` entries.
-
-        Output coordinate r is ``sum (a + b i)(x_c + y_c i)`` over the row's
-        entries, computed on the numerators mod ``den``.
-        """
-        den, nums = self.den, self.nums
-        out = []
-        for row in rows:
-            re = im = 0
-            for col, a, b in row:
-                x = nums[2 * col]
-                y = nums[2 * col + 1]
-                re += a * x - b * y
-                im += a * y + b * x
-            out.append(re % den)
-            out.append(im % den)
-        return TorusPoint.from_numerators(self.lattice, den, out)
+    def transform(self, rows: IntegerRows) -> TorusPoint:
+        """Apply a realified integer matrix, given as sparse rows, to the numerators mod ``den``."""
+        den = self.den
+        return TorusPoint.from_numerators(self.lattice, den, sparse_matvec_mod(rows, self.nums, den))
 
     def scale(self, c: int | GaussianRational) -> TorusPoint:
-        """Multiply by a Gaussian integer; well defined since i preserves Z[i]."""
-        scalar = as_gaussian(c)
-        if not scalar.is_gaussian_integer():
-            raise NotIntegralError(f"scale factor {scalar} is not a Gaussian integer")
-        a, b = scalar.re.numerator, scalar.im.numerator
-        return self.transform([((col, a, b),) for col in range(self.lattice.dim)])
+        """Multiply by a Gaussian integer; well defined since i preserves Z[i].
+
+        Raises NotIntegralError for a factor outside Z[i].
+        """
+        return self.transform((Matrix.identity(self.lattice.dim) * c).realified_rows())
 
     def _require_same_lattice(self, other: TorusPoint) -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -278,9 +262,10 @@ def torsion_points(
     dim = lattice.dim
 
     def generate() -> Iterator[TorusPoint]:
-        # Digits interleave real and imaginary numerators per coordinate.
+        # Digits pair each coordinate's real and imaginary numerators, which
+        # fixes the enumeration order; points store real parts first.
         for digits in itertools.product(range(n), repeat=2 * dim):
-            yield TorusPoint.from_numerators(lattice, n, digits)
+            yield TorusPoint.from_numerators(lattice, n, digits[0::2] + digits[1::2])
 
     return generate()
 
@@ -301,11 +286,6 @@ def hermitian_value(
                 continue
             acc = acc + entry * vr * ws.conjugate()
     return acc
-
-
-def _interleaved(a: int, g: int) -> int:
-    """Position of realified index a among a point's interleaved numerators."""
-    return 2 * a if a < g else 2 * (a - g) + 1
 
 
 class PolarizationData:
@@ -373,24 +353,13 @@ class PolarizationData:
         return self._inverse_transpose
 
     def bundle_rows(self) -> IntegerRows:
-        """Sparse integer rows of E acting on a point's numerators; cached.
-
-        Realified index a is the real part of coordinate a for a < g and the
-        imaginary part of coordinate a - g otherwise, which sits at position
-        2a or 2(a - g) + 1 of the interleaved numerators. Row j holds the
-        ``(position, E[a][j])`` pairs with E[a][j] nonzero.
-        """
+        """E^T as sparse integer rows, taking a point's numerators to a bundle's; cached."""
         if self._bundle_rows is None:
-            e_int = self.integer_form()
-            size = len(e_int)
-            self._bundle_rows = tuple(
-                tuple((_interleaved(a, self.g), e_int[a][j]) for a in range(size) if e_int[a][j])
-                for j in range(size)
-            )
+            self._bundle_rows = sparse_rows(zip(*self.integer_form()))
         return self._bundle_rows
 
     def point_rows(self) -> IntegerRows:
-        """Sparse integer rows of E^-T, ordered by interleaved point position; cached.
+        """E^-T as sparse integer rows, taking a bundle's numerators to a point's; cached.
 
         Raises NotIntegralError if E^-T leaves the integers, as it does
         exactly when the polarization is not principal.
@@ -398,14 +367,7 @@ class PolarizationData:
         if self._point_rows is None:
             # E is real, so its inverse transpose is real too.
             inverse = self.inverse_transpose_form()
-            if not inverse.is_gaussian_integer():
-                raise NotIntegralError("the inverse of the transposed form is not integral")
-            size = inverse.rows
-            by_position = sorted(range(size), key=lambda a: _interleaved(a, self.g))
-            self._point_rows = tuple(
-                tuple((j, x.re.numerator) for j, x in enumerate(inverse.row(a)) if x)
-                for a in by_position
-            )
+            self._point_rows = sparse_rows([x.re for x in row] for row in inverse.entries())
         return self._point_rows
 
     def __repr__(self) -> str:

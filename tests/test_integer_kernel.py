@@ -187,6 +187,11 @@ def test_equal_points_from_different_representatives_agree():
     doubled = TorusPoint.from_numerators(lattice, 4, (2, 0, 0, 0))
     assert doubled == half and hash(doubled) == hash(half)
     assert (doubled.den, doubled.nums) == (2, (1, 0, 0, 0))
+    # Numerators hold the real parts of the coordinates, then the imaginary parts.
+    assert TorusPoint.from_numerators(lattice, 4, (1, 0, 3, 0)).coords == (
+        GaussianRational(Fraction(1, 4), Fraction(3, 4)),
+        GaussianRational(0),
+    )
     assert quarter + quarter == half and hash(quarter + quarter) == hash(half)
     zero = quarter * 4
     assert zero == TorusPoint.zero(lattice) and zero.den == 1 and zero.is_zero()
@@ -210,19 +215,22 @@ def test_apply_matrix_rejects_a_matrix_outside_gaussian_integers():
 
 def test_point_rows_need_an_integral_inverse_form():
     # H = 2 * Id gives E = 2 * [[0, -I], [I, 0]], whose inverse has entries 1/2.
-    # Row j of bundle_rows is column j of E, indexed by interleaved position.
+    # Row j of bundle_rows is column j of E, indexed by realified position.
     pol = PolarizationData(Matrix.identity(2) * 2, LatticeSpec.default(1))
-    assert pol.bundle_rows() == (((1, 2),), ((3, 2),), ((0, -2),), ((2, -2),))
+    assert pol.bundle_rows() == (((2, 2),), ((3, 2),), ((0, -2),), ((1, -2),))
     with pytest.raises(NotIntegralError):
         pol.point_rows()
 
 
 def test_signed_blade_images_are_built_once():
     table = build_generators(2)
-    for g in generator_group(table.sig):
-        first = table.represent_group_element(g)
-        assert table.represent_group_element(g) is first
-        assert first == table.blade_image(g.blade) * g.phase
+    shear = LatticeSpec(2, Matrix([[1, GaussianRational(0, 1), 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    for lattice in (LatticeSpec.default(2), shear):
+        for g in generator_group(table.sig):
+            first = group_lattice_matrix(g, table, lattice)
+            assert group_lattice_matrix(g, table, lattice) is first
+            image = table.blade_image(g.blade) * g.phase
+            assert first == lattice.inverse_basis @ image @ lattice.basis
 
 
 def test_endo_decomp_builds_the_endomorphism_lattice_once(monkeypatch):

@@ -102,6 +102,8 @@ def test_torsion_counts_and_enumeration(lattices):
         assert all((q * n).is_zero() for q in pts)
     two_torsion = list(torsion_points(2, lattices[2]))
     assert len(two_torsion) == 256
+    first = [str(q) for q in list(torsion_points(2, LATTICE))[:6]]
+    assert first == ["0, 0", "0, 1/2i", "0, 1/2", "0, 1/2+1/2i", "1/2i, 0", "1/2i, 1/2i"]
 
 
 def test_torsion_enumeration_respects_the_cap():
