@@ -64,13 +64,9 @@ def _reorder_sign(a: int, b: int) -> int:
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of two basis blades: returns (sign, blade bitmask)."""
     sign = _reorder_sign(a, b)
-    common = a & b
-    j = 1
-    while common:
-        if common & 1 and j > sig.p:
-            sign = -sign
-        common >>= 1
-        j += 1
+    # Each shared generator past the first p squares to -1.
+    if ((a & b) >> sig.p).bit_count() & 1:
+        sign = -sign
     return sign, a ^ b
 
 

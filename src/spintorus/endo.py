@@ -75,10 +75,7 @@ def endo_rank(
     reuse it instead of building it again.
     """
     lat = images or endo_lattice(table, lattice)
-    rows = (
-        tuple(as_gaussian(x) for row in matrix for x in row) for matrix in lat.realified
-    )
-    return rank_of_rows(rows)
+    return rank_of_rows(tuple(x for row in matrix for x in row) for matrix in lat.realified)
 
 
 @dataclass(frozen=True)

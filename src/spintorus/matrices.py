@@ -1,4 +1,12 @@
-"""Dense exact matrices over Q(i), their realification, and the integer routines.
+"""Exact matrices over Q(i), their realification, and the integer routines.
+
+Matrices store every entry, but their products and ranks skip zeros: a
+product accumulates each output row over the nonzero entries of both
+factors, and the rank of a row family comes from fraction-free elimination
+over Z[i] on sparse integer rows (each row scaled by the lcm of its
+denominators, updated as ``v <- p*v - f*b`` and divided by its integer
+content). The blade images of the spinor modules are monomial, so both
+visit one entry per row instead of every entry.
 
 The integer routines are the lattice ones (Smith form, the mod-1 solver)
 and one sparse kernel: a matrix with integer entries kept as sparse rows,
@@ -13,6 +21,7 @@ ranks, divisors, and solver output reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidScalarError, NonUnimodularError, NotIntegralError
@@ -21,6 +30,9 @@ from .scalars import GaussianRational, as_gaussian
 
 # Sparse integer rows: per row, the ``(index, coefficient)`` int pairs of its nonzero entries.
 IntegerRows = Sequence[Sequence[tuple[int, int]]]
+
+# The one zero that products, ``zero`` and the other wrapped results share.
+_ZERO = GaussianRational()
 
 
 class Matrix:
@@ -41,12 +53,24 @@ class Matrix:
         self._realified_rows: IntegerRows | None = None
 
     @classmethod
+    def _wrap(cls, entries: tuple[tuple[GaussianRational, ...], ...]) -> Matrix:
+        """A matrix on nonempty, rectangular entry tuples that are already GaussianRational."""
+        m = cls.__new__(cls)
+        m.rows = len(entries)
+        m.cols = len(entries[0])
+        m._entries = entries
+        m._realified_rows = None
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> Matrix:
         return cls([[1 if r == c else 0 for c in range(n)] for r in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> Matrix:
-        return cls([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix must have at least one row and one column")
+        return cls._wrap(((_ZERO,) * cols,) * rows)
 
     @classmethod
     def diagonal(cls, values: Sequence[int | Fraction | GaussianRational]) -> Matrix:
@@ -73,11 +97,11 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_shape(other)
-        return Matrix(
-            [
-                [a + b if a and b else (a or b) for a, b in zip(ra, rb)]
+        return Matrix._wrap(
+            tuple(
+                tuple(a + b if a and b else (a or b) for a, b in zip(ra, rb))
                 for ra, rb in zip(self._entries, other._entries)
-            ]
+            )
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
@@ -98,7 +122,7 @@ class Matrix:
         if isinstance(scalar, Matrix):
             return NotImplemented
         c = as_gaussian(scalar)
-        return Matrix([[x * c if x else x for x in row] for row in self._entries])
+        return Matrix._wrap(tuple(tuple(x * c if x else x for x in row) for row in self._entries))
 
     __rmul__ = __mul__
 
@@ -107,20 +131,20 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
-        cols = other.cols
+        sparse = [[(c, b) for c, b in enumerate(row) if b] for row in other._entries]
+        columns = range(other.cols)
         out = []
         for ra in self._entries:
-            row = []
-            for c in range(cols):
-                acc = None
-                for k, a in enumerate(ra):
-                    if not a:
-                        continue
-                    term = a * other._entries[k][c]
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else as_gaussian(0))
-            out.append(row)
-        return Matrix(out)
+            acc: dict[int, GaussianRational] = {}
+            for k, a in enumerate(ra):
+                if not a:
+                    continue
+                for c, b in sparse[k]:
+                    term = a * b
+                    prev = acc.get(c)
+                    acc[c] = term if prev is None else prev + term
+            out.append(tuple(acc.get(c, _ZERO) for c in columns))
+        return Matrix._wrap(tuple(out))
 
     def matvec(self, vec: Sequence[GaussianRational]) -> tuple[GaussianRational, ...]:
         if len(vec) != self.cols:
@@ -146,10 +170,12 @@ class Matrix:
         return self._realified_rows
 
     def transpose(self) -> Matrix:
-        return Matrix(list(zip(*self._entries)))
+        return Matrix._wrap(tuple(zip(*self._entries)))
 
     def conjugate(self) -> Matrix:
-        return Matrix([[x.conjugate() for x in row] for row in self._entries])
+        return Matrix._wrap(
+            tuple(tuple(x.conjugate() if x.im else x for x in row) for row in self._entries)
+        )
 
     def adjoint(self) -> Matrix:
         """Conjugate transpose."""
@@ -274,26 +300,76 @@ def sparse_matvec_mod(rows: IntegerRows, nums: Sequence[int], den: int) -> list[
     return out
 
 
-def rank_of_rows(rows: Iterable[Sequence[GaussianRational]]) -> int:
-    """Rank of the row span, by incremental exact elimination.
+# A row of Gaussian integers, sparse: column -> (re, im), nonzero entries only.
+_GaussianIntegerRow = dict[int, tuple[int, int]]
 
-    Rows are consumed one at a time, so callers can stream large flattened
-    families without materializing the full matrix.
+
+def _gaussian_integer_row(row: Iterable[int | Fraction | GaussianRational]) -> _GaussianIntegerRow:
+    """The row scaled by the lcm of its denominators, as a sparse Z[i] row.
+
+    Raises TypeError on an entry that is not an int, Fraction or GaussianRational.
     """
-    basis: list[tuple[int, list[GaussianRational]]] = []
+    parts: dict[int, tuple[int | Fraction, int | Fraction]] = {}
+    den = 1
+    for c, x in enumerate(row):
+        if isinstance(x, GaussianRational):
+            re, im = x.re, x.im
+        elif isinstance(x, (int, Fraction)):
+            re, im = x, 0
+        else:
+            raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
+        if re or im:
+            parts[c] = (re, im)
+            den = lcm(den, re.denominator, im.denominator)
+    return {
+        c: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for c, (re, im) in parts.items()
+    }
+
+
+def _eliminate(
+    vec: _GaussianIntegerRow, lead: int, pivot: _GaussianIntegerRow
+) -> _GaussianIntegerRow:
+    """``p*vec - f*pivot`` over Z[i], with ``p``, ``f`` the two entries at ``lead``; content removed.
+
+    The result is zero at ``lead`` and spans, with ``pivot``, what ``vec`` and
+    ``pivot`` spanned over Q(i), because ``p`` is nonzero.
+    """
+    pr, pi = pivot[lead]
+    fr, fi = vec[lead]
+    out = {c: (pr * x - pi * y, pr * y + pi * x) for c, (x, y) in vec.items()}
+    for c, (x, y) in pivot.items():
+        re, im = out.get(c, (0, 0))
+        re -= fr * x - fi * y
+        im -= fr * y + fi * x
+        if re or im:
+            out[c] = (re, im)
+        else:
+            out.pop(c, None)
+    content = gcd(*(part for pair in out.values() for part in pair))
+    if content > 1:
+        out = {c: (re // content, im // content) for c, (re, im) in out.items()}
+    return out
+
+
+def rank_of_rows(rows: Iterable[Sequence[int | Fraction | GaussianRational]]) -> int:
+    """Rank over Q(i) of the row span, by incremental fraction-free elimination over Z[i].
+
+    Rows may mix int, Fraction and GaussianRational entries; anything else
+    (floats included) raises TypeError. Rows are consumed one at a time, so
+    callers can stream large flattened families without materializing the
+    full matrix.
+    """
+    basis: list[tuple[int, _GaussianIntegerRow]] = []
     for row in rows:
-        vec = list(row)
-        for pivot_col, pivot_row in basis:
-            factor = vec[pivot_col]
-            if factor:
-                for c in range(pivot_col, len(vec)):
-                    vec[c] = vec[c] - factor * pivot_row[c]
-        lead = next((c for c, x in enumerate(vec) if x), None)
-        if lead is None:
-            continue
-        inv = vec[lead].inverse()
-        vec = [x * inv for x in vec]
-        basis.append((lead, vec))
+        vec = _gaussian_integer_row(row)
+        for lead, pivot in basis:
+            if not vec:
+                break
+            if lead in vec:
+                vec = _eliminate(vec, lead, pivot)
+        if vec:
+            basis.append((min(vec), vec))
     return len(basis)
 
 

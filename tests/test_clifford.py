@@ -54,6 +54,36 @@ def test_blade_products():
     assert blade_label(0) == "1"
 
 
+def bubble_sort_blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
+    """Reference product: bubble-sort the generator word, count swaps, contract squares."""
+    word = [j for j in range(sig.n) if a >> j & 1] + [j for j in range(sig.n) if b >> j & 1]
+    swaps = 0
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                swaps += 1
+    sign = -1 if swaps % 2 else 1
+    mask = 0
+    i = 0
+    while i < len(word):
+        if i + 1 < len(word) and word[i] == word[i + 1]:
+            sign *= sig.square_sign(word[i] + 1)
+            i += 2
+        else:
+            mask |= 1 << word[i]
+            i += 1
+    return sign, mask
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_blade_mul_matches_bubble_sort_for_every_pair(n):
+    for sig in (Signature(n, 0), Signature(n - 1, 1), Signature(0, n)):
+        for a in range(1 << n):
+            for b in range(1 << n):
+                assert blade_mul(a, b, sig) == bubble_sort_blade_mul(a, b, sig), (sig, a, b)
+
+
 def test_reversion_sign_has_period_four():
     assert [reversion_sign(g) for g in range(6)] == [1, 1, -1, -1, 1, 1]
 

@@ -15,6 +15,7 @@ from spintorus import (
     Matrix,
     NonUnimodularError,
     NotIntegralError,
+    as_gaussian,
     mat_rank,
     rank_of_rows,
     smith_form,
@@ -71,16 +72,126 @@ def test_inverse_round_trips(m):
     )
 )
 def test_row_rank_matches_sympy(rows):
-    gm = [[as_pair(x) for x in row] for row in rows]
-    expected = sympy.Matrix(
-        [[sympy.Rational(re) + sympy.I * sympy.Rational(im) for re, im in row] for row in gm]
-    ).rank()
+    expected = sympy_rank(rows)
     assert rank_of_rows(rows) == expected
     assert mat_rank(Matrix(rows)) == expected
 
 
-def as_pair(x: GaussianRational) -> tuple[Fraction, Fraction]:
-    return (x.re, x.im)
+def to_sympy_scalar(x: int | Fraction | GaussianRational) -> sympy.Expr:
+    g = as_gaussian(x)
+    return sympy.Rational(g.re) + sympy.I * sympy.Rational(g.im)
+
+
+def sympy_rank(rows) -> int:
+    return sympy.Matrix([[to_sympy_scalar(x) for x in row] for row in rows]).rank()
+
+
+gaussian_integers = st.builds(
+    GaussianRational,
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_rank_of_deficient_families_matches_sympy(data):
+    """Rows spanned by r random rows, with zero and repeated rows mixed in."""
+    width = data.draw(st.integers(min_value=1, max_value=6))
+    r = data.draw(st.integers(min_value=0, max_value=4))
+    base = data.draw(
+        st.lists(st.lists(small_gaussians, min_size=width, max_size=width), min_size=r, max_size=r)
+    )
+    weights = data.draw(
+        st.lists(st.lists(gaussian_integers, min_size=r, max_size=r), min_size=1, max_size=6)
+    )
+    rows = [
+        [sum((w * b[c] for w, b in zip(ws, base)), GaussianRational()) for c in range(width)]
+        for ws in weights
+    ]
+    rows = data.draw(st.permutations(rows + [[GaussianRational()] * width] + rows[:1]))
+    expected = sympy_rank(rows)
+    assert expected <= r
+    assert rank_of_rows(rows) == expected
+    assert mat_rank(Matrix(rows)) == expected
+
+
+mixed_scalars = st.one_of(
+    st.integers(min_value=-4, max_value=4), st.fractions(max_denominator=6), small_gaussians
+)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.lists(mixed_scalars, min_size=4, max_size=4), min_size=1, max_size=4))
+def test_rank_of_mixed_int_fraction_gaussian_rows(rows):
+    assert rank_of_rows(rows) == sympy_rank(rows)
+
+
+def test_rank_scales_by_the_lcm_of_both_parts():
+    half_i = GaussianRational(0, Fraction(1, 2))
+    assert rank_of_rows([[half_i]]) == 1
+    assert rank_of_rows([[1, half_i], [1, 0]]) == 2
+    assert rank_of_rows([[Fraction(1, 3), half_i], [2, GaussianRational(0, 3)]]) == 1
+
+
+def test_rank_rejects_float_entries():
+    with pytest.raises(TypeError):
+        rank_of_rows([[1, Fraction(1, 2)], [GaussianRational(1), 0.5]])
+    with pytest.raises(TypeError):
+        Matrix([[0.5]])
+
+
+# Mostly-zero entries, as in the monomial blade images.
+sparse_scalars = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.integers(min_value=-2, max_value=2), small_gaussians
+)
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(
+        st.lists(sparse_scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(Matrix)
+
+
+def assert_canonical(result: Matrix, expected: sympy.Matrix) -> None:
+    """Equal to the oracle, and indistinguishable from a matrix built by the public constructor."""
+    assert to_sympy(result) == sympy.expand(expected)
+    rebuilt = Matrix(result.entries())
+    assert result == rebuilt
+    assert hash(result) == hash(rebuilt)
+    assert result.shape() == (len(result.entries()), len(result.entries()[0]))
+    assert all(isinstance(x, GaussianRational) for row in result.entries() for x in row)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_sparse_products_and_constructions_match_sympy(data):
+    r, m, c = (data.draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    a = data.draw(sparse_matrices(r, m))
+    a2 = data.draw(sparse_matrices(r, m))
+    b = data.draw(sparse_matrices(m, c))
+    scalar = data.draw(mixed_scalars)
+    sa, sa2, sb = to_sympy(a), to_sympy(a2), to_sympy(b)
+    s = to_sympy_scalar(scalar)
+    assert_canonical(a @ b, sa * sb)
+    assert_canonical(a + a2, sa + sa2)
+    assert_canonical(a - a2, sa - sa2)
+    assert_canonical(-a, -sa)
+    assert_canonical(a * scalar, sa * s)
+    assert_canonical(scalar * a, sa * s)
+    assert_canonical(a.transpose(), sa.T)
+    assert_canonical(a.conjugate(), sa.conjugate())
+    assert_canonical(a.adjoint(), sa.H)
+    assert_canonical(a.kron(b), sympy.kronecker_product(sa, sb))
+    assert_canonical(Matrix.zero(r, c), sympy.zeros(r, c))
+    assert Matrix.zero(r, c) == Matrix([[0] * c for _ in range(r)])
+
+
+def test_zero_matrix_needs_a_row_and_a_column():
+    with pytest.raises(ValueError):
+        Matrix.zero(0, 2)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 0)
 
 
 int_matrices = st.lists(

@@ -59,6 +59,38 @@ def test_blade_images_have_gaussian_integer_entries(tables):
             assert table.blade_image(mask).is_gaussian_integer()
 
 
+def sympy_ladder(k: int, sig: Signature) -> list[sympy.Matrix]:
+    """The tensor-ladder generators in sympy, i times those that square to -1."""
+    x = sympy.Matrix([[0, 1], [1, 0]])
+    y = sympy.Matrix([[0, -sympy.I], [sympy.I, 0]])
+    z = sympy.Matrix([[1, 0], [0, -1]])
+    gamma = []
+    for j in range(1, k + 1):
+        for unit in (x, y):
+            out = sympy.eye(1)
+            for factor in [z] * (j - 1) + [unit] + [sympy.eye(2)] * (k - j):
+                out = sympy.kronecker_product(out, factor)
+            gamma.append(out)
+    return [g * sympy.I if sig.square_sign(a + 1) < 0 else g for a, g in enumerate(gamma)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blade_images_are_the_sympy_ladder_products(k):
+    for sig in (Signature(2 * k, 0), Signature(2 * k - 1, 1)):
+        table = build_generators(k, sig)
+        gamma = sympy_ladder(k, sig)
+        for mask in range(1 << sig.n):
+            expected = sympy.eye(1 << k)
+            for a in range(sig.n):
+                if mask >> a & 1:
+                    expected = expected * gamma[a]
+            ours = table.blade_image(mask)
+            assert sympy.Matrix(
+                [[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row] for row in ours.entries()]
+            ) == sympy.expand(expected), (sig, mask)
+            assert ours == Matrix(ours.entries())
+
+
 def test_algebra_isomorphism_rank(tables):
     for k in (1, 2):
         report = verify_algebra_iso(tables[k])
