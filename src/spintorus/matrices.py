@@ -31,7 +31,7 @@ from .scalars import GaussianRational, as_gaussian
 # Sparse integer rows: per row, the ``(index, coefficient)`` int pairs of its nonzero entries.
 IntegerRows = Sequence[Sequence[tuple[int, int]]]
 
-# The one zero that products, ``zero`` and the other wrapped results share.
+# The zero entry that products and ``Matrix.zero`` share.
 _ZERO = GaussianRational()
 
 
