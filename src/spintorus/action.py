@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .clifford import CliffordElement, GeneratorGroupElement, element_order
+from .clifford import CliffordElement, GeneratorGroupElement, as_signed_blade, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
 from .matrices import Matrix
 from .spinrep import RepresentationTable
@@ -41,7 +41,13 @@ def _lattice_coordinates(ambient: Matrix, lattice: LatticeSpec) -> Matrix:
 def lattice_matrix(
     h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> Matrix:
-    """The matrix of h in lattice coordinates, validated to preserve the lattice."""
+    """The matrix of h in lattice coordinates, validated to preserve the lattice.
+
+    A signed blade goes through ``group_lattice_matrix`` and its memo.
+    """
+    g = as_signed_blade(h)
+    if g is not None:
+        return group_lattice_matrix(g, table, lattice)
     if not h.is_gaussian_integral():
         raise NotIntegralError("element has a coefficient outside Z[i]")
     return _lattice_coordinates(table.represent(h), lattice)
@@ -51,8 +57,12 @@ def preserves_lattice(
     h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> bool:
     """Whether the matrix of h maps the lattice into itself."""
+    g = as_signed_blade(h)
     try:
-        _lattice_coordinates(table.represent(h), lattice)
+        if g is not None:
+            group_lattice_matrix(g, table, lattice)
+        else:
+            _lattice_coordinates(table.represent(h), lattice)
     except LatticeNotPreservedError:
         return False
     return True

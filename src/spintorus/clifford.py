@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .errors import IndexOutOfRangeError, SignatureMismatchError
-from .scalars import GaussianRational, as_gaussian
+from .scalars import ONE, GaussianRational, I, as_gaussian
 
 
 @dataclass(frozen=True)
@@ -264,6 +264,8 @@ def _coerce_element(x: object, sig: Signature) -> CliffordElement | None:
 
 
 _PHASE_LABELS = ("", "i*", "-", "-i*")
+# The units i^t for t = 0..3, indexed by ``i_power``.
+_PHASES = (ONE, I, -ONE, -I)
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,7 @@ class GeneratorGroupElement:
 
     @property
     def phase(self) -> GaussianRational:
-        return GaussianRational(0, 1) ** self.i_power
+        return _PHASES[self.i_power]
 
     def mul(self, other: GeneratorGroupElement, sig: Signature) -> GeneratorGroupElement:
         sign, mask = blade_mul(self.blade, other.blade, sig)
@@ -304,6 +306,20 @@ class GeneratorGroupElement:
         if not self.blade:
             return {"": "1", "i*": "i", "-": "-1", "-i*": "-i"}[prefix]
         return prefix + blade_label(self.blade)
+
+
+def as_signed_blade(u: CliffordElement) -> GeneratorGroupElement | None:
+    """Read u back as a signed blade ``i^t * e_I``, or None if it is not one.
+
+    A signed blade is exactly one term whose coefficient is a unit 1, i, -1, -i.
+    """
+    if len(u._terms) != 1:
+        return None
+    ((mask, coeff),) = u._terms.items()
+    for t, phase in enumerate(_PHASES):
+        if coeff == phase:
+            return GeneratorGroupElement(mask, t)
+    return None
 
 
 def element_order(g: GeneratorGroupElement, sig: Signature) -> int:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, Signature, basis_blades
 from .errors import NotUnitVectorError, SignatureMismatchError
-from .matrices import Matrix, rank_of_rows
+from .matrices import _ZERO, Matrix, rank_of_rows
 from .scalars import GaussianRational
 
 if TYPE_CHECKING:
@@ -96,10 +96,17 @@ class RepresentationTable:
         """The matrix of an algebra element in this module."""
         if u.sig != self.sig:
             raise SignatureMismatchError(f"{u.sig} vs {self.sig}")
-        acc = Matrix.zero(self.dim, self.dim)
+        rows: list[dict[int, GaussianRational]] = [{} for _ in range(self.dim)]
         for mask, coeff in u.terms():
-            acc = acc + self._blade_images[mask] * coeff
-        return acc
+            for acc, row in zip(rows, self._blade_images[mask].entries()):
+                for c, x in enumerate(row):
+                    if not x:
+                        continue
+                    term = x * coeff
+                    prev = acc.get(c)
+                    acc[c] = term if prev is None else prev + term
+        columns = range(self.dim)
+        return Matrix._wrap(tuple(tuple(acc.get(c, _ZERO) for c in columns) for acc in rows))
 
     def represent_group_element(self, g: GeneratorGroupElement) -> Matrix:
         """The image of a signed blade: its blade image times its phase."""

@@ -19,6 +19,7 @@ from spintorus import (
     TorusPoint,
     act,
     apply_matrix,
+    build_generators,
     element_order,
     evaluate_element,
     generator_group,
@@ -132,6 +133,24 @@ def test_lattices_that_break_under_an_actor_are_reported(tables):
         group_lattice_matrix(GeneratorGroupElement(0b01, 0), tables[1], stretched)
     # the doubled sublattice is still preserved by the scalar i
     assert preserves_lattice(evaluate_element("i", SIG), tables[1], stretched)
+
+
+def test_signed_blade_actors_reuse_the_memoized_lattice_matrix():
+    table = build_generators(1)
+    shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
+    p = TorusPoint(shear, [GaussianRational(Fraction(1, 3), Fraction(1, 5)), GaussianRational(Fraction(2, 7))])
+    g = GeneratorGroupElement(0b11, 1)
+    h = g.to_element(SIG)
+    first = act(h, p, table)
+    memo = table.lattice_images[(g.blade, g.i_power, shear)]
+    assert act(h, p, table) == first
+    assert lattice_matrix(h, table, shear) is memo
+    assert preserves_lattice(h, table, shear)
+    assert table.lattice_images[(g.blade, g.i_power, shear)] is memo
+    assert memo == shear.inverse_basis @ table.represent(h) @ shear.basis
+    # an actor that is not a signed blade is conjugated afresh and not memoized
+    lattice_matrix(evaluate_element("e1 + e2", SIG), table, shear)
+    assert len(table.lattice_images) == 1
 
 
 def test_two_torsion_translations_square_to_zero(tables):

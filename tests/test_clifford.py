@@ -13,10 +13,12 @@ from spintorus import (
     GaussianRational,
     GeneratorGroupElement,
     Signature,
+    as_signed_blade,
     blade_label,
     blade_mul,
     blade_square_sign,
     element_order,
+    evaluate_element,
     generator_group,
     grade_project,
     in_integer_subring,
@@ -178,6 +180,21 @@ def test_group_element_labels_and_phase():
     assert g.label() == "-i*e{1,2}"
     assert g.phase == GaussianRational(0, -1)
     assert g.to_element(SIG) == CliffordElement(SIG, {0b11: GaussianRational(0, -1)})
+    assert [GeneratorGroupElement(0, t).phase for t in range(4)] == [
+        GaussianRational(1),
+        GaussianRational(0, 1),
+        GaussianRational(-1),
+        GaussianRational(0, -1),
+    ]
+
+
+def test_signed_blade_readback():
+    for sig in (SIG, Signature(3, 1)):
+        for g in generator_group(sig):
+            assert as_signed_blade(g.to_element(sig)) == g
+    # A signed blade is one term with a unit coefficient; nothing else reads back.
+    for source in ("2*e1", "(1+i)*e1", "e1 + e2", "1/2*i*e1*e2", "0"):
+        assert as_signed_blade(evaluate_element(source, SIG)) is None
 
 
 def test_signature_validation():

@@ -18,6 +18,7 @@ from spintorus import (
     basis_elements,
     build_generators,
     evaluate_element,
+    transport_table,
     star,
     verify_algebra_iso,
     verify_spin_preserves_form,
@@ -162,3 +163,30 @@ def test_signature_must_match_the_rank():
 def test_indefinite_generators_square_to_minus_one():
     table = build_generators(1, Signature(1, 1))
     assert table.gamma[1] @ table.gamma[1] == Matrix.identity(2) * (-1)
+
+
+def _dense_represent(table, u):
+    """The reference image: a dense sum of blade images times coefficients."""
+    acc = Matrix.zero(table.dim, table.dim)
+    for mask, coeff in u.terms():
+        acc = acc + table.blade_image(mask) * coeff
+    return acc
+
+
+REPRESENT_TABLES = [build_generators(k, Signature(2 * k, 0)) for k in (1, 2, 3)]
+REPRESENT_TABLES += [build_generators(k, Signature(2 * k - 1, 1)) for k in (1, 2, 3)]
+# dense blade images, so that terms of different blades cancel in some entries
+REPRESENT_TABLES.append(transport_table(Matrix([[1, I], [0, 1]]), REPRESENT_TABLES[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_represent_matches_the_dense_sum(data):
+    table = data.draw(st.sampled_from(REPRESENT_TABLES))
+    blades = st.integers(min_value=0, max_value=(1 << table.sig.n) - 1)
+    u = CliffordElement(table.sig, data.draw(st.dictionaries(blades, coeffs, max_size=6)))
+    sparse = table.represent(u)
+    dense = _dense_represent(table, u)
+    assert sparse == dense
+    assert hash(sparse) == hash(dense)
+    assert all(type(x) is GaussianRational for row in sparse.entries() for x in row)

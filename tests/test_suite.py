@@ -12,6 +12,7 @@ from spintorus import (
     BundleSystem,
     CliffordElement,
     Failure,
+    GeneratorGroupElement,
     Signature,
     SuiteConfig,
     TorusPoint,
@@ -22,6 +23,7 @@ from spintorus import (
     report_from_document,
     run_suite,
 )
+from spintorus import clifford
 from spintorus.cli import main
 
 FAST = SuiteConfig(ks=(1,))
@@ -192,6 +194,50 @@ def test_failure_records_render_inputs_and_messages(monkeypatch, suite, forced, 
     assert len(result.failures) == failed
     for position, record in pinned.items():
         assert result.failures[position] == record
+
+
+# Mutations of the signed-blade product. Each must fail the closure record,
+# not only the inverse record.
+def _closure_failure(k: int) -> Failure:
+    return Failure(inputs={"k": str(k)}, expected="group closed under products", actual="False")
+
+
+def _core_result(monkeypatch, k: int, signature: tuple[int, int] | None = None):
+    result = run_suite(SuiteConfig(ks=(k,), signature=signature, suites=("clifford_core",))).suites[0]
+    monkeypatch.undo()
+    return result
+
+
+def _mul_with_flipped_sign(self, other, sig):
+    sign, mask = clifford.blade_mul(self.blade, other.blade, sig)
+    t = (self.i_power + other.i_power + (2 if sign > 0 else 0)) % 4
+    return GeneratorGroupElement(mask, t)
+
+
+def _blade_mul_without_square_sign(a, b, sig):
+    return clifford._reorder_sign(a, b), a ^ b
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closure_record_catches_a_flipped_sign_in_mul(monkeypatch, k):
+    monkeypatch.setattr(GeneratorGroupElement, "mul", _mul_with_flipped_sign)
+    result = _core_result(monkeypatch, k)
+    assert _closure_failure(k) in result.failures
+
+
+def test_closure_record_catches_a_blade_mul_without_the_square_sign(monkeypatch):
+    # Clifford products and `mul` share blade_mul here, so only the matrix
+    # images can tell: e4 squares to -1 in signature (3, 1).
+    monkeypatch.setattr(clifford, "blade_mul", _blade_mul_without_square_sign)
+    result = _core_result(monkeypatch, 2, signature=(3, 1))
+    assert _closure_failure(2) in result.failures
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closure_record_catches_a_reorder_sign_of_always_plus_one(monkeypatch, k):
+    monkeypatch.setattr(clifford, "_reorder_sign", lambda a, b: 1)
+    result = _core_result(monkeypatch, k)
+    assert _closure_failure(k) in result.failures
 
 
 def test_indefinite_signatures_skip_torus_suites():
