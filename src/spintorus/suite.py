@@ -363,10 +363,11 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
     # h in the group, the Clifford product x*h must read back as a signed
     # blade equal to x.mul(h). Every signed blade is a word in the generators,
     # so x*G inside G for each generator x gives G*G inside G. This proves
-    # closure of the true product and `mul` with a generator on the left; it
-    # does not prove `mul` on composite left factors at k >= 3. At k <= 2 all
-    # pairs are read back too, and the images of the generator products are
-    # compared as matrices: the one part that does not depend on `blade_mul`.
+    # closure under the CliffordElement product and `mul` with a generator on
+    # the left; it does not prove `mul` on composite left factors at k >= 3,
+    # nor `blade_mul`, which both sides share. At k <= 2 all pairs are read
+    # back too, and the images of the generator products are compared as
+    # matrices: the one part that does not depend on `blade_mul`.
     generators = [GeneratorGroupElement(1 << j, 0) for j in range(sig.n)]
     generators.append(GeneratorGroupElement(0, 1))
     closure_ok = all(

@@ -138,7 +138,7 @@ def test_lattices_that_break_under_an_actor_are_reported(tables):
 def test_signed_blade_actors_reuse_the_memoized_lattice_matrix():
     table = build_generators(1)
     shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
-    p = TorusPoint(shear, [GaussianRational(Fraction(1, 3), Fraction(1, 5)), GaussianRational(Fraction(2, 7))])
+    p = parse_point("1/3+1/5i, 2/7", 1, shear)
     g = GeneratorGroupElement(0b11, 1)
     h = g.to_element(SIG)
     first = act(h, p, table)

@@ -203,6 +203,7 @@ def _closure_failure(k: int) -> Failure:
 
 
 def _core_result(monkeypatch, k: int, signature: tuple[int, int] | None = None):
+    """Run clifford_core under the active patches, then undo them."""
     result = run_suite(SuiteConfig(ks=(k,), signature=signature, suites=("clifford_core",))).suites[0]
     monkeypatch.undo()
     return result
