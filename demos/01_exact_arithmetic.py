@@ -1,7 +1,9 @@
 """Exact arithmetic over the Gaussian rationals.
 
 Everything downstream (matrix algebra, torus points, bundle characters) is
-built on one scalar type: a pair of stdlib fractions treated as re + im*i.
+built on one scalar type: three ints (a, b, d) read as (a + b*i)/d, kept in
+lowest terms with d >= 1. Gaussian integers (d == 1) multiply and add as
+plain ints; the real and imaginary parts read back as stdlib fractions.
 No floats appear anywhere, so every comparison in the package is exact.
 """
 

@@ -108,7 +108,7 @@ def subring_index(
     generators = (images or endo_lattice(table, lattice)).generators
     flattened = [m.flatten() for m in generators]
     integer_rows = [
-        [x.re.numerator for x in flat] + [x.im.numerator for x in flat] for flat in flattened
+        [x._a for x in flat] + [x._b for x in flat] for flat in flattened
     ]
 
     divisors = smith_form(integer_rows)

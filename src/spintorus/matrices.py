@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidScalarError, NonUnimodularError, NotIntegralError
-from .scalars import GaussianRational, as_gaussian
+from .scalars import ONE, GaussianRational, as_gaussian
 
 
 # Sparse integer rows: per row, the ``(index, coefficient)`` int pairs of its nonzero entries.
@@ -64,7 +64,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls([[1 if r == c else 0 for c in range(n)] for r in range(n)])
+        return cls._wrap(tuple(tuple(ONE if r == c else _ZERO for c in range(n)) for r in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> Matrix:
@@ -108,15 +108,15 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
+        return Matrix._wrap(
+            tuple(
+                tuple(a - b if b else a for a, b in zip(ra, rb))
                 for ra, rb in zip(self._entries, other._entries)
-            ]
+            )
         )
 
     def __neg__(self) -> Matrix:
-        return Matrix([[-x for x in row] for row in self._entries])
+        return Matrix._wrap(tuple(tuple(-x if x else x for x in row) for row in self._entries))
 
     def __mul__(self, scalar: int | Fraction | GaussianRational) -> Matrix:
         if isinstance(scalar, Matrix):
@@ -157,7 +157,7 @@ class Matrix:
                     continue
                 term = a * x
                 acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else as_gaussian(0))
+            out.append(acc if acc is not None else _ZERO)
         return tuple(out)
 
     def realified_rows(self) -> IntegerRows:
@@ -174,7 +174,7 @@ class Matrix:
 
     def conjugate(self) -> Matrix:
         return Matrix._wrap(
-            tuple(tuple(x.conjugate() if x.im else x for x in row) for row in self._entries)
+            tuple(tuple(x if x.is_rational() else x.conjugate() for x in row) for row in self._entries)
         )
 
     def adjoint(self) -> Matrix:
@@ -185,8 +185,8 @@ class Matrix:
         out = []
         for ra in self._entries:
             for rb in other._entries:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
+                out.append(tuple(a * b if a and b else _ZERO for a in ra for b in rb))
+        return Matrix._wrap(tuple(out))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -203,11 +203,11 @@ class Matrix:
         work = [list(row) for row in self._entries]
         n = self.rows
         sign = 1
-        result = as_gaussian(1)
+        result = ONE
         for col in range(n):
             pivot_row = next((r for r in range(col, n) if work[r][col]), None)
             if pivot_row is None:
-                return as_gaussian(0)
+                return _ZERO
             if pivot_row != col:
                 work[col], work[pivot_row] = work[pivot_row], work[col]
                 sign = -sign
@@ -227,7 +227,7 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(row) + [as_gaussian(1 if r == c else 0) for c in range(n)] for r, row in enumerate(self._entries)]
+        work = [list(row) + [ONE if r == c else _ZERO for c in range(n)] for r, row in enumerate(self._entries)]
         for col in range(n):
             pivot_row = next((r for r in range(col, n) if work[r][col]), None)
             if pivot_row is None:
@@ -240,7 +240,7 @@ class Matrix:
                     continue
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Matrix([row[n:] for row in work])
+        return Matrix._wrap(tuple(tuple(row[n:]) for row in work))
 
     def _check_shape(self, other: Matrix) -> None:
         if self.shape() != other.shape():
@@ -262,17 +262,26 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def realify(m: Matrix) -> list[list[Fraction]]:
-    """Real 2n x 2n matrix of a complex n x n one, on the (u, i*u) basis."""
+def realify(m: Matrix) -> list[list[int | Fraction]]:
+    """Real 2n x 2n matrix of a complex n x n one, on the (u, i*u) basis.
+
+    An entry is an int where the complex entry is a Gaussian integer, a Fraction otherwise.
+    """
     n = m.rows
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
+    out: list[list[int | Fraction]] = [[0] * (2 * n) for _ in range(2 * n)]
+    for a, row in enumerate(m.entries()):
         for b in range(n):
-            entry = m[a, b]
-            out[a][b] = entry.re
-            out[a][b + n] = -entry.im
-            out[a + n][b] = entry.im
-            out[a + n][b + n] = entry.re
+            x = row[b]
+            if not x:
+                continue
+            if x._d == 1:
+                re, im = x._a, x._b
+            else:
+                re, im = Fraction(x._a, x._d), Fraction(x._b, x._d)
+            out[a][b] = re
+            out[a][b + n] = -im
+            out[a + n][b] = im
+            out[a + n][b + n] = re
     return out
 
 
@@ -309,22 +318,24 @@ def _gaussian_integer_row(row: Iterable[int | Fraction | GaussianRational]) -> _
 
     Raises TypeError on an entry that is not an int, Fraction or GaussianRational.
     """
-    parts: dict[int, tuple[int | Fraction, int | Fraction]] = {}
+    parts: dict[int, tuple[int, int, int]] = {}
     den = 1
     for c, x in enumerate(row):
         if isinstance(x, GaussianRational):
-            re, im = x.re, x.im
-        elif isinstance(x, (int, Fraction)):
-            re, im = x, 0
+            re, im, d = x._a, x._b, x._d
+        elif isinstance(x, int):
+            re, im, d = x, 0, 1
+        elif isinstance(x, Fraction):
+            re, im, d = x.numerator, 0, x.denominator
         else:
             raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
         if re or im:
-            parts[c] = (re, im)
-            den = lcm(den, re.denominator, im.denominator)
-    return {
-        c: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
-        for c, (re, im) in parts.items()
-    }
+            parts[c] = (re, im, d)
+            if d != 1:
+                den = lcm(den, d)
+    if den == 1:
+        return {c: (re, im) for c, (re, im, _) in parts.items()}
+    return {c: (re * (den // d), im * (den // d)) for c, (re, im, d) in parts.items()}
 
 
 def _eliminate(
@@ -380,7 +391,7 @@ def mat_rank(m: Matrix, ring: str = "gaussian_rationals") -> int:
     if ring == "rationals":
         for row in m.entries():
             for x in row:
-                if x.im:
+                if not x.is_rational():
                     raise ValueError(f"entry {x} is not rational; use ring='gaussian_rationals'")
     return rank_of_rows(m.entries())
 
@@ -390,6 +401,11 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     Returns the full diagonal of the Smith normal form: nonnegative integers
     d_1 | d_2 | ... with zeros trailing, of length min(rows, cols).
+
+    Elimination only diagonalizes; the diagonal then becomes the divisor
+    chain by replacing each pair ``(d_i, d_j)``, i < j, with ``(gcd, lcm)``,
+    which keeps the matrix equivalent. The divisors are unique, so this is
+    the Smith form whatever the pivots were.
     """
     a = [[int(x) for x in row] for row in rows]
     nr = len(a)
@@ -430,23 +446,15 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                         for r in range(nr):
                             a[r][t], a[r][c] = a[r][c], a[r][t]
                         dirty = True
-            if dirty:
-                continue
-            pivot = a[t][t]
-            offender = next(
-                (
-                    r
-                    for r in range(t + 1, nr)
-                    if any(a[r][c] % pivot for c in range(t + 1, nc))
-                ),
-                None,
-            )
-            if offender is None:
+            if not dirty:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
         divisors.append(abs(a[t][t]))
         t += 1
     divisors.extend([0] * (limit - len(divisors)))
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            first, second = divisors[i], divisors[j]
+            divisors[i], divisors[j] = gcd(first, second), lcm(first, second)
     return tuple(divisors)
 
 

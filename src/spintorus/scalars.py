@@ -2,13 +2,17 @@
 
 ``Rational`` is the stdlib :class:`fractions.Fraction`, which already keeps
 every value reduced with a positive denominator. :class:`GaussianRational`
-pairs two of them as real and imaginary components. All arithmetic in this
-package runs over these two types; nothing is ever rounded.
+holds an element of Q(i) as one canonical int triple ``(a, b, d)`` meaning
+``(a + b*i)/d``. Arithmetic runs on the three ints, with an all-int fast path
+for Gaussian integers (``d == 1``), which is every entry of the spinor
+matrices and every phase; no ``Fraction`` is made inside it. All arithmetic
+in this package runs over these two types; nothing is ever rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidScalarError
 
@@ -31,51 +35,92 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class GaussianRational:
-    """An element ``re + im*i`` of Q(i), held as two exact rationals."""
+def _parts(x: int | Fraction) -> tuple[int, int]:
+    """Numerator and positive denominator of an int or Fraction; TypeError otherwise."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """An element ``(a + b*i)/d`` of Q(i), held as three ints.
+
+    The triple is canonical: ``d >= 1`` and ``gcd(a, b, d) == 1``, so two
+    values are equal exactly when their triples are. ``re`` and ``im`` are
+    read-only and return Fractions; modules of this package read the triple
+    itself through the ``_a``, ``_b`` and ``_d`` slots.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
-        self.re = as_rational(re)
-        self.im = as_rational(im)
+        p, q = _parts(re)
+        r, s = _parts(im)
+        if q == s:
+            self._a, self._b, self._d = p, r, q
+        else:
+            # Both parts are in lowest terms, so their lcm is the reduced denominator.
+            d = lcm(q, s)
+            self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """The field norm ``re^2 + im^2`` (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> GaussianRational:
-        n = self.norm()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise InvalidScalarError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def mod1(self) -> GaussianRational:
         """Reduce both components into [0, 1)."""
-        return GaussianRational(self.re % 1, self.im % 1)
+        d = self._d
+        # gcd(a % d, b % d, d) == gcd(a, b, d) == 1, so the triple stays canonical.
+        return _make(self._a % d, self._b % d, d)
 
     def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return self._d == 1
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._b
 
     def __add__(self, other: int | Fraction | GaussianRational) -> GaussianRational:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == 1 and e == 1:
+            return _make(self._a + other._a, self._b + other._b, 1)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other: int | Fraction | GaussianRational) -> GaussianRational:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == 1 and e == 1:
+            return _make(self._a - other._a, self._b - other._b, 1)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other: int | Fraction | GaussianRational) -> GaussianRational:
         other = _coerce(other)
@@ -84,13 +129,16 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other: int | Fraction | GaussianRational) -> GaussianRational:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not isinstance(other, GaussianRational):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        re, im = a * c - b * e, a * e + b * c
+        if d == 1 and f == 1:
+            return _make(re, im, 1)
+        return _reduced(re, im, d * f)
 
     __rmul__ = __mul__
 
@@ -121,23 +169,28 @@ class GaussianRational:
         return result
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self) -> GaussianRational:
         return self
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.im:
+        # The hashes of the (re, im) Fraction pair, so set and dict orders match it.
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -146,11 +199,11 @@ class GaussianRational:
 
     def __str__(self) -> str:
         """Literal form: ``a/b``, ``c/di``, or ``a/b+c/di`` (sign-aware)."""
-        if not self.im:
+        if not self._b:
             return format_rational(self.re)
-        if not self.re:
+        if not self._a:
             return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{format_rational(self.re)}{sign}{_imag_str(abs(self.im))}"
 
 
@@ -162,11 +215,37 @@ def _imag_str(b: Fraction) -> str:
     return f"{format_rational(b)}i"
 
 
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i)/d`` from a triple that is already canonical: ``d >= 1``, ``gcd(a, b, d) == 1``."""
+    g = _new(GaussianRational)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i)/d`` for ints with ``d > 0``, brought to the canonical triple.
+
+    Every denominator the arithmetic forms is a product of positive
+    denominators or a nonzero norm, so none is negative.
+    """
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
 def _coerce(x: object) -> GaussianRational | None:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(as_rational(x))
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
     return None
 
 
@@ -178,5 +257,5 @@ def as_gaussian(x: int | Fraction | GaussianRational) -> GaussianRational:
     return g
 
 
-ONE = GaussianRational(1, 0)
-I = GaussianRational(0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)

@@ -33,7 +33,7 @@ from .errors import (
     NotIntegralError,
 )
 from .matrices import IntegerRows, Matrix, smith_form, sparse_matvec_mod, sparse_rows
-from .scalars import GaussianRational, as_gaussian
+from .scalars import GaussianRational, _reduced, as_gaussian
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -163,9 +163,7 @@ class TorusPoint:
         """The lattice coordinates, each part reduced into [0, 1)."""
         if self._coords is None:
             den, nums, g = self.den, self.nums, self.lattice.dim
-            self._coords = tuple(
-                GaussianRational(Fraction(nums[j], den), Fraction(nums[j + g], den)) for j in range(g)
-            )
+            self._coords = tuple(_reduced(nums[j], nums[j + g], den) for j in range(g))
         return self._coords
 
     def lift(self) -> tuple[GaussianRational, ...]:

@@ -209,11 +209,38 @@ def test_smith_divisors_match_sympy_and_chain(rows):
             assert second % first == 0
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """Non-square integer matrices, each a product through an inner dimension below both sides."""
+    nr = draw(st.integers(min_value=1, max_value=5))
+    nc = draw(st.integers(min_value=1, max_value=5))
+    inner = draw(st.integers(min_value=0, max_value=min(nr, nc)))
+    entries = st.integers(min_value=-6, max_value=6)
+    left = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner), min_size=nr, max_size=nr))
+    right = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=inner, max_size=inner))
+    return [[sum(left[r][k] * right[k][c] for k in range(inner)) for c in range(nc)] for r in range(nr)]
+
+
+@settings(max_examples=60)
+@given(low_rank_matrices())
+def test_smith_divisors_of_rank_deficient_and_non_square_matrices(rows):
+    divisors = smith_form(rows)
+    snf = smith_normal_form(sympy.Matrix(rows))
+    limit = min(len(rows), len(rows[0]))
+    assert list(divisors) == [abs(snf[t, t]) for t in range(limit)]
+    assert sum(1 for d in divisors if d) == sympy.Matrix(rows).rank()
+    for first, second in zip(divisors, divisors[1:]):
+        assert second == 0 if first == 0 else second % first == 0
+
+
 def test_smith_examples():
     assert smith_form([[2, 4], [6, 8]]) == (2, 4)
     assert smith_form([[1, 0], [0, 1]]) == (1, 1)
     assert smith_form([[0, 0], [0, 0]]) == (0, 0)
     assert smith_form([[2, 0, 0], [0, 3, 0]]) == (1, 6)
+    assert smith_form([[4, 0], [0, 6], [0, 0]]) == (2, 12)
+    assert smith_form([[0, 0, 0], [0, 0, 5]]) == (5, 0)
+    assert smith_form([[6, 0, 0], [0, 0, 0], [0, 0, 4]]) == (2, 12, 0)
 
 
 unimodular_seeds = st.lists(

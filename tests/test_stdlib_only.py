@@ -1,0 +1,34 @@
+"""The package imports nothing outside the standard library and itself."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import spintorus
+
+PACKAGE = Path(spintorus.__file__).resolve().parent
+
+
+def _absolute_imports(path: Path) -> list[tuple[int, str]]:
+    """The top-level module name of every absolute import in a source file, with its line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 10
+    outside = [
+        f"{path.name}:{line} imports {name}"
+        for path in modules
+        for line, name in _absolute_imports(path)
+        if name != "spintorus" and name not in sys.stdlib_module_names
+    ]
+    assert outside == []
