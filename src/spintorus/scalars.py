@@ -50,7 +50,8 @@ class GaussianRational:
     The triple is canonical: ``d >= 1`` and ``gcd(a, b, d) == 1``, so two
     values are equal exactly when their triples are. ``re`` and ``im`` are
     read-only and return Fractions; modules of this package read the triple
-    itself through the ``_a``, ``_b`` and ``_d`` slots.
+    itself through the ``_a``, ``_b`` and ``_d`` slots, and build from ints
+    with ``_reduced``.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -219,6 +219,10 @@ def test_equal_representatives_are_one_canonical_value():
     assert hash(GaussianRational(3)) == hash(3) == hash(Fraction(3))
     assert hash(GaussianRational(Fraction(3, 7))) == hash(Fraction(3, 7))
     assert {GaussianRational(Fraction(6, 3)), 2, Fraction(2)} == {2}
+    with pytest.raises(AttributeError):
+        a.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        a.im = 0
 
 
 @pytest.mark.parametrize(
