@@ -9,7 +9,7 @@ No floats appear anywhere, so every comparison in the package is exact.
 
 from fractions import Fraction
 
-from spintorus import GaussianRational, Matrix, smith_form, solve_mod1
+from spintorus import GaussianRational, Matrix, smith_form
 
 a = GaussianRational(Fraction(3, 4), Fraction(-1, 2))
 b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
@@ -33,8 +33,3 @@ print()
 print("Integer matrices reduce to their elementary divisors:")
 m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
 print(f"  smith_form({m}) = {smith_form(m)}")
-
-print()
-print("Unimodular integer systems can also be solved modulo 1, exactly:")
-solution = solve_mod1([[0, -1], [1, 0]], (Fraction(0), Fraction(1, 2)))
-print(f"  J x = (0, 1/2) mod 1  =>  x = ({', '.join(str(x) for x in solution)})")

@@ -16,8 +16,9 @@ from spintorus import (
     decomposition_witness,
     endo_rank,
     evaluate_element,
+    lattice_matrix,
     parse_point,
-    rational_representation,
+    realify,
     subring_index,
     transport_table,
 )
@@ -34,7 +35,7 @@ lattice = LatticeSpec.default(1)
 
 h = evaluate_element("e1*e2", table.sig)
 print("e1*e2 on the realified lattice basis:")
-for row in rational_representation(h, table, lattice):
+for row in realify(lattice_matrix(h, table, lattice)):
     print(f"  {row}")
 
 audit = subring_index(table, lattice)
@@ -42,7 +43,7 @@ print()
 print(f"k=1 audit: smith divisors {audit.smith_divisors}")
 print(f"index of the blade span in the full ring: {audit.index_str}")
 print(f"determinant-norm route gives {audit.determinant_norm}; routes agree: {audit.consistent}")
-print(f"multiplication by i lies in the blade span: {automorphism_containment(table, lattice)}")
+print(f"every signed blade is an invertible lattice self-map: {automorphism_containment(table, lattice)}")
 
 print()
 witness = decomposition_witness(table, lattice)

@@ -24,18 +24,11 @@ from pathlib import Path
 from ._version import __version__
 from .action import act as apply_action
 from .action import translation_system
-from .clifford import (
-    CliffordElement,
-    GeneratorGroupElement,
-    Signature,
-    element_order,
-    generator_group,
-)
+from .clifford import Signature, as_signed_blade, element_order, generator_group
 from .errors import SpinTorusError
 from .exprs import evaluate_element, parse_bundle, parse_gaussian, parse_point
 from .matrices import Matrix
 from .picard import bundle_action, bundle_to_point, point_to_bundle
-from .scalars import GaussianRational
 from .spinrep import build_generators, verify_algebra_iso
 from .suite import (
     ALL_SUITES,
@@ -125,24 +118,6 @@ def _resolve_lattice(args: argparse.Namespace, k: int) -> LatticeSpec:
     return LatticeSpec.default(k)
 
 
-def _as_group_element(u: CliffordElement) -> GeneratorGroupElement | None:
-    """Recognize a signed blade i^t * e_I; None for anything else."""
-    terms = u.terms()
-    if len(terms) != 1:
-        return None
-    mask, coeff = terms[0]
-    phases = {
-        GaussianRational(1): 0,
-        GaussianRational(0, 1): 1,
-        GaussianRational(-1): 2,
-        GaussianRational(0, -1): 3,
-    }
-    for phase, t in phases.items():
-        if coeff == phase:
-            return GeneratorGroupElement(mask, t)
-    return None
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     if (args.signature is not None or args.lattice is not None) and len(args.k) != 1:
         raise ValueError("an explicit signature or lattice needs a single k")
@@ -223,7 +198,7 @@ def _cmd_act(args: argparse.Namespace) -> int:
     image = apply_action(element, point, table)
     print(f"image: {image}")
     if args.orbit:
-        g = _as_group_element(element)
+        g = as_signed_blade(element)
         if g is None:
             raise ValueError("--orbit needs a signed blade like 'e1*e2' or 'i*e1'")
         if element_order(g, sig) < 2:
@@ -241,10 +216,12 @@ def _cmd_dual(args: argparse.Namespace) -> int:
     k = _single_k(args)
     sig = _resolve_signature(args, k)
     lattice = _resolve_lattice(args, k)
-    table = build_generators(k, sig)
     pol = PolarizationData.default(lattice)
     text = args.value.strip()
-    actor = evaluate_element(args.act, sig) if args.act is not None else None
+    actor = None
+    if args.act is not None:
+        actor = evaluate_element(args.act, sig)
+        table = build_generators(k, sig)
     if text.startswith("["):
         bundle = parse_bundle(text, k)
         if actor is not None:

@@ -347,10 +347,6 @@ def star(u: CliffordElement) -> CliffordElement:
     return u.star()
 
 
-def in_integer_subring(u: CliffordElement) -> bool:
-    return u.is_gaussian_integral()
-
-
 def basis_blades(sig: Signature) -> Iterator[GeneratorGroupElement]:
     """The signed blades e_I, then i*e_I, blades ascending: a Z[i]-basis of the algebra."""
     for t in (0, 1):

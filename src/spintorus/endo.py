@@ -1,13 +1,13 @@
-"""Endomorphism lattices, the subring index audit, and decomposition witnesses.
+"""The endomorphism audit: rank, subring index, and decomposition witnesses.
 
-Every integral, lattice-preserving element induces both an analytic matrix
-(complex, in lattice coordinates) and a rational one (integer, on the
-realified basis). Flattening the rational matrices of all 2*4^k integral
-basis elements measures how much of the full endomorphism ring the algebra
-image fills: the Smith divisors of that square flattening give the index
-of the image as a subgroup, and the Gaussian norm of the complex
-flattening determinant must agree with it. The two routes are computed
-independently and compared.
+Every integral, lattice-preserving element induces an analytic matrix
+(complex, in lattice coordinates). One integer flattening of the images of
+the 2*4^k integral basis elements (each image's real parts, then its
+imaginary parts) serves both the rank and the index: its rank is the rank
+of the algebra image, and its Smith divisors give the index of that image
+as a subgroup of the full endomorphism ring. The Gaussian norm of the
+complex flattening determinant must agree with that index, so the two
+routes are computed independently and compared.
 """
 
 from __future__ import annotations
@@ -29,53 +29,38 @@ from .spinrep import RepresentationTable
 from .torus import LatticeSpec, TorusPoint
 
 
-def _integer_realify(m: Matrix) -> list[list[int]]:
-    """The realified matrix of a Gaussian-integer matrix, as plain ints."""
-    return [[x.numerator for x in row] for row in realify(m)]
-
-
-def rational_representation(
-    h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
-) -> list[list[int]]:
-    """The integer matrix of h on the realified lattice basis."""
-    return _integer_realify(lattice_matrix(h, table, lattice))
-
-
 def representation_determinants_match(
     h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> bool:
-    """det of the rational matrix equals the Gaussian norm of the analytic det."""
+    """det of the realified matrix equals the Gaussian norm of the analytic det."""
     complex_matrix = lattice_matrix(h, table, lattice)
     analytic_det = complex_matrix.det()
-    rational_det = Matrix(_integer_realify(complex_matrix)).det()
+    rational_det = Matrix(realify(complex_matrix)).det()
     return rational_det == as_gaussian(analytic_det.norm())
 
 
-@dataclass(frozen=True)
-class EndoLattice:
-    """The integral basis images, complex and realified, in a fixed order."""
-
-    generators: tuple[Matrix, ...]
-    realified: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def endo_lattice(table: RepresentationTable, lattice: LatticeSpec) -> EndoLattice:
+def _basis_images(table: RepresentationTable, lattice: LatticeSpec) -> list[Matrix]:
     """Images of e_I then i*e_I (blades ascending) in lattice coordinates."""
-    generators = tuple(lattice_matrix(u, table, lattice) for u in basis_elements(table.sig))
-    realified = tuple(tuple(tuple(row) for row in _integer_realify(m)) for m in generators)
-    return EndoLattice(generators=generators, realified=realified)
+    return [lattice_matrix(u, table, lattice) for u in basis_elements(table.sig)]
 
 
-def endo_rank(
-    table: RepresentationTable, lattice: LatticeSpec, images: EndoLattice | None = None
-) -> int:
+def _flattening(images: list[Matrix]) -> list[list[int]]:
+    """One integer row per image: its entries' real parts, then their imaginary parts."""
+    rows = []
+    for m in images:
+        flat = m.flatten()
+        rows.append([x._a for x in flat] + [x._b for x in flat])
+    return rows
+
+
+def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
     """Z-rank of the span of the realified basis images; expected 2^(2k+1).
 
-    Pass ``images`` (the ``endo_lattice`` of the same table and lattice) to
-    reuse it instead of building it again.
+    The realified matrix of an image is an injective linear function of its
+    real and imaginary parts, so the realified images span a lattice of the
+    same rank as the flattening, which has half as many columns.
     """
-    lat = images or endo_lattice(table, lattice)
-    return rank_of_rows(tuple(x for row in matrix for x in row) for matrix in lat.realified)
+    return rank_of_rows(_flattening(_basis_images(table, lattice)))
 
 
 @dataclass(frozen=True)
@@ -95,23 +80,15 @@ class SubringIndex:
         return "infinite" if self.index is None else str(self.index)
 
 
-def subring_index(
-    table: RepresentationTable, lattice: LatticeSpec, images: EndoLattice | None = None
-) -> SubringIndex:
+def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIndex:
     """Measure the image's index inside all lattice endomorphisms, two ways.
 
-    Route one flattens each realified basis image over the standard integer
-    basis of the full matrix ring and takes the product of Smith divisors.
+    Route one takes the product of the Smith divisors of the flattening,
+    whose columns are the standard integer basis of the full matrix ring.
     Route two takes the Gaussian norm of the complex flattening determinant.
-    ``images`` may carry a prebuilt ``endo_lattice``, as for ``endo_rank``.
     """
-    generators = (images or endo_lattice(table, lattice)).generators
-    flattened = [m.flatten() for m in generators]
-    integer_rows = [
-        [x._a for x in flat] + [x._b for x in flat] for flat in flattened
-    ]
-
-    divisors = smith_form(integer_rows)
+    images = _basis_images(table, lattice)
+    divisors = smith_form(_flattening(images))
     index = None
     if all(divisors):
         index = 1
@@ -119,7 +96,7 @@ def subring_index(
             index *= d
 
     # The e_I images alone: the i*e_I rows are i times these over C.
-    complex_det = Matrix(flattened[: len(generators) // 2]).det()
+    complex_det = Matrix([m.flatten() for m in images[: len(images) // 2]]).det()
     norm = complex_det.norm()
     if norm.denominator != 1:
         raise NotIntegralError("flattening determinant is not integral")
@@ -155,12 +132,9 @@ class DecompositionWitness:
 
 
 def decomposition_witness(
-    table: RepresentationTable, lattice: LatticeSpec, images: EndoLattice | None = None
+    table: RepresentationTable, lattice: LatticeSpec
 ) -> DecompositionWitness:
-    """Certify the split induced by the scalar i, or raise WitnessFailedError.
-
-    ``images`` may carry a prebuilt ``endo_lattice``, as for ``endo_rank``.
-    """
+    """Certify the split induced by the scalar i, or raise WitnessFailedError."""
     sig = table.sig
     i_scalar = CliffordElement.scalar(sig, GaussianRational(0, 1))
     analytic = table.represent(i_scalar)
@@ -176,7 +150,7 @@ def decomposition_witness(
         basis_map: tuple[int, ...] | None = tuple(range(table.dim))
     else:
         basis_map = None
-        if endo_rank(table, lattice, images) != 1 << (2 * sig.k + 1):
+        if endo_rank(table, lattice) != 1 << (2 * sig.k + 1):
             raise WitnessFailedError("realified span is not full rank over the lattice")
     return DecompositionWitness(
         automorphism=i_scalar,

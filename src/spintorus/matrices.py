@@ -8,14 +8,14 @@ denominators, updated as ``v <- p*v - f*b`` and divided by its integer
 content). The blade images of the spinor modules are monomial, so both
 visit one entry per row instead of every entry.
 
-The integer routines are the lattice ones (Smith form, the mod-1 solver)
-and one sparse kernel: a matrix with integer entries kept as sparse rows,
-applied to integer numerators modulo their common denominator.
+The integer routines are the Smith form and one sparse kernel: a matrix
+with integer entries kept as sparse rows, applied to integer numerators
+modulo their common denominator.
 
 Everything here is deterministic: elimination always picks the first
 nonzero pivot in row/column order, and the Smith reduction always picks
 the smallest-magnitude nonzero entry of the working submatrix. That makes
-ranks, divisors, and solver output reproducible bit for bit.
+ranks and divisors reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidScalarError, NonUnimodularError, NotIntegralError
+from .errors import NotIntegralError
 from .scalars import ONE, GaussianRational, as_gaussian
 
 
@@ -384,18 +384,6 @@ def rank_of_rows(rows: Iterable[Sequence[int | Fraction | GaussianRational]]) ->
     return len(basis)
 
 
-def mat_rank(m: Matrix, ring: str = "gaussian_rationals") -> int:
-    """Exact rank over Q or Q(i) with the deterministic first-nonzero pivot rule."""
-    if ring not in ("rationals", "gaussian_rationals"):
-        raise ValueError(f"unknown ring {ring!r}")
-    if ring == "rationals":
-        for row in m.entries():
-            for x in row:
-                if not x.is_rational():
-                    raise ValueError(f"entry {x} is not rational; use ring='gaussian_rationals'")
-    return rank_of_rows(m.entries())
-
-
 def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Elementary divisors of an integer matrix.
 
@@ -427,27 +415,31 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
         for row in a:
             row[t], row[best_c] = row[best_c], row[t]
         while True:
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            dirty = False
-            for r in range(t + 1, nr):
-                if a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
+            # Clear column t below the pivot, always dividing by its smallest entry.
+            while True:
+                p = min((r for r in range(t, nr) if a[r][t]), key=lambda r: abs(a[r][t]))
+                a[t], a[p] = a[p], a[t]
+                if a[t][t] < 0:
+                    a[t] = [-x for x in a[t]]
+                pivot_row, pivot = a[t], a[t][t]
+                clear = True
+                for r in range(t + 1, nr):
                     if a[r][t]:
-                        a[t], a[r] = a[r], a[t]
-                        dirty = True
+                        q = a[r][t] // pivot
+                        a[r] = [x - q * y for x, y in zip(a[r], pivot_row)]
+                        clear = clear and not a[r][t]
+                if clear:
+                    break
+            # Column t is clear below the pivot, so column steps touch row t only.
+            row = a[t]
             for c in range(t + 1, nc):
-                if a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    for r in range(nr):
-                        a[r][c] -= q * a[r][t]
-                    if a[t][c]:
-                        for r in range(nr):
-                            a[r][t], a[r][c] = a[r][c], a[r][t]
-                        dirty = True
-            if not dirty:
+                row[c] %= row[t]
+            rest = [c for c in range(t + 1, nc) if row[c]]
+            if not rest:
                 break
+            p = min(rest, key=lambda c: row[c])
+            for r in range(t, nr):
+                a[r][t], a[r][p] = a[r][p], a[r][t]
         divisors.append(abs(a[t][t]))
         t += 1
     divisors.extend([0] * (limit - len(divisors)))
@@ -456,26 +448,3 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
             first, second = divisors[i], divisors[j]
             divisors[i], divisors[j] = gcd(first, second), lcm(first, second)
     return tuple(divisors)
-
-
-def solve_mod1(
-    a_rows: Sequence[Sequence[int]], c: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """Solve A x = c (mod 1) for unimodular integer A; entries returned in [0, 1)."""
-    mat = Matrix(a_rows)
-    if not mat.is_square():
-        raise ValueError("coefficient matrix must be square")
-    if not mat.is_gaussian_integer() or any(x.im for row in mat.entries() for x in row):
-        raise NotIntegralError("coefficient matrix must have integer entries")
-    d = mat.det()
-    if d.im or abs(d.re) != 1:
-        raise NonUnimodularError(f"determinant is {d}, not a unit")
-    inverse = mat.inv()
-    rhs = tuple(as_gaussian(Fraction(x)) for x in c)
-    solution = inverse.matvec(rhs)
-    out = []
-    for x in solution:
-        if x.im:
-            raise InvalidScalarError("solution left the rational line")
-        out.append(x.re % 1)
-    return tuple(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -21,14 +22,14 @@ from spintorus import (
     Signature,
     WitnessFailedError,
     automorphism_containment,
+    basis_elements,
     decomposition_witness,
     element_order,
-    endo_lattice,
     endo_rank,
     evaluate_element,
     generator_group,
+    lattice_matrix,
     parse_point,
-    rational_representation,
     realify,
     representation_determinants_match,
     subring_index,
@@ -52,10 +53,10 @@ def test_realification_of_the_imaginary_scalar_is_frozen():
     ]
 
 
-def test_rational_representation_rows_are_integers(tables, lattices):
+def test_realify_returns_ints_on_lattice_matrices(tables, lattices):
     e12 = evaluate_element("e1*e2", SIG)
-    rows = rational_representation(e12, tables[1], lattices[1])
-    assert all(isinstance(x, int) for row in rows for x in row)
+    rows = realify(lattice_matrix(e12, tables[1], lattices[1]))
+    assert all(type(x) is int for row in rows for x in row)
     assert len(rows) == 4 and all(len(row) == 4 for row in rows)
 
 
@@ -82,14 +83,27 @@ def test_determinants_match_for_random_integral_elements(tables, lattices, u):
     assert representation_determinants_match(u, tables[1], lattices[1])
 
 
-def test_endomorphism_lattice_shape(tables, lattices):
-    lattice = endo_lattice(tables[1], lattices[1])
-    assert len(lattice.generators) == 8
-    assert len(lattice.realified) == 8
-    assert all(len(rows) == 4 and len(rows[0]) == 4 for rows in lattice.realified)
-    assert all(
-        isinstance(x, int) for rows in lattice.realified for row in rows for x in row
-    )
+def realified_flattening(table, lattice):
+    """Each basis image's realified matrix, flattened to one row."""
+    return [
+        [x for row in realify(lattice_matrix(u, table, lattice)) for x in row]
+        for u in basis_elements(table.sig)
+    ]
+
+
+def shear_lattice(k):
+    """The default lattice Z[i]^(2^k) on the sheared basis e_1, e_2 + i*e_1, e_3, ..."""
+    n = 1 << k
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    rows[0][1] = I
+    return LatticeSpec(k, Matrix(rows))
+
+
+def test_endo_rank_matches_sympy_rank_of_the_realified_flattening(tables, lattices):
+    for k in (1, 2):
+        for lattice in (lattices[k], shear_lattice(k)):
+            expected = sympy.Matrix(realified_flattening(tables[k], lattice)).rank()
+            assert endo_rank(tables[k], lattice) == expected == 1 << (2 * k + 1)
 
 
 def test_endomorphism_ranks(tables, lattices):
@@ -107,15 +121,27 @@ def test_subring_index_audit_at_rank_one(tables, lattices):
 
 
 def test_subring_index_matches_sympy_smith_form(tables, lattices):
-    flattened = [
-        [x for row in rows for x in row]
-        for rows in endo_lattice(tables[1], lattices[1]).realified
-    ]
-    snf = smith_normal_form(sympy.Matrix(flattened))
+    snf = smith_normal_form(sympy.Matrix(realified_flattening(tables[1], lattices[1])))
     product = 1
     for t in range(8):
         product *= abs(snf[t, t])
-    assert product == 16
+    assert product == 16 == subring_index(tables[1], lattices[1]).index
+
+
+def test_subring_index_does_not_depend_on_the_lattice_basis(tables, lattices):
+    # a unimodular change of basis conjugates the image and the full ring alike
+    for k in (1, 2):
+        sheared = subring_index(tables[k], shear_lattice(k))
+        assert sheared == subring_index(tables[k], lattices[k])
+        assert sheared.consistent
+    snf = smith_normal_form(sympy.Matrix(realified_flattening(tables[1], shear_lattice(1))))
+    divisors = sorted(abs(snf[t, t]) for t in range(8))
+    assert tuple(divisors) == subring_index(tables[1], shear_lattice(1)).smith_divisors
+
+
+def test_endo_entry_points_take_only_table_and_lattice():
+    for audit in (endo_rank, subring_index, decomposition_witness):
+        assert list(inspect.signature(audit).parameters) == ["table", "lattice"]
 
 
 def test_decomposition_witness_defaults(tables, lattices):

@@ -25,6 +25,7 @@ from spintorus import (
     Matrix,
     NotIntegralError,
     PolarizationData,
+    RepresentationTable,
     Signature,
     SuiteConfig,
     TorusPoint,
@@ -37,7 +38,7 @@ from spintorus import (
     run_suite,
     torsion_points,
 )
-from spintorus import endo, suite
+from spintorus import action
 from spintorus.scalars import as_gaussian
 
 CASES = [(k, sig, shear) for k in (1, 2, 3) for sig in ("definite", "indefinite") for shear in (False, True)]
@@ -233,19 +234,28 @@ def test_signed_blade_images_are_built_once():
             assert first == lattice.inverse_basis @ image @ lattice.basis
 
 
-def test_endo_decomp_builds_the_endomorphism_lattice_once(monkeypatch):
+def test_endo_decomp_conjugates_each_signed_blade_once(monkeypatch):
     calls = []
-    original = endo.endo_lattice
+    tables = []
+    conjugate = action._lattice_coordinates
+    init = RepresentationTable.__init__
 
-    def counted(table, lattice):
+    def counted(ambient, lattice):
         calls.append(lattice)
-        return original(table, lattice)
+        return conjugate(ambient, lattice)
 
-    monkeypatch.setattr(endo, "endo_lattice", counted)
-    monkeypatch.setattr(suite, "endo_lattice", counted)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(action, "_lattice_coordinates", counted)
+    monkeypatch.setattr(RepresentationTable, "__init__", recorded)
     shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
     for lattice in (None, shear):
         calls.clear()
+        tables.clear()
         report = run_suite(SuiteConfig(ks=(1,), suites=("endo_decomp",), lattice=lattice))
         assert report.all_passed()
-        assert len(calls) == 1
+        # Each memo entry is one distinct (table, blade, i_power, lattice), stored by the call that built it.
+        distinct = sum(len(table.lattice_images) for table in tables)
+        assert 0 < len(calls) <= distinct

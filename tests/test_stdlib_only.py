@@ -1,4 +1,4 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself, and its exports resolve."""
 
 from __future__ import annotations
 
@@ -32,3 +32,10 @@ def test_package_imports_only_the_standard_library():
         if name != "spintorus" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_every_export_resolves():
+    namespace: dict = {}
+    exec("from spintorus import *", namespace)
+    assert len(set(spintorus.__all__)) == len(spintorus.__all__)
+    assert [name for name in spintorus.__all__ if name not in namespace] == []

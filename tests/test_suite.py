@@ -16,14 +16,17 @@ from spintorus import (
     Signature,
     SuiteConfig,
     TorusPoint,
+    build_generators,
     element_source,
     emit_report,
     generator_group,
+    parse_point,
     report_document,
     report_from_document,
     run_suite,
+    translation_system,
 )
-from spintorus import clifford
+from spintorus import cli, clifford
 from spintorus.cli import main
 
 FAST = SuiteConfig(ks=(1,))
@@ -353,6 +356,23 @@ def test_cli_act(capsys):
     assert "N: 3/4+3/4i, 0" in out
     assert "orbit[4]: 1/4, 0" in out
 
+    # a phased actor, -i*e1*e2, reads back as a signed blade too
+    assert main(["act", "0 - i*e1*e2", "1/8, 3/8", "--orbit"]) == 0
+    system = translation_system(
+        GeneratorGroupElement(0b11, 3), parse_point("1/8, 3/8", 1), build_generators(1)
+    )
+    expected = [
+        f"image: {system.orbit[1]}",
+        f"order: {system.order}",
+        f"M: {system.first_translation}",
+        f"N: {system.second_translation}",
+    ] + [f"orbit[{step}]: {q}" for step, q in enumerate(system.orbit)]
+    assert capsys.readouterr().out.splitlines() == expected
+
+    # integral and lattice-preserving, but not a signed blade
+    assert main(["act", "(1+i)*e1", "1/4, 0", "--orbit"]) == 2
+    assert "needs a signed blade" in capsys.readouterr().err
+
 
 def test_cli_act_rejects_bad_inputs(capsys):
     assert main(["act", "1/2 * e1", "1/4, 0"]) == 2
@@ -376,6 +396,17 @@ def test_cli_dual(capsys):
 
     assert main(["dual", "1/2, 0", "--act", "e1*e2"]) == 0
     assert capsys.readouterr().out == "point: 1/2i, 0\nbundle: [1/2, 0, 0, 0]\n"
+
+
+def test_cli_dual_builds_no_table_without_an_actor(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dual query without --act built a representation table")
+
+    monkeypatch.setattr(cli, "build_generators", refuse)
+    assert main(["dual", "1/2, 0"]) == 0
+    assert capsys.readouterr().out == "bundle: [0, 0, 1/2, 0]\n"
+    assert main(["dual", "[0, 0, 1/2, 0]"]) == 0
+    assert capsys.readouterr().out == "point: 1/2, 0\n"
 
 
 def test_cli_lattice_files(capsys, tmp_path):
