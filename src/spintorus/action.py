@@ -9,12 +9,19 @@ N moves that image to the second. The full orbit is then
 
 and ``2p + M + N = 0`` on the torus. Order-2 actors degenerate to N = -M,
 and on two-torsion points both collapse to N = M with 2M = 0.
+
+The orbits are computed for a whole :class:`~spintorus.torus.TorsionBlock`
+of points at once: the actor's realified lattice rows act on each
+coordinate column, and M, N and every identity are column arithmetic
+modulo each point's own denominator. Each identity is one predicate over
+blocks, returning a verdict per point; a single :class:`TranslationSystem`
+checks itself with the same predicates on blocks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, as_signed_blade, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
@@ -23,8 +30,10 @@ from .spinrep import RepresentationTable
 from .torus import (
     DEFAULT_ENUMERATION_CAP,
     LatticeSpec,
+    TorsionBlock,
     TorusPoint,
-    torsion_points,
+    blocks_of_one,
+    torsion_block,
 )
 
 
@@ -102,6 +111,62 @@ def act(h: CliffordElement, p: TorusPoint, table: RepresentationTable) -> TorusP
     return apply_matrix(lattice_matrix(h, table, p.lattice), p)
 
 
+def translation_block(
+    matrix: Matrix, block: TorsionBlock, steps: int = 4
+) -> tuple[list[TorsionBlock], TorsionBlock, TorsionBlock]:
+    """The orbits of a block of points under a lattice matrix, and their translations.
+
+    Returns ``(orbit, M, N)``: ``orbit`` is the block and its first ``steps``
+    images (``steps >= 2``), ``M = orbit[1] - orbit[0]`` and
+    ``N = orbit[2] - orbit[1]``, every point over its own denominator.
+    """
+    if matrix.rows != matrix.cols or 2 * matrix.rows != len(block.cols):
+        raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix cannot act on {len(block.cols)} numerators")
+    rows = matrix.realified_rows()
+    orbit = [block]
+    for _ in range(steps):
+        orbit.append(orbit[-1].transform(rows))
+    return orbit, orbit[1] - block, orbit[2] - orbit[1]
+
+
+def _every(*verdicts: list[bool]) -> list[bool]:
+    return [all(per_point) for per_point in zip(*verdicts)]
+
+
+# The identities below take blocks of points or of bundle classes alike, all
+# over the same denominators, and give one verdict per item.
+
+
+def four_step(
+    base: TorsionBlock, m: TorsionBlock, n: TorsionBlock, steps: Sequence[TorsionBlock]
+) -> list[bool]:
+    """The order-4 pattern: the four steps are base + M, base + M + N, base + N, base."""
+    moved = base + m
+    return _every(
+        steps[0].agrees(moved),
+        steps[1].agrees(moved + n),
+        steps[2].agrees(base + n),
+        steps[3].agrees(base),
+    )
+
+
+def closure(base: TorsionBlock, m: TorsionBlock, n: TorsionBlock) -> list[bool]:
+    """2 * base + M + N = 0."""
+    return (base + base + m + n).is_zero()
+
+
+def degenerate_pair(
+    base: TorsionBlock, m: TorsionBlock, n: TorsionBlock, second: TorsionBlock
+) -> list[bool]:
+    """The order-2 pattern: N = -M, and the second step is base again."""
+    return _every(n.agrees(-m), second.agrees(base))
+
+
+def two_torsion_pair(m: TorsionBlock, n: TorsionBlock) -> list[bool]:
+    """On two-torsion: N = M and 2M = 0."""
+    return _every(n.agrees(m), (m + m).is_zero())
+
+
 @dataclass(frozen=True)
 class TranslationSystem:
     """Base point, its two translation points, and the actor's full orbit."""
@@ -114,26 +179,21 @@ class TranslationSystem:
     orbit: tuple[TorusPoint, ...]
 
     def four_step_holds(self) -> bool:
-        """The order-4 translation pattern, checked point by point."""
-        p, m, n = self.base, self.first_translation, self.second_translation
-        return (
-            self.orbit[1] == p + m
-            and self.orbit[2] == p + m + n
-            and self.orbit[3] == p + n
-            and self.orbit[4] == p
+        """The order-4 translation pattern."""
+        base, m, n, *steps = blocks_of_one(
+            self.base, self.first_translation, self.second_translation, *self.orbit[1:]
         )
+        return four_step(base, m, n, steps)[0]
 
     def closure_identity_holds(self) -> bool:
         """For order-4 actors: 2 * base + M + N = 0 on the torus."""
-        total = self.base + self.base + self.first_translation + self.second_translation
-        return total.is_zero()
+        return closure(*blocks_of_one(self.base, self.first_translation, self.second_translation))[0]
 
     def degenerate_pair_holds(self) -> bool:
         """For order-2 actors: N = -M and the orbit closes after two steps."""
-        return (
-            self.second_translation == -self.first_translation
-            and self.orbit[2] == self.base
-        )
+        return degenerate_pair(
+            *blocks_of_one(self.base, self.first_translation, self.second_translation, self.orbit[2])
+        )[0]
 
 
 def translation_system(
@@ -145,17 +205,18 @@ def translation_system(
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("translation systems need an actor of order at least 2")
-    matrix = group_lattice_matrix(g, table, p.lattice)
-    orbit = [p]
-    for _ in range(4):
-        orbit.append(apply_matrix(matrix, orbit[-1]))
+    orbit, m, n = translation_block(group_lattice_matrix(g, table, p.lattice), blocks_of_one(p)[0])
+
+    def point(block: TorsionBlock) -> TorusPoint:
+        return TorusPoint.from_numerators(p.lattice, *block.item(0))
+
     return TranslationSystem(
         actor=g,
         order=order,
         base=p,
-        first_translation=orbit[1] - p,
-        second_translation=orbit[2] - orbit[1],
-        orbit=tuple(orbit),
+        first_translation=point(m),
+        second_translation=point(n),
+        orbit=(p, *(point(q) for q in orbit[1:])),
     )
 
 
@@ -182,22 +243,21 @@ def verify_two_torsion(
     """On each scanned two-torsion point: both translations coincide and are 2-torsion.
 
     ``points`` defaults to every two-torsion point, enumerated under ``cap``;
-    pass a subset to scan a sample instead.
+    pass a subset to scan a sample instead. The points are scanned as one
+    block, and the failures name every failing point in scan order.
     """
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("the scan needs an actor of order at least 2")
     matrix = group_lattice_matrix(g, table, lattice)
     if points is None:
-        points = torsion_points(2, lattice, cap=cap)
-    checked = 0
-    failures: list[str] = []
-    for eps in points:
-        first = apply_matrix(matrix, eps)
-        second = apply_matrix(matrix, first)
-        m = first - eps
-        n = second - first
-        checked += 1
-        if n != m or not (m + m).is_zero():
-            failures.append(str(eps))
-    return TwoTorsionReport(actor=g, checked=checked, failures=tuple(failures))
+        block = torsion_block(2, lattice, cap=cap)
+    else:
+        block = TorsionBlock.of(list(points), 2 * lattice.dim)
+    _, m, n = translation_block(matrix, block, steps=2)
+    failures = tuple(
+        str(TorusPoint.from_numerators(lattice, *block.item(t)))
+        for t, ok in enumerate(two_torsion_pair(m, n))
+        if not ok
+    )
+    return TwoTorsionReport(actor=g, checked=len(block), failures=failures)

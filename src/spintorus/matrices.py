@@ -9,8 +9,8 @@ content). The blade images of the spinor modules are monomial, so both
 visit one entry per row instead of every entry.
 
 The integer routines are the Smith form and one sparse kernel: a matrix
-with integer entries kept as sparse rows, applied to integer numerators
-modulo their common denominator.
+with integer entries kept as sparse rows, applied to a column-major block
+of integer numerator vectors, each reduced modulo its own denominator.
 
 Everything here is deterministic: elimination always picks the first
 nonzero pivot in row/column order, and the Smith reduction always picks
@@ -38,7 +38,7 @@ _ZERO = GaussianRational()
 class Matrix:
     """An immutable dense matrix with GaussianRational entries."""
 
-    __slots__ = ("rows", "cols", "_entries", "_realified_rows")
+    __slots__ = ("rows", "cols", "_entries", "_nonzero_rows", "_realified_rows")
 
     def __init__(self, rows: Iterable[Iterable[int | Fraction | GaussianRational]]) -> None:
         entries = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
@@ -50,6 +50,7 @@ class Matrix:
         self.rows = len(entries)
         self.cols = width
         self._entries = entries
+        self._nonzero_rows: tuple[tuple[tuple[int, GaussianRational], ...], ...] | None = None
         self._realified_rows: IntegerRows | None = None
 
     @classmethod
@@ -59,6 +60,7 @@ class Matrix:
         m.rows = len(entries)
         m.cols = len(entries[0])
         m._entries = entries
+        m._nonzero_rows = None
         m._realified_rows = None
         return m
 
@@ -89,6 +91,14 @@ class Matrix:
 
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
         return self._entries
+
+    def nonzero_rows(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
+        """Per row, its nonzero entries as ``(col, value)`` pairs in column order; cached."""
+        if self._nonzero_rows is None:
+            self._nonzero_rows = tuple(
+                tuple((c, x) for c, x in enumerate(row) if x) for row in self._entries
+            )
+        return self._nonzero_rows
 
     def flatten(self) -> tuple[GaussianRational, ...]:
         return tuple(x for row in self._entries for x in row)
@@ -131,7 +141,7 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
-        sparse = [[(c, b) for c, b in enumerate(row) if b] for row in other._entries]
+        sparse = other.nonzero_rows()
         columns = range(other.cols)
         out = []
         for ra in self._entries:
@@ -298,14 +308,33 @@ def sparse_rows(rows: Iterable[Sequence[int | Fraction]]) -> IntegerRows:
     return tuple(out)
 
 
-def sparse_matvec_mod(rows: IntegerRows, nums: Sequence[int], den: int) -> list[int]:
-    """The integer mat-vec of sparse ``rows`` with ``nums``, each entry reduced mod ``den``."""
+def sparse_matvec_mod(
+    rows: IntegerRows, cols: Sequence[Sequence[int]], dens: Sequence[int]
+) -> list[list[int]]:
+    """The integer mat-vec of sparse ``rows`` with a column-major block of vectors, reduced per vector.
+
+    ``cols[j][t]`` is entry j of vector t, already reduced into
+    ``[0, dens[t])``. Entry t of output row r is
+    ``sum(c * cols[j][t] for j, c in rows[r]) % dens[t]``: every vector is
+    reduced modulo its own denominator, so vectors of different orders share
+    one pass over the rows. A row with the single entry 1 copies its column.
+    """
     out = []
     for row in rows:
-        total = 0
-        for j, c in row:
-            total += c * nums[j]
-        out.append(total % den)
+        if len(row) == 1:
+            ((j, c),) = row
+            if c == 1:
+                out.append(list(cols[j]))
+            else:
+                out.append([c * x % d for x, d in zip(cols[j], dens)])
+        elif row:
+            (j, c), *rest = row
+            acc = [c * x for x in cols[j]]
+            for j, c in rest:
+                acc = [a + c * x for a, x in zip(acc, cols[j])]
+            out.append([a % d for a, d in zip(acc, dens)])
+        else:
+            out.append([0] * len(dens))
     return out
 
 
@@ -402,13 +431,20 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     divisors: list[int] = []
     t = 0
     while t < limit:
+        # The first entry of least magnitude, in row-major order; a unit ends the search.
         best_r = best_c = -1
         best = 0
         for r in range(t, nr):
+            row = a[r]
             for c in range(t, nc):
-                v = abs(a[r][c])
-                if v and (best == 0 or v < best):
-                    best_r, best_c, best = r, c, v
+                if row[c]:
+                    v = abs(row[c])
+                    if best == 0 or v < best:
+                        best_r, best_c, best = r, c, v
+                        if v == 1:
+                            break
+            if best == 1:
+                break
         if best == 0:
             break
         a[t], a[best_r] = a[best_r], a[t]

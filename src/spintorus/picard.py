@@ -8,6 +8,14 @@ encoding is a group isomorphism from the torus to its dual, which is what
 `point_to_bundle` and `bundle_to_point` implement in both directions: E^T
 and its integral inverse E^-T, applied as sparse integer rows to the
 numerators modulo their common denominator.
+
+The bundle systems and the order-2 class scan run on a
+:class:`~spintorus.torus.TorsionBlock` of classes: E^-T takes the block to
+points, the actor moves them, and E^T takes the translations and steps
+back, all column by column modulo each class's own denominator. They are
+checked with the identities of :mod:`spintorus.action`, which hold on
+bundle blocks as on point blocks because the duality is a group
+isomorphism.
 """
 
 from __future__ import annotations
@@ -16,16 +24,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .action import act, apply_matrix, group_lattice_matrix, translation_system
+from .action import (
+    act,
+    closure,
+    four_step,
+    group_lattice_matrix,
+    translation_block,
+    translation_system,
+    two_torsion_pair,
+)
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
-from .matrices import Matrix, sparse_matvec_mod
+from .matrices import Matrix
 from .scalars import as_rational, format_rational
 from .spinrep import RepresentationTable
 from .torus import (
     PolarizationData,
+    TorsionBlock,
     TorusPoint,
-    combine_numerators,
+    blocks_of_one,
     fraction_numerators,
     is_principal,
     lowest_terms,
@@ -73,8 +90,8 @@ class BundleClass:
 
     def tensor(self, other: BundleClass) -> BundleClass:
         self._require_same_dual(other)
-        den, nums = combine_numerators(self.den, self.nums, other.den, other.nums, 1)
-        return BundleClass.from_numerators(self.k, den, nums)
+        a, b = blocks_of_one(self, other)
+        return BundleClass.from_numerators(self.k, *(a + b).item(0))
 
     def dual(self) -> BundleClass:
         den = self.den
@@ -120,8 +137,8 @@ def point_to_bundle(p: TorusPoint, pol: PolarizationData) -> BundleClass:
     _require_principal(pol)
     if p.lattice is not pol.lattice and p.lattice != pol.lattice:
         raise ValueError("point and polarization use different lattices")
-    nums = sparse_matvec_mod(pol.bundle_rows(), p.nums, p.den)
-    return BundleClass.from_numerators(pol.lattice.k, p.den, nums)
+    (block,) = blocks_of_one(p)
+    return BundleClass.from_numerators(pol.lattice.k, *block.transform(pol.bundle_rows()).item(0))
 
 
 def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
@@ -129,8 +146,8 @@ def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
     _require_principal(pol)
     if bundle.k != pol.lattice.k:
         raise ValueError("bundle and polarization have different dimensions")
-    nums = sparse_matvec_mod(pol.point_rows(), bundle.nums, bundle.den)
-    return TorusPoint.from_numerators(pol.lattice, bundle.den, nums)
+    (block,) = blocks_of_one(bundle)
+    return TorusPoint.from_numerators(pol.lattice, *block.transform(pol.point_rows()).item(0))
 
 
 def bundle_action(
@@ -155,17 +172,16 @@ class BundleSystem:
     steps: tuple[BundleClass, BundleClass, BundleClass, BundleClass]
 
     def four_step_holds(self) -> bool:
-        base, lm, ln = self.base, self.first_bundle, self.second_bundle
-        return (
-            self.steps[0] == base.tensor(lm)
-            and self.steps[1] == base.tensor(lm).tensor(ln)
-            and self.steps[2] == base.tensor(ln)
-            and self.steps[3] == base
-        )
+        """The steps are L x L_M, L x L_M x L_N, L x L_N and L."""
+        base, lm, ln, *steps = blocks_of_one(self.base, self.first_bundle, self.second_bundle, *self.steps)
+        return four_step(base, lm, ln, steps)[0]
 
     def dual_square_holds(self) -> bool:
-        """(L dual) tensor squared equals the product of the two translation bundles."""
-        return self.base.dual().power(2) == self.first_bundle.tensor(self.second_bundle)
+        """(L dual) tensor squared equals the product of the two translation bundles.
+
+        Checked in the equivalent form that L^2 x L_M x L_N is trivial.
+        """
+        return closure(*blocks_of_one(self.base, self.first_bundle, self.second_bundle))[0]
 
     def holds(self) -> bool:
         return self.four_step_holds() and self.dual_square_holds()
@@ -195,6 +211,46 @@ def bundle_system(
     )
 
 
+def _translation_bundles(
+    matrix: Matrix, classes: TorsionBlock, pol: PolarizationData, steps: int
+) -> tuple[list[TorsionBlock], TorsionBlock, TorsionBlock]:
+    """The orbit of each class's point, and the class's translation bundles L_M and L_N."""
+    _require_principal(pol)
+    orbit, m, n = translation_block(matrix, classes.transform(pol.point_rows()), steps)
+    rows = pol.bundle_rows()
+    return orbit, m.transform(rows), n.transform(rows)
+
+
+def bundle_systems_hold(
+    g: GeneratorGroupElement, classes: TorsionBlock, table: RepresentationTable, pol: PolarizationData
+) -> tuple[list[bool], TorsionBlock]:
+    """Per class of the block: whether ``bundle_system(g, class, ...).holds()``; and the block of L_M."""
+    if element_order(g, table.sig) != 4:
+        raise ValueError("the four-bundle system needs an order-4 actor")
+    orbit, lm, ln = _translation_bundles(group_lattice_matrix(g, table, pol.lattice), classes, pol, 4)
+    rows = pol.bundle_rows()
+    steps = [q.transform(rows) for q in orbit[1:]]
+    return [a and b for a, b in zip(four_step(classes, lm, ln, steps), closure(classes, lm, ln))], lm
+
+
+def two_torsion_bundle_scan(
+    g: GeneratorGroupElement,
+    classes: TorsionBlock,
+    table: RepresentationTable,
+    pol: PolarizationData,
+    matrix: Matrix | None = None,
+) -> list[bool]:
+    """Per class of the block: both translation bundles agree and are 2-torsion.
+
+    ``matrix`` is the actor's lattice matrix; by default it is looked up
+    through ``group_lattice_matrix``, which builds it once per lattice.
+    """
+    if matrix is None:
+        matrix = group_lattice_matrix(g, table, pol.lattice)
+    _, lm, ln = _translation_bundles(matrix, classes, pol, 2)
+    return two_torsion_pair(lm, ln)
+
+
 def two_torsion_bundle_check(
     g: GeneratorGroupElement,
     bundle: BundleClass,
@@ -202,16 +258,5 @@ def two_torsion_bundle_check(
     pol: PolarizationData,
     matrix: Matrix | None = None,
 ) -> bool:
-    """For order-2 bundles: both translation bundles agree and are 2-torsion.
-
-    ``matrix`` is the actor's lattice matrix; by default it is looked up
-    through ``group_lattice_matrix``, which builds it once per lattice.
-    """
-    base_point = bundle_to_point(bundle, pol)
-    if matrix is None:
-        matrix = group_lattice_matrix(g, table, pol.lattice)
-    first_point = apply_matrix(matrix, base_point)
-    second_point = apply_matrix(matrix, first_point)
-    lm = point_to_bundle(first_point - base_point, pol)
-    ln = point_to_bundle(second_point - first_point, pol)
-    return ln == lm and lm.order() <= 2
+    """For order-2 bundles: both translation bundles agree and are 2-torsion."""
+    return two_torsion_bundle_scan(g, blocks_of_one(bundle)[0], table, pol, matrix)[0]

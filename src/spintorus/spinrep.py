@@ -98,10 +98,8 @@ class RepresentationTable:
             raise SignatureMismatchError(f"{u.sig} vs {self.sig}")
         rows: list[dict[int, GaussianRational]] = [{} for _ in range(self.dim)]
         for mask, coeff in u.terms():
-            for acc, row in zip(rows, self._blade_images[mask].entries()):
-                for c, x in enumerate(row):
-                    if not x:
-                        continue
+            for acc, row in zip(rows, self._blade_images[mask].nonzero_rows()):
+                for c, x in row:
                     term = x * coeff
                     prev = acc.get(c)
                     acc[c] = term if prev is None else prev + term

@@ -23,8 +23,14 @@ from typing import Callable
 
 from ._version import __version__
 from .action import (
+    TranslationSystem,
     act,
+    closure,
+    degenerate_pair,
+    four_step,
+    group_lattice_matrix,
     preserves_lattice,
+    translation_block,
     translation_system,
     verify_two_torsion,
 )
@@ -53,9 +59,10 @@ from .picard import (
     BundleClass,
     bundle_action,
     bundle_system,
+    bundle_systems_hold,
     bundle_to_point,
     point_to_bundle,
-    two_torsion_bundle_check,
+    two_torsion_bundle_scan,
 )
 from .scalars import GaussianRational
 from .spinrep import (
@@ -70,6 +77,7 @@ from .torus import (
     DEFAULT_ENUMERATION_CAP,
     LatticeSpec,
     PolarizationData,
+    TorsionBlock,
     TorusPoint,
     polarization_type,
     riemann_check,
@@ -276,6 +284,10 @@ def _random_point(lattice: LatticeSpec, rng: random.Random) -> TorusPoint:
         for _ in range(lattice.dim)
     ]
     return TorusPoint(lattice, coords)
+
+
+def _closure_sum(system: TranslationSystem) -> TorusPoint:
+    return system.base + system.base + system.first_translation + system.second_translation
 
 
 def _random_element(sig: Signature, rng: random.Random) -> CliffordElement:
@@ -595,24 +607,28 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
 
     order4, order2 = env.order_partition
     points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
+    block = TorsionBlock.of(points, 2 * lattice.dim)
     mixed_phase = sum(1 for g in order4 if g.i_power % 2 == 1)
 
+    # Each actor moves the whole block at once; a failing record renders its
+    # text from the one-point translation system.
     for g in order4:
         actor = g.to_element(sig)
-        for p in points:
-            system = translation_system(g, p, table)
+        orbit, m, n = translation_block(group_lattice_matrix(g, table, lattice), block)
+        verdicts = zip(points, four_step(block, m, n, orbit[1:]), closure(block, m, n))
+        for p, steps_hold, closes in verdicts:
             inputs = {"k": env.k, "actor": actor, "point": p}
             chk.record(
-                system.four_step_holds(),
+                steps_hold,
                 inputs,
                 "orbit matches p, p+M, p+M+N, p+N, p",
-                lambda: " | ".join(str(q) for q in system.orbit),
+                lambda: " | ".join(str(q) for q in translation_system(g, p, table).orbit),
             )
             chk.record(
-                system.closure_identity_holds(),
+                closes,
                 inputs,
                 "2p + M + N = 0",
-                lambda: system.base + system.base + system.first_translation + system.second_translation,
+                lambda: _closure_sum(translation_system(g, p, table)),
             )
     if mixed_phase:
         env.warnings.append(
@@ -622,15 +638,16 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
         )
 
     degenerate_points = points[:10]
+    degenerate_block = TorsionBlock.of(degenerate_points, 2 * lattice.dim)
     for g in order2:
         actor = g.to_element(sig)
-        for p in degenerate_points:
-            system = translation_system(g, p, table)
+        orbit, m, n = translation_block(group_lattice_matrix(g, table, lattice), degenerate_block, steps=2)
+        for p, holds in zip(degenerate_points, degenerate_pair(degenerate_block, m, n, orbit[2])):
             chk.record(
-                system.degenerate_pair_holds(),
+                holds,
                 {"k": env.k, "actor": actor, "point": p},
                 "N = -M and the orbit closes after two steps",
-                system.second_translation,
+                lambda: translation_system(g, p, table).second_translation,
             )
 
     sampled = None
@@ -711,38 +728,32 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
     # per-actor sample shrinks at k=3; every order-4 actor is still covered.
     per_actor = CLASSES_PER_K if env.k <= 2 else max(1, CLASSES_PER_K // 12)
     bundles = [_random_bundle(env.k, rng) for _ in range(per_actor)]
+    bundle_block = TorsionBlock.of(bundles, 2 << env.k)
     for g in order4:
         actor = g.to_element(sig)
-        observed: set[int] = set()
-        for bundle in bundles:
-            system = bundle_system(g, bundle, table, pol)
-            observed.add(system.first_bundle.order())
+        held, first = bundle_systems_hold(g, bundle_block, table, pol)
+        for bundle, holds in zip(bundles, held):
             chk.record(
-                system.holds(),
+                holds,
                 {"k": env.k, "actor": actor, "bundle": bundle},
                 "four-step bundle system and dual-square identity",
-                lambda: f"steps: {' | '.join(str(s) for s in system.steps)}",
+                lambda: f"steps: {' | '.join(str(s) for s in bundle_system(g, bundle, table, pol).steps)}",
             )
-        histogram[g.label()] = sorted(observed)
+        histogram[g.label()] = sorted(set(first.orders()))
     chk.details = {"translation_bundle_orders": histogram}
 
     if env.k <= 2:
-        half = Fraction(1, 2)
-        two_torsion_classes = [
-            BundleClass(env.k, chars)
-            for chars in itertools.product((Fraction(0), half), repeat=2 << env.k)
-        ]
+        # Every class of order <= 2, numerators over 2 in lexicographic order.
+        halves = [list(col) for col in zip(*itertools.product(range(2), repeat=2 << env.k))]
+        classes = TorsionBlock([2] * len(halves[0]), halves)
         for g in order4 + order2:
-            witness = None
-            for bundle in two_torsion_classes:
-                if not two_torsion_bundle_check(g, bundle, table, pol):
-                    witness = bundle
-                    break
+            scan = two_torsion_bundle_scan(g, classes, table, pol)
+            witness = next((t for t, holds in enumerate(scan) if not holds), None)
             chk.record(
                 witness is None,
-                {"k": env.k, "actor": g.to_element(sig), "classes": len(two_torsion_classes)},
+                {"k": env.k, "actor": g.to_element(sig), "classes": len(classes)},
                 "translation bundles agree and are 2-torsion",
-                lambda: f"failing class: {witness}",
+                lambda: f"failing class: {BundleClass.from_numerators(env.k, *classes.item(witness))}",
             )
     else:
         env.warnings.append(
@@ -850,12 +861,11 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
 
         order4, order2 = env.order_partition
         transported_ok = True
-        points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
+        block = TorsionBlock.of([_random_point(lattice, rng) for _ in range(POINTS_PER_K)], 2 * lattice.dim)
         for g in order4:
-            for p in points:
-                system = translation_system(g, p, moved)
-                if not (system.four_step_holds() and system.closure_identity_holds()):
-                    transported_ok = False
+            orbit, m, n = translation_block(group_lattice_matrix(g, moved, lattice), block)
+            if not (all(four_step(block, m, n, orbit[1:])) and all(closure(block, m, n))):
+                transported_ok = False
         for g in order4 + order2:
             if not verify_two_torsion(g, moved, lattice, cap=env.config.cap).all_pass:
                 transported_ok = False

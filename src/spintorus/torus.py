@@ -17,6 +17,13 @@ g coordinates, then their imaginary parts, in lowest terms. Equality of
 points is literal equality of these integers, and the Gaussian-rational
 coordinates are derived from them on demand. Lattice matrices (realified)
 and the duality forms act on the numerators as sparse integer rows.
+
+A :class:`TorsionBlock` holds many such points column-major: one list per
+realified coordinate, with one entry per point, plus one denominator per
+point. Block arithmetic runs down each column modulo each point's own
+denominator, and never reduces to lowest terms; a point's orbit and its
+translations have orders dividing its own, so its denominator serves them
+all. A single point's arithmetic is the same block code on a block of one.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     EnumerationTooLargeError,
@@ -34,6 +41,9 @@ from .errors import (
 )
 from .matrices import IntegerRows, Matrix, smith_form, sparse_matvec_mod, sparse_rows
 from .scalars import GaussianRational, _reduced, as_gaussian
+
+if TYPE_CHECKING:
+    from .picard import BundleClass
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -113,13 +123,95 @@ def lowest_terms(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return den // common, tuple([x // common for x in nums])
 
 
-def combine_numerators(
-    den: int, nums: Sequence[int], other_den: int, other_nums: Sequence[int], sign: int
-) -> tuple[int, tuple[int, ...]]:
-    """``nums/den + sign * other_nums/other_den`` mod 1, in lowest terms."""
-    common = math.lcm(den, other_den)
-    a, b = common // den, sign * (common // other_den)
-    return lowest_terms(common, [(a * x + b * y) % common for x, y in zip(nums, other_nums)])
+class TorsionBlock:
+    """Many points of finite order (or bundle classes) at once, column-major.
+
+    ``cols[j][t]`` is realified numerator j of item t, reduced into
+    ``[0, dens[t])``, where ``dens[t]`` is a multiple of item t's order, not
+    necessarily the order itself. Operations work one coordinate column at a
+    time, modulo each item's own denominator: lattice matrices, translations
+    and orbits of an item all have orders dividing its order, so no common
+    denominator is ever needed. Blocks combine only with blocks over the same
+    denominators, and then two items agree exactly when their numerators do.
+    """
+
+    __slots__ = ("dens", "cols")
+
+    def __init__(self, dens: list[int], cols: list[list[int]]) -> None:
+        self.dens = dens
+        self.cols = cols
+
+    @classmethod
+    def of(cls, items: Sequence[TorusPoint | BundleClass], width: int) -> TorsionBlock:
+        """The block of points or bundle classes, each over its own order; ``width`` numerators each."""
+        if not items:
+            return cls([], [[] for _ in range(width)])
+        return cls([item.den for item in items], [list(col) for col in zip(*(item.nums for item in items))])
+
+    def __len__(self) -> int:
+        return len(self.dens)
+
+    def item(self, t: int) -> tuple[int, list[int]]:
+        """Item t as ``(den, nums)``, not necessarily in lowest terms."""
+        return self.dens[t], [col[t] for col in self.cols]
+
+    def orders(self) -> list[int]:
+        """The order of each item: its denominator in lowest terms."""
+        return [den // math.gcd(den, *nums) for den, nums in zip(self.dens, zip(*self.cols))]
+
+    def transform(self, rows: IntegerRows) -> TorsionBlock:
+        """Apply a realified integer matrix, given as sparse rows, to every item."""
+        return TorsionBlock(self.dens, sparse_matvec_mod(rows, self.cols, self.dens))
+
+    def _same_items(self, other: TorsionBlock) -> list[int]:
+        dens = self.dens
+        if other.dens is not dens and other.dens != dens:
+            raise ValueError("blocks over different denominators do not combine")
+        return dens
+
+    def __add__(self, other: TorsionBlock) -> TorsionBlock:
+        dens = self._same_items(other)
+        return TorsionBlock(
+            dens, [[(x + y) % d for x, y, d in zip(a, b, dens)] for a, b in zip(self.cols, other.cols)]
+        )
+
+    def __sub__(self, other: TorsionBlock) -> TorsionBlock:
+        dens = self._same_items(other)
+        return TorsionBlock(
+            dens, [[(x - y) % d for x, y, d in zip(a, b, dens)] for a, b in zip(self.cols, other.cols)]
+        )
+
+    def __neg__(self) -> TorsionBlock:
+        dens = self.dens
+        return TorsionBlock(dens, [[-x % d for x, d in zip(a, dens)] for a in self.cols])
+
+    def agrees(self, other: TorsionBlock) -> list[bool]:
+        """Per item: whether it equals the item at the same position of ``other``."""
+        dens = self._same_items(other)
+        ok = [True] * len(dens)
+        for a, b in zip(self.cols, other.cols):
+            if a != b:
+                for t, (x, y) in enumerate(zip(a, b)):
+                    if x != y:
+                        ok[t] = False
+        return ok
+
+    def is_zero(self) -> list[bool]:
+        """Per item: whether it is zero."""
+        ok = [True] * len(self.dens)
+        for col in self.cols:
+            if any(col):
+                for t, x in enumerate(col):
+                    if x:
+                        ok[t] = False
+        return ok
+
+
+def blocks_of_one(*items: TorusPoint | BundleClass) -> list[TorsionBlock]:
+    """One block per point or bundle class, all over the lcm of their orders, so that they combine."""
+    den = math.lcm(*(item.den for item in items))
+    dens = [den]
+    return [TorsionBlock(dens, [[x * (den // item.den)] for x in item.nums]) for item in items]
 
 
 class TorusPoint:
@@ -181,8 +273,8 @@ class TorusPoint:
 
     def transform(self, rows: IntegerRows) -> TorusPoint:
         """Apply a realified integer matrix, given as sparse rows, to the numerators mod ``den``."""
-        den = self.den
-        return TorusPoint.from_numerators(self.lattice, den, sparse_matvec_mod(rows, self.nums, den))
+        (block,) = blocks_of_one(self)
+        return TorusPoint.from_numerators(self.lattice, *block.transform(rows).item(0))
 
     def scale(self, c: int | GaussianRational) -> TorusPoint:
         """Multiply by a Gaussian integer; well defined since i preserves Z[i].
@@ -197,8 +289,8 @@ class TorusPoint:
 
     def _combine(self, other: TorusPoint, sign: int) -> TorusPoint:
         self._require_same_lattice(other)
-        den, nums = combine_numerators(self.den, self.nums, other.den, other.nums, sign)
-        return TorusPoint.from_numerators(self.lattice, den, nums)
+        a, b = blocks_of_one(self, other)
+        return TorusPoint.from_numerators(self.lattice, *(a + b if sign > 0 else a - b).item(0))
 
     def __add__(self, other: TorusPoint) -> TorusPoint:
         if not isinstance(other, TorusPoint):
@@ -246,10 +338,8 @@ def torsion_count(n: int, k: int) -> int:
     return n ** (2 * (1 << k))
 
 
-def torsion_points(
-    n: int, lattice: LatticeSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[TorusPoint]:
-    """Enumerate the n-torsion points in deterministic lexicographic order."""
+def _torsion_numerators(n: int, lattice: LatticeSpec, cap: int) -> Iterator[tuple[int, ...]]:
+    """Numerators over n of the n-torsion points, in lexicographic order; the cap is checked at once."""
     if n < 1:
         raise ValueError("n must be positive")
     total = torsion_count(n, lattice.k)
@@ -257,15 +347,29 @@ def torsion_points(
         raise EnumerationTooLargeError(
             f"{total} points exceed the enumeration cap {cap}"
         )
-    dim = lattice.dim
+    # Digits pair each coordinate's real and imaginary numerators, which
+    # fixes the enumeration order; points store real parts first.
+    digits = itertools.product(range(n), repeat=2 * lattice.dim)
+    return (d[0::2] + d[1::2] for d in digits)
+
+
+def torsion_points(
+    n: int, lattice: LatticeSpec, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[TorusPoint]:
+    """Enumerate the n-torsion points in deterministic lexicographic order."""
+    numerators = _torsion_numerators(n, lattice, cap)
 
     def generate() -> Iterator[TorusPoint]:
-        # Digits pair each coordinate's real and imaginary numerators, which
-        # fixes the enumeration order; points store real parts first.
-        for digits in itertools.product(range(n), repeat=2 * dim):
-            yield TorusPoint.from_numerators(lattice, n, digits[0::2] + digits[1::2])
+        for nums in numerators:
+            yield TorusPoint.from_numerators(lattice, n, nums)
 
     return generate()
+
+
+def torsion_block(n: int, lattice: LatticeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> TorsionBlock:
+    """The n-torsion points as one block over the denominator n, in ``torsion_points`` order."""
+    cols = [list(col) for col in zip(*_torsion_numerators(n, lattice, cap))]
+    return TorsionBlock([n] * len(cols[0]), cols)
 
 
 def hermitian_value(

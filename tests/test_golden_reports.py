@@ -1,8 +1,11 @@
 """JSON reports pinned byte for byte.
 
-The files under ``golden/`` are ``spintorus verify --k 1 --format json`` and
-the same with ``--lattice`` holding ``[["1","i"],["0","1"]]``. A refactor
-that keeps every verdict, check count and failure text keeps these bytes.
+The files under ``golden/`` are ``spintorus verify --k 1 --format json``,
+the same with ``--lattice`` holding ``[["1","i"],["0","1"]]``, and
+``spintorus verify --k 2 --suite spinor_torus,clifford_action,dual_picard
+--format json``, whose exhaustive two-torsion scans and bundle systems run
+on blocks of points. A refactor that keeps every verdict, check count and
+failure text keeps these bytes.
 """
 
 from __future__ import annotations
@@ -15,11 +18,18 @@ from spintorus import GaussianRational, LatticeSpec, Matrix, SuiteConfig, emit_r
 
 GOLDEN = Path(__file__).parent / "golden"
 SHEAR = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
+TORUS_SUITES = ("spinor_torus", "clifford_action", "dual_picard")
 
 
 @pytest.mark.parametrize(
-    ("name", "lattice"), [("verify_k1.json", None), ("verify_k1_shear.json", SHEAR)], ids=["default", "shear"]
+    ("name", "config"),
+    [
+        ("verify_k1.json", SuiteConfig(ks=(1,))),
+        ("verify_k1_shear.json", SuiteConfig(ks=(1,), lattice=SHEAR)),
+        ("verify_k2_torus.json", SuiteConfig(ks=(2,), suites=TORUS_SUITES)),
+    ],
+    ids=["default", "shear", "k2-torus"],
 )
-def test_report_matches_the_golden_file(name, lattice):
-    report = run_suite(SuiteConfig(ks=(1,), lattice=lattice))
+def test_report_matches_the_golden_file(name, config):
+    report = run_suite(config)
     assert emit_report(report) == (GOLDEN / name).read_bytes()

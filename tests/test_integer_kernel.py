@@ -1,11 +1,11 @@
 """The integer torsion kernel against the dense Fraction oracle.
 
 Points and bundle classes store integer numerators over one denominator, and
-lattice matrices act on them as integer Z[i] mat-vecs. Each test here
-recomputes the same value through the dense path (``Matrix.matvec`` and
-Fraction arithmetic on ``coords``/``chars``) and demands equality, across
-signatures (2k, 0) and (2k-1, 1), k = 1..3, and the default and a sheared
-lattice.
+lattice matrices act on them as integer Z[i] mat-vecs, one block of points
+at a time. Each test here recomputes the same value through the dense path
+(``Matrix.matvec``, ``LatticeSpec.reduce`` and Fraction arithmetic on
+``coords``/``chars``) and demands equality, across signatures (2k, 0) and
+(2k-1, 1), k = 1..3, and the default and a sheared lattice.
 """
 
 from __future__ import annotations
@@ -28,17 +28,27 @@ from spintorus import (
     RepresentationTable,
     Signature,
     SuiteConfig,
+    TorsionBlock,
     TorusPoint,
     apply_matrix,
     build_generators,
+    bundle_system,
+    bundle_systems_hold,
     bundle_to_point,
+    element_order,
     generator_group,
     group_lattice_matrix,
     point_to_bundle,
     run_suite,
+    torsion_block,
     torsion_points,
+    translation_block,
+    two_torsion_bundle_check,
+    two_torsion_bundle_scan,
+    verify_two_torsion,
 )
 from spintorus import action
+from spintorus.action import closure, degenerate_pair, four_step, two_torsion_pair
 from spintorus.scalars import as_gaussian
 
 CASES = [(k, sig, shear) for k in (1, 2, 3) for sig in ("definite", "indefinite") for shear in (False, True)]
@@ -46,10 +56,15 @@ CASE_IDS = [f"k{k}-{sig}-{'shear' if shear else 'default'}" for k, sig, shear in
 
 
 @lru_cache(maxsize=None)
+def table_for(k: int, sig: str) -> RepresentationTable:
+    return build_generators(k, Signature(2 * k, 0) if sig == "definite" else Signature(2 * k - 1, 1))
+
+
+@lru_cache(maxsize=None)
 def setting(k: int, sig: str, shear: bool):
-    """Table, lattice, polarization and lattice matrices of every signed blade."""
-    signature = Signature(2 * k, 0) if sig == "definite" else Signature(2 * k - 1, 1)
-    table = build_generators(k, signature)
+    """Lattice, polarization and lattice matrices of every signed blade."""
+    table = table_for(k, sig)
+    signature = table.sig
     dim = 1 << k
     if shear:
         # The README lattice [[1, i], [0, 1]], padded with the identity.
@@ -259,3 +274,229 @@ def test_endo_decomp_conjugates_each_signed_blade_once(monkeypatch):
         # Each memo entry is one distinct (table, blade, i_power, lattice), stored by the call that built it.
         distinct = sum(len(table.lattice_images) for table in tables)
         assert 0 < len(calls) <= distinct
+
+
+# Blocks of torsion points. A block holds each point over a denominator that
+# is a multiple of its order, so the drawn numerators need not be in lowest
+# terms, and the denominators mix freely, 1 included.
+@st.composite
+def blocks(draw, width: int) -> TorsionBlock:
+    size = draw(st.integers(min_value=1, max_value=40))
+    dens = draw(st.lists(st.integers(min_value=1, max_value=36), min_size=size, max_size=size))
+    points = [draw(st.lists(st.integers(0, den - 1), min_size=width, max_size=width)) for den in dens]
+    return TorsionBlock(dens, [list(col) for col in zip(*points)])
+
+
+def block_coords(block: TorsionBlock, t: int, lattice: LatticeSpec) -> tuple[GaussianRational, ...]:
+    """Item t of a block as Gaussian-rational coordinates, each part in [0, 1)."""
+    den, nums = block.item(t)
+    assert den == block.dens[t] and all(0 <= x < den for x in nums)
+    return TorusPoint.from_numerators(lattice, den, nums).coords
+
+
+def plus(a, b):
+    return tuple((x + y).mod1() for x, y in zip(a, b))
+
+
+def minus(a, b):
+    return tuple((x - y).mod1() for x, y in zip(a, b))
+
+
+def dense_orbit(lattice: LatticeSpec, ambient: Matrix, coords, steps: int) -> list[tuple[GaussianRational, ...]]:
+    """The ambient matrix applied to the lift P * coords, reduced through the lattice, ``steps`` times."""
+    orbit = [coords]
+    for _ in range(steps):
+        if lattice.is_default:
+            image = ambient.matvec(orbit[-1])
+        else:
+            image = lattice.inverse_basis.matvec(ambient.matvec(lattice.basis.matvec(orbit[-1])))
+        orbit.append(tuple(x.mod1() for x in image))
+    return orbit
+
+
+# The identities, on dense coordinates.
+def dense_four_step(base, m, n, steps) -> bool:
+    moved = plus(base, m)
+    return tuple(steps) == (moved, plus(moved, n), plus(base, n), base)
+
+
+def dense_closure(base, m, n) -> bool:
+    return not any(plus(plus(plus(base, base), m), n))
+
+
+def dense_degenerate_pair(base, m, n, second) -> bool:
+    return n == tuple((-x).mod1() for x in m) and second == base
+
+
+def dense_two_torsion_pair(m, n) -> bool:
+    return n == m and not any(plus(m, m))
+
+
+@pytest.mark.parametrize("k, sig, shear", CASES, ids=CASE_IDS)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_block_orbits_and_identities_match_the_dense_action_for_every_signed_blade(k, sig, shear, data):
+    lattice, _, matrices = setting(k, sig, shear)
+    table = table_for(k, sig)
+    g = lattice.dim
+    block = data.draw(blocks(2 * g))
+    starts = [block_coords(block, t, lattice) for t in range(len(block))]
+    for actor, matrix in zip(generator_group(table.sig), matrices):
+        ambient = table.represent_group_element(actor)
+        orbit, m, n = translation_block(matrix, block)
+        assert orbit[0] is block
+        assert block.transform(matrix.realified_rows()).cols == orbit[1].cols
+        verdicts = (
+            four_step(block, m, n, orbit[1:]),
+            closure(block, m, n),
+            degenerate_pair(block, m, n, orbit[2]),
+            two_torsion_pair(m, n),
+        )
+        for t, start in enumerate(starts):
+            path = dense_orbit(lattice, ambient, start, 4)
+            assert [block_coords(q, t, lattice) for q in orbit] == path
+            dm, dn = minus(path[1], path[0]), minus(path[2], path[1])
+            assert (block_coords(m, t, lattice), block_coords(n, t, lattice)) == (dm, dn)
+            assert tuple(verdict[t] for verdict in verdicts) == (
+                dense_four_step(start, dm, dn, path[1:]),
+                dense_closure(start, dm, dn),
+                dense_degenerate_pair(start, dm, dn, path[2]),
+                dense_two_torsion_pair(dm, dn),
+            )
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_identities_on_blocks_match_the_dense_identities(k, data):
+    # Arbitrary blocks, where the identities mostly fail; the items drawn as
+    # honest are made to satisfy them, so both verdicts occur.
+    lattice = LatticeSpec.default(k)
+    base = data.draw(blocks(2 * lattice.dim))
+    size, dens = len(base), base.dens
+    rng = data.draw(st.randoms(use_true_random=False))
+    honest = [rng.random() < 0.5 for _ in range(size)]
+
+    def arbitrary() -> TorsionBlock:
+        return TorsionBlock(dens, [[rng.randrange(d) for d in dens] for _ in base.cols])
+
+    def forced(block: TorsionBlock, target: TorsionBlock) -> TorsionBlock:
+        cols = [[y if h else x for x, y, h in zip(a, b, honest)] for a, b in zip(block.cols, target.cols)]
+        return TorsionBlock(dens, cols)
+
+    m, n = arbitrary(), arbitrary()
+    steps = [forced(arbitrary(), target) for target in (base + m, base + m + n, base + n, base)]
+    n_opposite, second = forced(arbitrary(), -m), forced(arbitrary(), base)
+    closing = -(base + base + m)
+    got = (
+        four_step(base, m, n, steps),
+        closure(base, m, n),
+        closure(base, m, closing),
+        degenerate_pair(base, m, n_opposite, second),
+        two_torsion_pair(m, n),
+        two_torsion_pair(m, m),
+    )
+    for t in range(size):
+        b, mm, nn, nc = (block_coords(q, t, lattice) for q in (base, m, n, closing))
+        assert tuple(verdict[t] for verdict in got) == (
+            dense_four_step(b, mm, nn, [block_coords(q, t, lattice) for q in steps]),
+            dense_closure(b, mm, nn),
+            dense_closure(b, mm, nc),
+            dense_degenerate_pair(b, mm, block_coords(n_opposite, t, lattice), block_coords(second, t, lattice)),
+            dense_two_torsion_pair(mm, nn),
+            dense_two_torsion_pair(mm, mm),
+        )
+    assert all(holds for holds, h in zip(got[0], honest) if h)
+    assert all(got[2])
+
+
+def block_values(block: TorsionBlock, t: int) -> tuple[Fraction, ...]:
+    """Item t of a block as Fractions in [0, 1), real parts first."""
+    den, nums = block.item(t)
+    assert den == block.dens[t] and all(0 <= x < den for x in nums)
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def dense_pairing(values, pol: PolarizationData) -> tuple[Fraction, ...]:
+    """The bundle class of a point: its realified coordinates against E = imag_gram, mod 1."""
+    return tuple(
+        sum((x * pol.imag_gram[a][j] for a, x in enumerate(values)), Fraction(0)) % 1
+        for j in range(len(values))
+    )
+
+
+@pytest.mark.parametrize("k, sig, shear", CASES, ids=CASE_IDS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_duality_maps_on_blocks_match_the_imaginary_part_form(k, sig, shear, data):
+    lattice, pol, _ = setting(k, sig, shear)
+    block = data.draw(blocks(2 * lattice.dim))
+    as_bundles = block.transform(pol.bundle_rows())
+    as_points = block.transform(pol.point_rows())
+    for t in range(len(block)):
+        values = block_values(block, t)
+        assert block_values(as_bundles, t) == dense_pairing(values, pol)
+        # The block read as bundle classes: E^-T sends each class to the point that pairs to it.
+        assert dense_pairing(block_values(as_points, t), pol) == values
+
+
+def test_translation_bundles_and_scans_on_blocks_match_one_class_at_a_time():
+    lattice, pol, _ = setting(1, "definite", True)
+    table = table_for(1, "definite")
+    classes = [BundleClass(1, [Fraction(a, 6), Fraction(b, 4), Fraction(c, 3), 0]) for a, b, c in
+               [(0, 0, 0), (1, 0, 0), (0, 1, 2), (5, 3, 1), (3, 2, 0)]]
+    block = TorsionBlock.of(classes, 4)
+    for g in generator_group(table.sig):
+        order = element_order(g, table.sig)
+        if order == 4:
+            held, first = bundle_systems_hold(g, block, table, pol)
+            systems = [bundle_system(g, c, table, pol) for c in classes]
+            assert held == [s.holds() for s in systems] == [True] * len(classes)
+            assert first.orders() == [s.first_bundle.order() for s in systems]
+            for t, s in enumerate(systems):
+                assert BundleClass.from_numerators(1, *first.item(t)) == s.first_bundle
+        if order >= 2:
+            scan = two_torsion_bundle_scan(g, block, table, pol)
+            assert scan == [two_torsion_bundle_check(g, c, table, pol) for c in classes]
+
+
+def test_a_block_of_no_points_gives_empty_results():
+    lattice, pol, matrices = setting(2, "definite", True)
+    table = table_for(2, "definite")
+    empty = TorsionBlock.of([], 2 * lattice.dim)
+    assert len(empty) == 0 and empty.cols == [[] for _ in range(8)]
+    assert empty.orders() == [] and empty.is_zero() == [] and empty.agrees(empty) == []
+    assert empty.transform(pol.bundle_rows()).cols == empty.cols
+    orbit, m, n = translation_block(matrices[3], empty)
+    for q in (*orbit, m, n):
+        assert len(q) == 0 and q.cols == empty.cols
+    assert four_step(empty, m, n, orbit[1:]) == []
+    assert closure(empty, m, n) == [] and degenerate_pair(empty, m, n, orbit[2]) == []
+    assert two_torsion_pair(m, n) == []
+    group = generator_group(table.sig)
+    actor = next(g for g in group if element_order(g, table.sig) == 4)
+    report = verify_two_torsion(actor, table, lattice, points=[])
+    assert (report.checked, report.failures) == (0, ())
+    assert two_torsion_bundle_scan(actor, empty, table, pol) == []
+    held, first = bundle_systems_hold(actor, empty, table, pol)
+    assert held == [] and len(first) == 0
+
+
+def test_torsion_block_enumerates_like_torsion_points():
+    lattice, _, _ = setting(1, "definite", True)
+    for n in (1, 2, 3):
+        block = torsion_block(n, lattice)
+        points = list(torsion_points(n, lattice))
+        assert len(block) == len(points) and block.dens == [n] * len(points)
+        assert [TorusPoint.from_numerators(lattice, *block.item(t)) for t in range(len(block))] == points
+
+
+def test_blocks_combine_only_over_the_same_denominators():
+    a = TorsionBlock([2, 3], [[1, 2], [0, 1]])
+    b = TorsionBlock([2, 6], [[1, 2], [0, 1]])
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a.agrees(b)
+    assert (a + a).cols == [[0, 1], [0, 2]] and (a - a).is_zero() == [True, True]
+    assert (-a).cols == [[1, 1], [0, 2]] and a.orders() == [2, 3]

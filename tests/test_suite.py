@@ -15,6 +15,7 @@ from spintorus import (
     GeneratorGroupElement,
     Signature,
     SuiteConfig,
+    TorsionBlock,
     TorusPoint,
     build_generators,
     element_source,
@@ -98,12 +99,23 @@ def _failure(inputs: dict, expected: str, actual: str) -> Failure:
     return Failure(inputs={"k": "1", **inputs}, expected=expected, actual=actual)
 
 
+def _false(*args) -> bool:
+    return False
+
+
+def _disagrees(block, other) -> list[bool]:
+    """A block comparison answers per item: here every item differs."""
+    return [False] * len(block)
+
+
 # Each case forces some comparisons of one k=1 suite to fail and pins the
 # exact text of a few records, by their position in the suite's failure list.
+# Point and class objects compare with ``__eq__``; the suites compare whole
+# blocks of them with ``TorsionBlock.agrees``.
 FORCED_FAILURES = [
     (
         "clifford_core",
-        [(CliffordElement, "__eq__")],
+        [(CliffordElement, "__eq__", _false)],
         129,
         101,
         {
@@ -126,7 +138,7 @@ FORCED_FAILURES = [
     ),
     (
         "spinor_torus",
-        [(TorusPoint, "__eq__")],
+        [(TorusPoint, "__eq__", _false)],
         121,
         110,
         {
@@ -140,7 +152,7 @@ FORCED_FAILURES = [
     ),
     (
         "clifford_action",
-        [(TorusPoint, "__eq__")],
+        [(TorusPoint, "__eq__", _false), (TorsionBlock, "agrees", _disagrees)],
         1726,
         925,
         {
@@ -165,7 +177,7 @@ FORCED_FAILURES = [
     ),
     (
         "dual_picard",
-        [(BundleSystem, "holds"), (BundleClass, "__eq__")],
+        [(BundleSystem, "holds", _false), (BundleClass, "__eq__", _false), (TorsionBlock, "agrees", _disagrees)],
         930,
         880,
         {
@@ -188,8 +200,8 @@ FORCED_FAILURES = [
     "suite, forced, checks, failed, pinned", FORCED_FAILURES, ids=[case[0] for case in FORCED_FAILURES]
 )
 def test_failure_records_render_inputs_and_messages(monkeypatch, suite, forced, checks, failed, pinned):
-    for owner, method in forced:
-        monkeypatch.setattr(owner, method, lambda *args: False)
+    for owner, method, replacement in forced:
+        monkeypatch.setattr(owner, method, replacement)
     result = run_suite(SuiteConfig(ks=(1,), suites=(suite,))).suites[0]
     monkeypatch.undo()
     assert not result.passed
