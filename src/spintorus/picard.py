@@ -216,6 +216,8 @@ def _translation_bundles(
 ) -> tuple[list[TorsionBlock], TorsionBlock, TorsionBlock]:
     """The orbit of each class's point, and the class's translation bundles L_M and L_N."""
     _require_principal(pol)
+    if len(classes.cols) != 2 * pol.g:
+        raise ValueError("bundle and polarization have different dimensions")
     orbit, m, n = translation_block(matrix, classes.transform(pol.point_rows()), steps)
     rows = pol.bundle_rows()
     return orbit, m.transform(rows), n.transform(rows)

@@ -18,10 +18,12 @@ from spintorus import (
     NotPrincipalError,
     PolarizationData,
     Signature,
+    TorsionBlock,
     TorusPoint,
     act,
     bundle_action,
     bundle_system,
+    bundle_systems_hold,
     bundle_to_point,
     element_order,
     generator_group,
@@ -149,6 +151,14 @@ def test_two_torsion_bundles_are_fixed_up_to_order_two(tables, polarizations):
             continue
         for bundle in classes:
             assert two_torsion_bundle_check(g, bundle, tables[1], pol)
+
+
+def test_bundle_scans_reject_classes_of_another_rank(tables, polarizations):
+    actor = GeneratorGroupElement(0b11, 0)
+    with pytest.raises(ValueError):
+        two_torsion_bundle_check(actor, BundleClass.trivial(2), tables[1], polarizations[1])
+    with pytest.raises(ValueError):
+        bundle_systems_hold(actor, TorsionBlock.of([BundleClass.trivial(2)], 8), tables[1], polarizations[1])
 
 
 def test_points_from_other_lattices_are_rejected(polarizations):
