@@ -317,24 +317,19 @@ def sparse_matvec_mod(
     ``[0, dens[t])``. Entry t of output row r is
     ``sum(c * cols[j][t] for j, c in rows[r]) % dens[t]``: every vector is
     reduced modulo its own denominator, so vectors of different orders share
-    one pass over the rows. A row with the single entry 1 copies its column.
+    one pass over the rows. A row with a single entry is one pass over its
+    column, and the single entry 1 copies it.
     """
     out = []
     for row in rows:
         if len(row) == 1:
             ((j, c),) = row
-            if c == 1:
-                out.append(list(cols[j]))
-            else:
-                out.append([c * x % d for x, d in zip(cols[j], dens)])
-        elif row:
-            (j, c), *rest = row
-            acc = [c * x for x in cols[j]]
-            for j, c in rest:
-                acc = [a + c * x for a, x in zip(acc, cols[j])]
-            out.append([a % d for a, d in zip(acc, dens)])
-        else:
-            out.append([0] * len(dens))
+            out.append(list(cols[j]) if c == 1 else [c * x % d for x, d in zip(cols[j], dens)])
+            continue
+        acc = [0] * len(dens)
+        for j, c in row:
+            acc = [a + c * x for a, x in zip(acc, cols[j])]
+        out.append([a % d for a, d in zip(acc, dens)])
     return out
 
 

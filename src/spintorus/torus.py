@@ -144,6 +144,8 @@ class TorsionBlock:
     @classmethod
     def of(cls, items: Sequence[TorusPoint | BundleClass], width: int) -> TorsionBlock:
         """The block of points or bundle classes, each over its own order; ``width`` numerators each."""
+        if any(len(item.nums) != width for item in items):
+            raise ValueError(f"every item of the block needs {width} numerators")
         if not items:
             return cls([], [[] for _ in range(width)])
         return cls([item.den for item in items], [list(col) for col in zip(*(item.nums for item in items))])

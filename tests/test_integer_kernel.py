@@ -28,28 +28,25 @@ from spintorus import (
     RepresentationTable,
     Signature,
     SuiteConfig,
-    TorsionBlock,
     TorusPoint,
     apply_matrix,
     build_generators,
     bundle_system,
-    bundle_systems_hold,
     bundle_to_point,
     element_order,
     generator_group,
     group_lattice_matrix,
     point_to_bundle,
     run_suite,
-    torsion_block,
     torsion_points,
-    translation_block,
     two_torsion_bundle_check,
-    two_torsion_bundle_scan,
     verify_two_torsion,
 )
 from spintorus import action
-from spintorus.action import closure, degenerate_pair, four_step, two_torsion_pair
+from spintorus.action import closure, degenerate_pair, four_step, translation_block, two_torsion_pair
+from spintorus.picard import bundle_systems_hold, two_torsion_bundle_scan
 from spintorus.scalars import as_gaussian
+from spintorus.torus import TorsionBlock, torsion_block
 
 CASES = [(k, sig, shear) for k in (1, 2, 3) for sig in ("definite", "indefinite") for shear in (False, True)]
 CASE_IDS = [f"k{k}-{sig}-{'shear' if shear else 'default'}" for k, sig, shear in CASES]
@@ -489,6 +486,19 @@ def test_torsion_block_enumerates_like_torsion_points():
         points = list(torsion_points(n, lattice))
         assert len(block) == len(points) and block.dens == [n] * len(points)
         assert [TorusPoint.from_numerators(lattice, *block.item(t)) for t in range(len(block))] == points
+
+
+def test_a_scan_sample_of_mixed_widths_is_rejected():
+    table = table_for(1, "definite")
+    lattice = LatticeSpec.default(1)
+    actor = next(g for g in generator_group(table.sig) if element_order(g, table.sig) == 4)
+    narrow = list(torsion_points(2, lattice))[5]
+    wide = list(torsion_points(2, LatticeSpec.default(2)))[5]
+    for sample in ([narrow, wide], [wide, narrow]):
+        with pytest.raises(ValueError):
+            TorsionBlock.of(sample, 2 * lattice.dim)
+        with pytest.raises(ValueError):
+            verify_two_torsion(actor, table, lattice, points=sample)
 
 
 def test_blocks_combine_only_over_the_same_denominators():

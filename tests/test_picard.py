@@ -18,12 +18,10 @@ from spintorus import (
     NotPrincipalError,
     PolarizationData,
     Signature,
-    TorsionBlock,
     TorusPoint,
     act,
     bundle_action,
     bundle_system,
-    bundle_systems_hold,
     bundle_to_point,
     element_order,
     generator_group,
@@ -31,6 +29,8 @@ from spintorus import (
     point_to_bundle,
     two_torsion_bundle_check,
 )
+from spintorus.picard import bundle_systems_hold
+from spintorus.torus import TorsionBlock
 
 SIG = Signature(2, 0)
 LATTICE = LatticeSpec.default(1)

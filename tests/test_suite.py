@@ -15,7 +15,6 @@ from spintorus import (
     GeneratorGroupElement,
     Signature,
     SuiteConfig,
-    TorsionBlock,
     TorusPoint,
     build_generators,
     element_source,
@@ -29,6 +28,7 @@ from spintorus import (
 )
 from spintorus import cli, clifford
 from spintorus.cli import main
+from spintorus.torus import TorsionBlock
 
 FAST = SuiteConfig(ks=(1,))
 
