@@ -15,8 +15,8 @@ class SignatureMismatchError(SpinTorusError):
     """Two algebra elements from different signatures were combined."""
 
 
-class LatticeMismatchError(SpinTorusError):
-    """Two torus points over different lattices were combined."""
+class LatticeMismatchError(SpinTorusError, ValueError):
+    """Torus points over different lattices, or bundle classes of different k, were combined."""
 
 
 class EnumerationTooLargeError(SpinTorusError):

@@ -173,10 +173,21 @@ class Matrix:
     def realified_rows(self) -> IntegerRows:
         """The realified matrix (see ``realify``) as sparse integer rows; cached.
 
-        Raises NotIntegralError if an entry lies outside Z[i].
+        Built from the nonzero entries alone, without zero real or imaginary
+        parts, so a monomial matrix keeps one entry per row. Raises
+        NotIntegralError if an entry lies outside Z[i].
         """
         if self._realified_rows is None:
-            self._realified_rows = sparse_rows(realify(self))
+            n, top, bottom = self.cols, [], []
+            for entries in self._entries:
+                # Not through ``nonzero_rows``, whose cache would outlive this one use.
+                row = [(b, x) for b, x in enumerate(entries) if x]
+                if any(x._d != 1 for _, x in row):
+                    raise NotIntegralError("matrix has an entry outside Z[i]")
+                # Real-part columns (below n) come first, so each row is sorted by index.
+                top.append(tuple([(b, x._a) for b, x in row if x._a] + [(b + n, -x._b) for b, x in row if x._b]))
+                bottom.append(tuple([(b, x._b) for b, x in row if x._b] + [(b + n, x._a) for b, x in row if x._a]))
+            self._realified_rows = tuple(top + bottom)
         return self._realified_rows
 
     def transpose(self) -> Matrix:

@@ -2,9 +2,11 @@
 
 A degree-zero line bundle class is encoded by the values of the
 polarization's alternating form against the realified lattice basis,
-taken mod 1. Classes and torus points store integer numerators in the same
-realified order (u_1..u_g, i*u_1..i*u_g). For a principal polarization the
-encoding is a group isomorphism from the torus to its dual, which is what
+taken mod 1. A class is the same element type as a torus point, with its
+group arithmetic written once in :mod:`spintorus.torus`: the owner is k
+instead of a lattice, and the integer numerators are in the same realified
+order (u_1..u_g, i*u_1..i*u_g). For a principal polarization the encoding
+is a group isomorphism from the torus to its dual, which is what
 `point_to_bundle` and `bundle_to_point` implement in both directions: E^T
 and its integral inverse E^-T, applied as sparse integer rows to the
 numerators modulo their common denominator.
@@ -42,40 +44,30 @@ from .torus import (
     PolarizationData,
     TorsionBlock,
     TorusPoint,
+    _TorsionElement,
     blocks_of_one,
-    fraction_numerators,
     is_principal,
-    lowest_terms,
 )
 
 
-class BundleClass:
+class BundleClass(_TorsionElement):
     """A degree-zero bundle class: one value in [0, 1) per realified basis vector.
 
-    Stored like a torus point, on the same realified basis: ``den`` (the
-    order, an int >= 1) and ``nums``, the 2 * 2^k integer numerators in
-    ``[0, den)``, with ``gcd(den, *nums) == 1``; the trivial class has
-    ``den == 1``. ``chars`` derives the Fraction values from these integers.
+    A torus element owned by ``k``: ``chars`` derives the Fraction values
+    from its numerators, and the group operations carry their bundle names.
     """
 
-    __slots__ = ("k", "den", "nums", "_chars")
+    __slots__ = ()
 
     def __init__(self, k: int, chars: Sequence[Fraction | int]) -> None:
         values = [as_rational(x) for x in chars]
         if len(values) != 2 << k:
             raise ValueError(f"expected {2 << k} components for k={k}, got {len(values)}")
-        self.k = k
-        self.den, self.nums = fraction_numerators(values)
-        self._chars: tuple[Fraction, ...] | None = None
+        super().__init__(k, values)
 
-    @classmethod
-    def from_numerators(cls, k: int, den: int, nums: Sequence[int]) -> BundleClass:
-        """The class ``nums / den`` for numerators already reduced into [0, den)."""
-        b = cls.__new__(cls)
-        b.k = k
-        b.den, b.nums = lowest_terms(den, nums)
-        b._chars = None
-        return b
+    @property
+    def k(self) -> int:
+        return self.owner
 
     @classmethod
     def trivial(cls, k: int) -> BundleClass:
@@ -84,44 +76,14 @@ class BundleClass:
     @property
     def chars(self) -> tuple[Fraction, ...]:
         """The component values, each in [0, 1)."""
-        if self._chars is None:
-            self._chars = tuple(Fraction(x, self.den) for x in self.nums)
-        return self._chars
+        if self._cache is None:
+            self._cache = tuple(Fraction(x, self.den) for x in self.nums)
+        return self._cache
 
-    def tensor(self, other: BundleClass) -> BundleClass:
-        self._require_same_dual(other)
-        a, b = blocks_of_one(self, other)
-        return BundleClass.from_numerators(self.k, *(a + b).item(0))
-
-    def dual(self) -> BundleClass:
-        den = self.den
-        return BundleClass.from_numerators(self.k, den, [-x % den for x in self.nums])
-
-    def power(self, n: int) -> BundleClass:
-        den = self.den
-        return BundleClass.from_numerators(self.k, den, [x * n % den for x in self.nums])
-
-    def order(self) -> int:
-        """Order in the dual group: the common denominator."""
-        return self.den
-
-    def is_trivial(self) -> bool:
-        return self.den == 1
-
-    def _require_same_dual(self, other: BundleClass) -> None:
-        if self.k != other.k:
-            raise ValueError("bundle classes live on duals of different tori")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BundleClass):
-            return NotImplemented
-        return self.k == other.k and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.den, self.nums))
-
-    def __repr__(self) -> str:
-        return f"BundleClass({self})"
+    tensor = _TorsionElement.__add__
+    dual = _TorsionElement.__neg__
+    power = _TorsionElement.__mul__
+    is_trivial = _TorsionElement.is_zero
 
     def __str__(self) -> str:
         return "[" + ", ".join(format_rational(x) for x in self.chars) + "]"
@@ -137,8 +99,7 @@ def point_to_bundle(p: TorusPoint, pol: PolarizationData) -> BundleClass:
     _require_principal(pol)
     if p.lattice is not pol.lattice and p.lattice != pol.lattice:
         raise ValueError("point and polarization use different lattices")
-    (block,) = blocks_of_one(p)
-    return BundleClass.from_numerators(pol.lattice.k, *block.transform(pol.bundle_rows()).item(0))
+    return p.transform(pol.bundle_rows(), BundleClass, pol.lattice.k)
 
 
 def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
@@ -146,8 +107,7 @@ def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
     _require_principal(pol)
     if bundle.k != pol.lattice.k:
         raise ValueError("bundle and polarization have different dimensions")
-    (block,) = blocks_of_one(bundle)
-    return TorusPoint.from_numerators(pol.lattice, *block.transform(pol.point_rows()).item(0))
+    return bundle.transform(pol.point_rows(), TorusPoint, pol.lattice)
 
 
 def bundle_action(

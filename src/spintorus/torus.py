@@ -16,14 +16,18 @@ numerators in ``[0, den)`` on that realified basis: the real parts of the
 g coordinates, then their imaginary parts, in lowest terms. Equality of
 points is literal equality of these integers, and the Gaussian-rational
 coordinates are derived from them on demand. Lattice matrices (realified)
-and the duality forms act on the numerators as sparse integer rows.
+and the duality forms act on the numerators as sparse integer rows. The
+bundle classes of the dual torus are the same element type, with its group
+arithmetic written once here: its owner is the lattice for a point, k for
+a bundle class.
 
 A :class:`TorsionBlock` holds many such points column-major: one list per
 realified coordinate, with one entry per point, plus one denominator per
 point. Block arithmetic runs down each column modulo each point's own
 denominator, and never reduces to lowest terms; a point's orbit and its
 translations have orders dividing its own, so its denominator serves them
-all. A single point's arithmetic is the same block code on a block of one.
+all. Sums and differences of single elements are the same block code on
+blocks of one, and a single element goes through the same kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Any, Iterator, Sequence, TypeVar
 
 from .errors import (
     EnumerationTooLargeError,
@@ -41,9 +45,6 @@ from .errors import (
 )
 from .matrices import IntegerRows, Matrix, smith_form, sparse_matvec_mod, sparse_rows
 from .scalars import GaussianRational, _reduced, as_gaussian
-
-if TYPE_CHECKING:
-    from .picard import BundleClass
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -105,24 +106,6 @@ class LatticeSpec:
         return f"LatticeSpec(k={self.k}, default={self.is_default})"
 
 
-def fraction_numerators(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """Values mod 1 as ``(den, nums)``: den the lcm of the denominators, nums in [0, den).
-
-    The result is in lowest terms, ``gcd(den, *nums) == 1``, because some
-    value carries the full power of each prime dividing den.
-    """
-    den = math.lcm(*[x.denominator for x in values])
-    return den, tuple(x.numerator * (den // x.denominator) % den for x in values)
-
-
-def lowest_terms(den: int, nums: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Divide ``den`` and numerators already reduced mod ``den`` by their gcd."""
-    common = math.gcd(den, *nums)
-    if common == 1:
-        return den, tuple(nums)
-    return den // common, tuple([x // common for x in nums])
-
-
 class TorsionBlock:
     """Many points of finite order (or bundle classes) at once, column-major.
 
@@ -142,7 +125,7 @@ class TorsionBlock:
         self.cols = cols
 
     @classmethod
-    def of(cls, items: Sequence[TorusPoint | BundleClass], width: int) -> TorsionBlock:
+    def of(cls, items: Sequence[_TorsionElement], width: int) -> TorsionBlock:
         """The block of points or bundle classes, each over its own order; ``width`` numerators each."""
         if any(len(item.nums) != width for item in items):
             raise ValueError(f"every item of the block needs {width} numerators")
@@ -209,44 +192,118 @@ class TorsionBlock:
         return ok
 
 
-def blocks_of_one(*items: TorusPoint | BundleClass) -> list[TorsionBlock]:
+def blocks_of_one(*items: _TorsionElement) -> list[TorsionBlock]:
     """One block per point or bundle class, all over the lcm of their orders, so that they combine."""
     den = math.lcm(*(item.den for item in items))
     dens = [den]
     return [TorsionBlock(dens, [[x * (den // item.den)] for x in item.nums]) for item in items]
 
 
-class TorusPoint:
-    """A point of finite order on the quotient torus.
+_E = TypeVar("_E", bound="_TorsionElement")
 
-    Stored as ``den`` (the order, an int >= 1) and ``nums``, the 2 * 2^k
-    integer numerators in ``[0, den)`` of the lattice coordinates on the
-    realified basis: the 2^k real parts, then the 2^k imaginary parts, with
-    ``gcd(den, *nums) == 1``. The zero point has ``den == 1``. ``coords``
-    derives the reduced Gaussian-rational coordinates from these integers.
+
+class _TorsionElement:
+    """An element of finite order of a torus group: a torus point or a bundle class.
+
+    ``den`` is the order, and ``nums`` are the 2 * 2^k realified numerators
+    in ``[0, den)`` with ``gcd(den, *nums) == 1``. ``owner`` names the group
+    (a point's lattice, a class's k); only elements of one class and owner
+    combine, and they are equal exactly when their integers are.
     """
 
-    __slots__ = ("lattice", "den", "nums", "_coords")
+    __slots__ = ("owner", "den", "nums", "_cache")
+
+    def __init__(self, owner: Any, values: Sequence[Fraction]) -> None:
+        """The realified values mod 1, in lowest terms: some value carries each prime power of the lcm."""
+        den = math.lcm(*[x.denominator for x in values])
+        self.owner, self.den = owner, den
+        self.nums = tuple(x.numerator * (den // x.denominator) % den for x in values)
+        self._cache: Any = None
+
+    @classmethod
+    def from_numerators(cls: type[_E], owner: Any, den: int, nums: Sequence[int]) -> _E:
+        """The element ``nums / den`` for numerators already reduced into [0, den)."""
+        element = cls.__new__(cls)
+        element.owner = owner
+        common = math.gcd(den, *nums)
+        element.den = den // common
+        element.nums = tuple(nums) if common == 1 else tuple([x // common for x in nums])
+        element._cache = None
+        return element
+
+    def order(self) -> int:
+        """Order in the group: the common denominator."""
+        return self.den
+
+    def is_zero(self) -> bool:
+        return self.den == 1
+
+    def transform(self, rows: IntegerRows, cls: type[_E] | None = None, owner: Any = None) -> _E:
+        """The image under sparse realified integer rows, as a ``cls`` over ``owner`` (default: this one's)."""
+        den = self.den
+        image = sparse_matvec_mod(rows, [[x] for x in self.nums], [den])
+        owner = self.owner if owner is None else owner
+        return (cls or type(self)).from_numerators(owner, den, [col[0] for col in image])
+
+    def _blocks_with(self, other: _TorsionElement) -> list[TorsionBlock]:
+        if type(other) is not type(self):
+            raise TypeError(f"a {type(self).__name__} does not combine with a {type(other).__name__}")
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise LatticeMismatchError(f"cannot combine {type(self).__name__} values of different tori")
+        return blocks_of_one(self, other)
+
+    def __add__(self: _E, other: _E) -> _E:
+        a, b = self._blocks_with(other)
+        return self.from_numerators(self.owner, *(a + b).item(0))
+
+    def __sub__(self: _E, other: _E) -> _E:
+        a, b = self._blocks_with(other)
+        return self.from_numerators(self.owner, *(a - b).item(0))
+
+    def __neg__(self: _E) -> _E:
+        den = self.den
+        return self.from_numerators(self.owner, den, [-x % den for x in self.nums])
+
+    def __mul__(self: _E, n: int) -> _E:
+        if not isinstance(n, int):
+            raise TypeError(f"a {type(self).__name__} is multiplied by an int, not by {type(n).__name__}")
+        den = self.den
+        return self.from_numerators(self.owner, den, [x * n % den for x in self.nums])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.den != other.den or self.nums != other.nums:
+            return False
+        return self.owner is other.owner or self.owner == other.owner
+
+    def __hash__(self) -> int:
+        return hash((self.owner, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class TorusPoint(_TorsionElement):
+    """A point of finite order on the quotient torus, owned by its lattice.
+
+    ``nums`` are the real parts of the lattice coordinates, then their
+    imaginary parts; ``coords`` derives the reduced coordinates from them.
+    """
+
+    __slots__ = ()
 
     def __init__(self, lattice: LatticeSpec, coords: Sequence[int | Fraction | GaussianRational]) -> None:
         values = [as_gaussian(x) for x in coords]
         if len(values) != lattice.dim:
             raise ValueError(f"expected {lattice.dim} coordinates, got {len(values)}")
-        self.lattice = lattice
-        self.den, self.nums = fraction_numerators([x.re for x in values] + [x.im for x in values])
-        self._coords: tuple[GaussianRational, ...] | None = None
+        super().__init__(lattice, [x.re for x in values] + [x.im for x in values])
 
-    @classmethod
-    def from_numerators(cls, lattice: LatticeSpec, den: int, nums: Sequence[int]) -> TorusPoint:
-        """The point ``nums / den`` for numerators already reduced into [0, den).
-
-        ``nums`` holds the real parts of the coordinates, then the imaginary parts.
-        """
-        p = cls.__new__(cls)
-        p.lattice = lattice
-        p.den, p.nums = lowest_terms(den, nums)
-        p._coords = None
-        return p
+    @property
+    def lattice(self) -> LatticeSpec:
+        return self.owner
 
     @classmethod
     def zero(cls, lattice: LatticeSpec) -> TorusPoint:
@@ -255,81 +312,23 @@ class TorusPoint:
     @property
     def coords(self) -> tuple[GaussianRational, ...]:
         """The lattice coordinates, each part reduced into [0, 1)."""
-        if self._coords is None:
-            den, nums, g = self.den, self.nums, self.lattice.dim
-            self._coords = tuple(_reduced(nums[j], nums[j + g], den) for j in range(g))
-        return self._coords
+        if self._cache is None:
+            den, nums, g = self.den, self.nums, self.owner.dim
+            self._cache = tuple(_reduced(nums[j], nums[j + g], den) for j in range(g))
+        return self._cache
 
     def lift(self) -> tuple[GaussianRational, ...]:
         """The canonical ambient representative P * coords."""
-        if self.lattice.is_default:
+        if self.owner.is_default:
             return self.coords
-        return self.lattice.basis.matvec(self.coords)
-
-    def is_zero(self) -> bool:
-        return self.den == 1
-
-    def order(self) -> int:
-        """Order in the torsion group: the common denominator."""
-        return self.den
-
-    def transform(self, rows: IntegerRows) -> TorusPoint:
-        """Apply a realified integer matrix, given as sparse rows, to the numerators mod ``den``."""
-        (block,) = blocks_of_one(self)
-        return TorusPoint.from_numerators(self.lattice, *block.transform(rows).item(0))
+        return self.owner.basis.matvec(self.coords)
 
     def scale(self, c: int | GaussianRational) -> TorusPoint:
         """Multiply by a Gaussian integer; well defined since i preserves Z[i].
 
         Raises NotIntegralError for a factor outside Z[i].
         """
-        return self.transform((Matrix.identity(self.lattice.dim) * c).realified_rows())
-
-    def _require_same_lattice(self, other: TorusPoint) -> None:
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise LatticeMismatchError("points live on different tori")
-
-    def _combine(self, other: TorusPoint, sign: int) -> TorusPoint:
-        self._require_same_lattice(other)
-        a, b = blocks_of_one(self, other)
-        return TorusPoint.from_numerators(self.lattice, *(a + b if sign > 0 else a - b).item(0))
-
-    def __add__(self, other: TorusPoint) -> TorusPoint:
-        if not isinstance(other, TorusPoint):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: TorusPoint) -> TorusPoint:
-        if not isinstance(other, TorusPoint):
-            return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self) -> TorusPoint:
-        den = self.den
-        return TorusPoint.from_numerators(self.lattice, den, [-x % den for x in self.nums])
-
-    def __mul__(self, n: int) -> TorusPoint:
-        if not isinstance(n, int):
-            return NotImplemented
-        den = self.den
-        return TorusPoint.from_numerators(self.lattice, den, [x * n % den for x in self.nums])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusPoint):
-            return NotImplemented
-        return (
-            self.den == other.den
-            and self.nums == other.nums
-            and (self.lattice is other.lattice or self.lattice == other.lattice)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.den, self.nums))
-
-    def __repr__(self) -> str:
-        return f"TorusPoint({self})"
+        return self.transform((Matrix.identity(self.owner.dim) * c).realified_rows())
 
     def __str__(self) -> str:
         return ", ".join(str(x) for x in self.coords)

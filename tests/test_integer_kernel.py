@@ -11,6 +11,7 @@ at a time. Each test here recomputes the same value through the dense path
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -163,23 +164,50 @@ def test_duality_maps_match_the_dense_formulas(k, sig, shear, data):
     assert point_to_bundle(point, pol) == b
 
 
-# A bundle class depends on k alone, not on the signature or the lattice.
+# Points and bundle classes share one implementation of their group
+# arithmetic; a class depends on k alone, and a point here lies on the default
+# lattice. Each kind is driven through its own names for the operations.
+GROUP_KINDS = {
+    "BundleClass": (BundleClass.tensor, BundleClass.dual, BundleClass.power),
+    "TorusPoint": (operator.add, operator.neg, operator.mul),
+}
+
+
+def group_element(kind: str, k: int, values: list[Fraction]) -> BundleClass | TorusPoint:
+    if kind == "BundleClass":
+        return BundleClass(k, values)
+    g = 1 << k
+    return TorusPoint(LatticeSpec.default(k), [GaussianRational(x, y) for x, y in zip(values[:g], values[g:])])
+
+
+def realified_values(x: BundleClass | TorusPoint) -> tuple[Fraction, ...]:
+    if isinstance(x, BundleClass):
+        return x.chars
+    return tuple(c.re for c in x.coords) + tuple(c.im for c in x.coords)
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
 @pytest.mark.parametrize("k", (1, 2, 3))
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_bundle_arithmetic_matches_fraction_reference(k, data):
-    a = BundleClass(k, data.draw(st.lists(fractions, min_size=2 << k, max_size=2 << k)))
-    b = BundleClass(k, data.draw(st.lists(fractions, min_size=2 << k, max_size=2 << k)))
+def test_group_arithmetic_matches_fraction_reference(k, kind, data):
+    add, neg, mul = GROUP_KINDS[kind]
+    a_values = data.draw(st.lists(fractions, min_size=2 << k, max_size=2 << k))
+    b_values = data.draw(st.lists(fractions, min_size=2 << k, max_size=2 << k))
+    a, b = group_element(kind, k, a_values), group_element(kind, k, b_values)
     n = data.draw(st.integers(min_value=-7, max_value=7))
     cases = [
-        (a.tensor(b), [x + y for x, y in zip(a.chars, b.chars)]),
-        (a.dual(), [-x for x in a.chars]),
-        (a.power(n), [x * n for x in a.chars]),
+        (a, a_values),
+        (add(a, b), [x + y for x, y in zip(a_values, b_values)]),
+        (neg(a), [-x for x in a_values]),
+        (mul(a, n), [x * n for x in a_values]),
     ]
     for got, reference in cases:
+        assert type(got) is type(a)
         assert_canonical(got.den, got.nums)
-        assert got.chars == tuple(x % 1 for x in reference)
-        assert got.order() == math.lcm(1, *(x.denominator for x in got.chars))
+        assert realified_values(got) == tuple(x % 1 for x in reference)
+        assert got.nums == tuple(x * got.den for x in realified_values(got))
+        assert got.order() == math.lcm(1, *(x.denominator for x in realified_values(got)))
 
 
 def test_torsion_points_match_their_fraction_coordinates():

@@ -15,10 +15,13 @@ from sympy.polys.matrices import DomainMatrix
 from spintorus import (
     GaussianRational,
     Matrix,
+    NotIntegralError,
     as_gaussian,
     rank_of_rows,
+    realify,
     smith_form,
 )
+from spintorus.matrices import sparse_rows
 
 small_rationals = st.fractions(max_denominator=6)
 small_gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
@@ -184,6 +187,25 @@ def test_sparse_products_and_constructions_match_sympy(data):
     assert_canonical(a.adjoint(), sa.H)
     assert_canonical(a.kron(b), sympy.kronecker_product(sa, sb))
     assert_canonical(Matrix.zero(r, c), sympy.zeros(r, c))
+
+
+# Gaussian integers with zero real or imaginary parts, as in the blade images.
+gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_realified_rows_match_the_dense_realification(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    entries = data.draw(st.sampled_from([gaussian_integers, sparse_scalars]))
+    m = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n).map(Matrix))
+    try:
+        expected = sparse_rows(realify(m))
+    except NotIntegralError:
+        with pytest.raises(NotIntegralError):
+            m.realified_rows()
+    else:
+        assert m.realified_rows() == expected
 
 
 def test_zero_matrix_needs_a_row_and_a_column():

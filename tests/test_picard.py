@@ -13,6 +13,7 @@ from spintorus import (
     BundleClass,
     GaussianRational,
     GeneratorGroupElement,
+    LatticeMismatchError,
     LatticeSpec,
     Matrix,
     NotPrincipalError,
@@ -103,6 +104,26 @@ def test_bundle_group_operations():
     assert b.power(2) == b.tensor(b)
     assert b.order() == 4
     assert b.tensor(trivial) == b
+
+
+def test_points_and_classes_combine_only_within_their_own_group():
+    with pytest.raises(ValueError):
+        BundleClass.trivial(1).tensor(BundleClass.trivial(2))
+    half = TorusPoint(LATTICE, [Fraction(1, 2), 0])
+    other = TorusPoint(LatticeSpec(1, Matrix([[2, 0], [0, 1]])), [Fraction(1, 2), 0])
+    with pytest.raises(LatticeMismatchError):
+        half + other
+    with pytest.raises(LatticeMismatchError):
+        half - other
+    # The zero point and the trivial class share their integers, but not their group.
+    zero, trivial = TorusPoint.zero(LATTICE), BundleClass.trivial(1)
+    assert (zero.den, zero.nums) == (trivial.den, trivial.nums)
+    assert not zero == trivial and zero != trivial
+    with pytest.raises(TypeError):
+        zero + trivial
+    with pytest.raises(TypeError):
+        trivial.tensor(zero)
+    assert len({zero, trivial}) == 2
 
 
 def test_character_vectors_reduce_mod_one():
