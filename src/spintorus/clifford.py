@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .errors import IndexOutOfRangeError, SignatureMismatchError
-from .scalars import ONE, GaussianRational, I, as_gaussian
+from .scalars import UNITS, GaussianRational, as_gaussian
 
 
 @dataclass(frozen=True)
@@ -264,8 +264,6 @@ def _coerce_element(x: object, sig: Signature) -> CliffordElement | None:
 
 
 _PHASE_LABELS = ("", "i*", "-", "-i*")
-# The units i^t for t = 0..3, indexed by ``i_power``.
-_PHASES = (ONE, I, -ONE, -I)
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ class GeneratorGroupElement:
 
     @property
     def phase(self) -> GaussianRational:
-        return _PHASES[self.i_power]
+        return UNITS[self.i_power]
 
     def mul(self, other: GeneratorGroupElement, sig: Signature) -> GeneratorGroupElement:
         sign, mask = blade_mul(self.blade, other.blade, sig)
@@ -316,7 +314,7 @@ def as_signed_blade(u: CliffordElement) -> GeneratorGroupElement | None:
     if len(u._terms) != 1:
         return None
     ((mask, coeff),) = u._terms.items()
-    for t, phase in enumerate(_PHASES):
+    for t, phase in enumerate(UNITS):
         if coeff == phase:
             return GeneratorGroupElement(mask, t)
     return None

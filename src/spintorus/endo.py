@@ -18,25 +18,57 @@ from .action import lattice_matrix, preserves_lattice
 from .clifford import (
     CliffordElement,
     GeneratorGroupElement,
+    as_signed_blade,
     basis_elements,
     element_order,
     generator_group,
 )
-from .errors import NonUnimodularError, NotIntegralError, WitnessFailedError
-from .matrices import Matrix, rank_of_rows, realify, smith_form
+from .errors import NotIntegralError, WitnessFailedError
+from .matrices import Matrix, SignedPermutation, rank_of_rows, realify, smith_form
 from .scalars import GaussianRational, as_gaussian
-from .spinrep import RepresentationTable
+from .spinrep import RepresentationTable, unimodular_inverse
 from .torus import LatticeSpec, TorusPoint
+
+
+def _dense_determinants(m: Matrix) -> tuple[GaussianRational, GaussianRational]:
+    """``Matrix.det`` of a lattice matrix and of its realification."""
+    return m.det(), Matrix(realify(m)).det()
+
+
+def _monomial_determinants(p: SignedPermutation) -> tuple[GaussianRational, GaussianRational]:
+    """The same two determinants of a signed permutation, from its permutations and phases."""
+    return p.det(), as_gaussian(p.realified_det())
 
 
 def representation_determinants_match(
     h: CliffordElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> bool:
-    """det of the realified matrix equals the Gaussian norm of the analytic det."""
-    complex_matrix = lattice_matrix(h, table, lattice)
-    analytic_det = complex_matrix.det()
-    rational_det = Matrix(realify(complex_matrix)).det()
+    """det of the realified matrix equals the Gaussian norm of the analytic det.
+
+    A signed blade on the default lattice takes the monomial route: its
+    lattice matrix is its signed permutation (up to the table's conjugator,
+    which changes neither determinant), whose analytic determinant is the
+    permutation's sign times the product of its phases, and whose realified
+    determinant is that of the realified signed permutation. Every other
+    element, and every element on a custom lattice, takes the dense route:
+    ``Matrix.det`` of its lattice matrix and of its realification.
+    """
+    g = as_signed_blade(h)
+    if g is not None and lattice.is_default:
+        analytic_det, rational_det = _monomial_determinants(table.signed_permutation(g))
+    else:
+        analytic_det, rational_det = _dense_determinants(lattice_matrix(h, table, lattice))
     return rational_det == as_gaussian(analytic_det.norm())
+
+
+def determinant_routes_agree(g: GeneratorGroupElement, table: RepresentationTable) -> bool:
+    """Whether the monomial and the dense route give a signed blade the same two determinants.
+
+    The dense route runs ``Matrix.det`` on the blade's dense image (the
+    default lattice) and on its realification.
+    """
+    dense = _dense_determinants(table.represent_group_element(g))
+    return _monomial_determinants(table.signed_permutation(g)) == dense
 
 
 def _basis_images(table: RepresentationTable, lattice: LatticeSpec) -> list[Matrix]:
@@ -161,42 +193,46 @@ def decomposition_witness(
     )
 
 
-def _require_unimodular(f: Matrix) -> Matrix:
-    """Return f's inverse after checking both are Gaussian-integer matrices."""
-    if not f.is_gaussian_integer():
-        raise NonUnimodularError("conjugator must have entries in Z[i]")
-    try:
-        inverse = f.inv()
-    except ValueError as exc:
-        raise NonUnimodularError("conjugator is singular") from exc
-    if not inverse.is_gaussian_integer():
-        raise NonUnimodularError("conjugator inverse leaves Z[i]")
-    return inverse
-
-
 def transport_multiplication(
     f: Matrix, h: CliffordElement, table: RepresentationTable
 ) -> Matrix:
     """The transported action f * image(h) * f^-1 for a unimodular f."""
     if not h.is_gaussian_integral():
         raise NotIntegralError("element has a coefficient outside Z[i]")
-    inverse = _require_unimodular(f)
+    inverse = unimodular_inverse(f)
     return f @ table.represent(h) @ inverse
 
 
 def transport_table(f: Matrix, table: RepresentationTable) -> RepresentationTable:
-    """Conjugate every generator matrix by a unimodular f; relations survive."""
-    inverse = _require_unimodular(f)
-    conjugated = [f @ g @ inverse for g in table.gamma]
+    """The table conjugated by a unimodular f; relations survive.
+
+    The result keeps the ladder's signed permutations and composes f with
+    the table's own conjugator, if any, so its dense images ``f B f^-1``
+    are built only when asked for.
+    """
+    conjugator = f if table.conjugator is None else f @ table.conjugator
     return RepresentationTable(
-        table.sig, conjugated, description=f"{table.description}, transported"
+        table.sig,
+        [g.dense() for g in table.ladder_gamma],
+        description=f"{table.description}, transported",
+        conjugator=conjugator,
     )
 
 
 def automorphism_containment(table: RepresentationTable, lattice: LatticeSpec) -> bool:
-    """Every generator-group element acts as an invertible lattice self-map."""
-    # The group holds every inverse, so checking each element covers invertibility.
+    """Every generator-group element acts as an invertible lattice self-map.
+
+    On the default lattice every image is a signed permutation, up to the
+    table's unimodular conjugator, so it and its inverse map Z[i]^n into
+    itself; the check is that the image of g's inverse, a group element
+    too, inverts the image of g. On a custom lattice each element's dense
+    lattice matrix must stay in Z[i]; the group holds every inverse, so
+    that covers invertibility.
+    """
     sig = table.sig
-    return all(
-        preserves_lattice(g.to_element(sig), table, lattice) for g in generator_group(sig)
-    )
+    group = generator_group(sig)
+    if lattice.is_default:
+        identity = SignedPermutation.identity(table.dim)
+        image = table.signed_permutation
+        return all(image(g) @ image(g.inverse(sig)) == identity for g in group)
+    return all(preserves_lattice(g.to_element(sig), table, lattice) for g in group)

@@ -1,12 +1,18 @@
-"""Exact matrices over Q(i), their realification, and the integer routines.
+"""Exact matrices over Q(i), signed permutations, realification, and the integer routines.
 
 Matrices store every entry, but their products and ranks skip zeros: a
 product accumulates each output row over the nonzero entries of both
 factors, and the rank of a row family comes from fraction-free elimination
 over Z[i] on sparse integer rows (each row scaled by the lcm of its
 denominators, updated as ``v <- p*v - f*b`` and divided by its integer
-content). The blade images of the spinor modules are monomial, so both
-visit one entry per row instead of every entry.
+content).
+
+A :class:`SignedPermutation` is a monomial matrix with unit entries, held
+as one column and one phase exponent t (the entry is i^t) per row. The
+blade images of the spinor modules are kept in this form: products, the
+adjoint, the determinant, the realified rows and the flattened row cost
+O(n), and ``dense`` turns one into a :class:`Matrix` where a caller needs
+every entry.
 
 The integer routines are the Smith form and one sparse kernel: a matrix
 with integer entries kept as sparse rows, applied to a column-major block
@@ -25,20 +31,26 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotIntegralError
-from .scalars import ONE, GaussianRational, as_gaussian
+from .scalars import ONE, UNITS, GaussianRational, as_gaussian
 
 
 # Sparse integer rows: per row, the ``(index, coefficient)`` int pairs of its nonzero entries.
 IntegerRows = Sequence[Sequence[tuple[int, int]]]
 
+# A row of Gaussian integers, sparse: column -> (re, im), nonzero entries only.
+_GaussianIntegerRow = dict[int, tuple[int, int]]
+
 # The zero entry that products and ``Matrix.zero`` share.
 _ZERO = GaussianRational()
+
+# The (real, imaginary) parts of the units i^t, indexed by t = 0..3.
+_UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class Matrix:
     """An immutable dense matrix with GaussianRational entries."""
 
-    __slots__ = ("rows", "cols", "_entries", "_nonzero_rows", "_realified_rows")
+    __slots__ = ("rows", "cols", "_entries", "_realified_rows")
 
     def __init__(self, rows: Iterable[Iterable[int | Fraction | GaussianRational]]) -> None:
         entries = tuple(tuple(as_gaussian(x) for x in row) for row in rows)
@@ -50,7 +62,6 @@ class Matrix:
         self.rows = len(entries)
         self.cols = width
         self._entries = entries
-        self._nonzero_rows: tuple[tuple[tuple[int, GaussianRational], ...], ...] | None = None
         self._realified_rows: IntegerRows | None = None
 
     @classmethod
@@ -60,7 +71,6 @@ class Matrix:
         m.rows = len(entries)
         m.cols = len(entries[0])
         m._entries = entries
-        m._nonzero_rows = None
         m._realified_rows = None
         return m
 
@@ -91,14 +101,6 @@ class Matrix:
 
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
         return self._entries
-
-    def nonzero_rows(self) -> tuple[tuple[tuple[int, GaussianRational], ...], ...]:
-        """Per row, its nonzero entries as ``(col, value)`` pairs in column order; cached."""
-        if self._nonzero_rows is None:
-            self._nonzero_rows = tuple(
-                tuple((c, x) for c, x in enumerate(row) if x) for row in self._entries
-            )
-        return self._nonzero_rows
 
     def flatten(self) -> tuple[GaussianRational, ...]:
         return tuple(x for row in self._entries for x in row)
@@ -141,7 +143,7 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
-        sparse = other.nonzero_rows()
+        sparse = [[(c, x) for c, x in enumerate(row) if x] for row in other._entries]
         columns = range(other.cols)
         out = []
         for ra in self._entries:
@@ -180,7 +182,6 @@ class Matrix:
         if self._realified_rows is None:
             n, top, bottom = self.cols, [], []
             for entries in self._entries:
-                # Not through ``nonzero_rows``, whose cache would outlive this one use.
                 row = [(b, x) for b, x in enumerate(entries) if x]
                 if any(x._d != 1 for _, x in row):
                     raise NotIntegralError("matrix has an entry outside Z[i]")
@@ -283,6 +284,160 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """The sign of a permutation of ``range(n)``: ``(-1)^(n - cycles)``."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return -1 if (len(perm) - cycles) & 1 else 1
+
+
+class SignedPermutation:
+    """An immutable monomial matrix whose entries are units of Z[i].
+
+    Row r holds ``i^phases[r]`` in column ``cols[r]`` and zeros elsewhere,
+    and ``cols`` is a permutation, so every row and every column has one
+    entry. Every signed-blade image of the tensor ladder is one. Products,
+    the adjoint (which is also the inverse), the determinant and the
+    realified rows cost O(n) on the two tuples; ``dense`` gives the same
+    matrix as a :class:`Matrix`.
+    """
+
+    __slots__ = ("cols", "phases")
+
+    def __init__(self, cols: Sequence[int], phases: Sequence[int]) -> None:
+        cols = tuple(cols)
+        if not cols or sorted(cols) != list(range(len(cols))):
+            raise ValueError("columns must be a permutation of range(n), n >= 1")
+        if len(phases) != len(cols):
+            raise ValueError("expected one phase per row")
+        self.cols = cols
+        self.phases = tuple(t & 3 for t in phases)
+
+    @classmethod
+    def _wrap(cls, cols: tuple[int, ...], phases: tuple[int, ...]) -> SignedPermutation:
+        """A signed permutation on a valid permutation and phases already in 0..3."""
+        m = cls.__new__(cls)
+        m.cols = cols
+        m.phases = phases
+        return m
+
+    @classmethod
+    def identity(cls, n: int) -> SignedPermutation:
+        return cls._wrap(tuple(range(n)), (0,) * n)
+
+    @classmethod
+    def from_matrix(cls, m: Matrix) -> SignedPermutation:
+        """The matrix as a signed permutation.
+
+        Raises ValueError unless m is square and each row and each column
+        holds exactly one nonzero entry, a unit 1, i, -1 or -i.
+        """
+        if not m.is_square():
+            raise ValueError(f"a {m.rows}x{m.cols} matrix is not a signed permutation")
+        cols, phases = [], []
+        for r, row in enumerate(m.entries()):
+            hits = [(c, x) for c, x in enumerate(row) if x]
+            if len(hits) != 1:
+                raise ValueError(f"row {r} has {len(hits)} nonzero entries, not one")
+            ((c, x),) = hits
+            if x not in UNITS:
+                raise ValueError(f"entry ({r}, {c}) is {x}, not a unit of Z[i]")
+            cols.append(c)
+            phases.append(UNITS.index(x))
+        return cls(cols, phases)
+
+    @property
+    def size(self) -> int:
+        return len(self.cols)
+
+    def __matmul__(self, other: SignedPermutation) -> SignedPermutation:
+        """The product: row r of self picks row ``cols[r]`` of other."""
+        if not isinstance(other, SignedPermutation):
+            return NotImplemented
+        if len(self.cols) != len(other.cols):
+            raise ValueError(f"cannot multiply sizes {len(self.cols)} and {len(other.cols)}")
+        oc, op = other.cols, other.phases
+        return SignedPermutation._wrap(
+            tuple([oc[c] for c in self.cols]),
+            tuple([(t + op[c]) & 3 for c, t in zip(self.cols, self.phases)]),
+        )
+
+    def phased(self, t: int) -> SignedPermutation:
+        """This matrix times the scalar ``i^t``."""
+        t &= 3
+        if not t:
+            return self
+        return SignedPermutation._wrap(self.cols, tuple([(p + t) & 3 for p in self.phases]))
+
+    def adjoint(self) -> SignedPermutation:
+        """The conjugate transpose: the inverse permutation, each phase conjugated."""
+        n = len(self.cols)
+        cols, phases = [0] * n, [0] * n
+        for r, (c, t) in enumerate(zip(self.cols, self.phases)):
+            cols[c] = r
+            phases[c] = -t & 3
+        return SignedPermutation._wrap(tuple(cols), tuple(phases))
+
+    def det(self) -> GaussianRational:
+        """The sign of the permutation times the product of the entries."""
+        t = sum(self.phases) + (0 if _permutation_sign(self.cols) > 0 else 2)
+        return UNITS[t & 3]
+
+    def realified_rows(self) -> IntegerRows:
+        """The realified matrix (see ``realify``) as sparse integer rows.
+
+        A unit is real or imaginary, so each row has one entry, +1 or -1:
+        the realified matrix is a signed permutation of size 2n.
+        """
+        n = len(self.cols)
+        top, bottom = [], []
+        for c, t in zip(self.cols, self.phases):
+            a, b = _UNIT_PARTS[t]
+            top.append(((c, a),) if a else ((c + n, -b),))
+            bottom.append(((c, b),) if b else ((c + n, a),))
+        return tuple(top + bottom)
+
+    def realified_det(self) -> int:
+        """The determinant of the realified matrix: the sign of its permutation times its signs."""
+        rows = self.realified_rows()
+        det = _permutation_sign([j for ((j, _),) in rows])
+        for ((_, x),) in rows:
+            det *= x
+        return det
+
+    def flattened(self) -> _GaussianIntegerRow:
+        """The entries in row-major order as one sparse Z[i] row of length n^2 (see ``rank_of_sparse_rows``)."""
+        n = len(self.cols)
+        return {r * n + c: _UNIT_PARTS[t] for r, (c, t) in enumerate(zip(self.cols, self.phases))}
+
+    def dense(self) -> Matrix:
+        n = len(self.cols)
+        rows = []
+        for c, t in zip(self.cols, self.phases):
+            row = [_ZERO] * n
+            row[c] = UNITS[t]
+            rows.append(tuple(row))
+        return Matrix._wrap(tuple(rows))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignedPermutation):
+            return NotImplemented
+        return self.cols == other.cols and self.phases == other.phases
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.phases))
+
+    def __repr__(self) -> str:
+        return f"SignedPermutation(cols={list(self.cols)}, phases={list(self.phases)})"
+
+
 def realify(m: Matrix) -> list[list[int | Fraction]]:
     """Real 2n x 2n matrix of a complex n x n one, on the (u, i*u) basis.
 
@@ -344,10 +499,6 @@ def sparse_matvec_mod(
     return out
 
 
-# A row of Gaussian integers, sparse: column -> (re, im), nonzero entries only.
-_GaussianIntegerRow = dict[int, tuple[int, int]]
-
-
 def _gaussian_integer_row(row: Iterable[int | Fraction | GaussianRational]) -> _GaussianIntegerRow:
     """The row scaled by the lcm of its denominators, as a sparse Z[i] row.
 
@@ -406,9 +557,17 @@ def rank_of_rows(rows: Iterable[Sequence[int | Fraction | GaussianRational]]) ->
     callers can stream large flattened families without materializing the
     full matrix.
     """
+    return rank_of_sparse_rows(_gaussian_integer_row(row) for row in rows)
+
+
+def rank_of_sparse_rows(rows: Iterable[_GaussianIntegerRow]) -> int:
+    """Rank over Q(i) of sparse Z[i] rows (column -> (re, im), nonzero entries only).
+
+    The elimination of ``rank_of_rows``, for rows that are already sparse
+    and integral, such as ``SignedPermutation.flattened``.
+    """
     basis: list[tuple[int, _GaussianIntegerRow]] = []
-    for row in rows:
-        vec = _gaussian_integer_row(row)
+    for vec in rows:
         for lead, pivot in basis:
             if not vec:
                 break

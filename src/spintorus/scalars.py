@@ -260,3 +260,5 @@ def as_gaussian(x: int | Fraction | GaussianRational) -> GaussianRational:
 
 ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
+# The units i^t of Z[i], indexed by t = 0..3.
+UNITS = (ONE, I, -ONE, -I)

@@ -10,6 +10,14 @@ The generator matrices come from the standard tensor ladder over the three
 and any generator that squares to -1 is multiplied by ``i``. All entries
 stay in Z[i], which is what lets these matrices act on Gaussian lattices
 later on.
+
+Each generator, and so each blade image ``e_I`` (the product of its
+generators), is a signed permutation: one entry in {1, i, -1, -i} per row
+and per column. The table stores every blade image in that form (see
+``matrices.SignedPermutation``) and builds a dense matrix only for a caller
+that needs one. The Clifford relations, the isomorphism rank, the
+star-versus-adjoint check and the images of signed blades ``i^t e_I`` are
+all computed on the signed permutations.
 """
 
 from __future__ import annotations
@@ -17,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .clifford import CliffordElement, GeneratorGroupElement, Signature, basis_blades
-from .errors import NotUnitVectorError, SignatureMismatchError
-from .matrices import _ZERO, Matrix, rank_of_rows
-from .scalars import GaussianRational
+from .clifford import CliffordElement, GeneratorGroupElement, Signature, as_signed_blade, basis_blades
+from .errors import NonUnimodularError, NotUnitVectorError, SignatureMismatchError
+from .matrices import _ZERO, Matrix, SignedPermutation, rank_of_sparse_rows
+from .scalars import UNITS, GaussianRational
 
 if TYPE_CHECKING:
     from .torus import LatticeSpec
@@ -38,59 +46,115 @@ def _tensor_chain(factors: Sequence[Matrix]) -> Matrix:
 
 
 def clifford_relation_failure(
-    sig: Signature, gamma: Sequence[Matrix]
+    sig: Signature, gamma: Sequence[SignedPermutation]
 ) -> tuple[int, int] | None:
     """The first generator pair (1-indexed) breaking a Clifford relation, or None.
 
     The relations are ``gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab q(e_a) Id``.
+    Two signed permutations sum to zero only when they share the permutation
+    and have opposite phases, so on them the relations read
+    ``gamma_a^2 = q(e_a) Id`` and ``gamma_a gamma_b = -gamma_b gamma_a``.
     """
-    dim = gamma[0].rows
-    identity = Matrix.identity(dim)
+    identity = SignedPermutation.identity(gamma[0].size)
     for a in range(sig.n):
         for b in range(a, sig.n):
-            anti = gamma[a] @ gamma[b] + gamma[b] @ gamma[a]
-            expected = identity * (2 * sig.square_sign(a + 1)) if a == b else Matrix.zero(dim, dim)
-            if anti != expected:
+            if a == b:
+                holds = gamma[a] @ gamma[a] == identity.phased(0 if sig.square_sign(a + 1) > 0 else 2)
+            else:
+                holds = gamma[a] @ gamma[b] == (gamma[b] @ gamma[a]).phased(2)
+            if not holds:
                 return a + 1, b + 1
     return None
+
+
+def unimodular_inverse(f: Matrix) -> Matrix:
+    """Return f's inverse after checking both are Gaussian-integer matrices."""
+    if not f.is_gaussian_integer():
+        raise NonUnimodularError("conjugator must have entries in Z[i]")
+    try:
+        inverse = f.inv()
+    except ValueError as exc:
+        raise NonUnimodularError("conjugator is singular") from exc
+    if not inverse.is_gaussian_integer():
+        raise NonUnimodularError("conjugator inverse leaves Z[i]")
+    return inverse
 
 
 class RepresentationTable:
     """The 2k generator matrices plus every blade image, precomputed.
 
+    The generators must be signed permutations (``SignedPermutation``): the
+    constructor raises ValueError for a generator that is not monomial with
+    unit entries, has the wrong shape, or breaks a Clifford relation, so a
+    table in hand is always a valid representation. The blade images are
+    kept as signed permutations, each the product of its generators.
+
+    With a ``conjugator`` f (unimodular over Z[i], else NonUnimodularError),
+    the table is the ladder moved to another basis: its images are
+    ``f B f^-1`` for the ladder's images B. ``gamma``, ``blade_image``,
+    ``represent`` and ``represent_group_element`` give those dense
+    conjugates, built on demand; ``blade_permutation`` and
+    ``signed_permutation`` give B itself, which serves everything that
+    conjugation keeps: products, relations, ranks and determinants.
+
     Immutable after construction, apart from ``lattice_images``, the memo of
     signed-blade matrices in lattice coordinates, keyed by (blade, i_power,
-    lattice), that ``action.group_lattice_matrix`` fills on use. The
-    constructor checks the Clifford relations and integrality, so a table in
-    hand is always a valid representation.
+    lattice), that ``action.group_lattice_matrix`` fills on use.
     """
 
-    def __init__(self, sig: Signature, gamma: Sequence[Matrix], description: str = "") -> None:
+    def __init__(
+        self,
+        sig: Signature,
+        gamma: Sequence[Matrix],
+        description: str = "",
+        conjugator: Matrix | None = None,
+    ) -> None:
         self.sig = sig
         self.k = sig.k
         self.dim = 1 << sig.k
-        self.gamma = tuple(gamma)
         self.description = description or "tensor ladder over X/Y/Z"
-        if len(self.gamma) != sig.n:
-            raise ValueError(f"expected {sig.n} generator matrices, got {len(self.gamma)}")
-        identity = Matrix.identity(self.dim)
-        for m in self.gamma:
+        if len(gamma) != sig.n:
+            raise ValueError(f"expected {sig.n} generator matrices, got {len(gamma)}")
+        ladder = []
+        for index, m in enumerate(gamma, start=1):
             if m.shape() != (self.dim, self.dim):
                 raise ValueError("generator matrix has the wrong shape")
-            if not m.is_gaussian_integer():
-                raise ValueError("generator matrices must have entries in Z[i]")
-        broken = clifford_relation_failure(sig, self.gamma)
+            try:
+                ladder.append(SignedPermutation.from_matrix(m))
+            except ValueError as exc:
+                raise ValueError(f"generator {index} is not a signed permutation: {exc}") from None
+        self.ladder_gamma = tuple(ladder)
+        broken = clifford_relation_failure(sig, self.ladder_gamma)
         if broken is not None:
             raise ValueError(f"Clifford relation fails for generators {broken[0]}, {broken[1]}")
-        images: dict[int, Matrix] = {0: identity}
+        blades = [SignedPermutation.identity(self.dim)]
         for mask in range(1, 1 << sig.n):
             low = mask & -mask
-            images[mask] = self.gamma[low.bit_length() - 1] @ images[mask ^ low]
-        self._blade_images = images
+            blades.append(self.ladder_gamma[low.bit_length() - 1] @ blades[mask ^ low])
+        self._blades = tuple(blades)
+        if conjugator is not None and conjugator.shape() != (self.dim, self.dim):
+            raise ValueError("conjugator has the wrong shape")
+        self.conjugator = conjugator
+        self._conjugator_inverse = None if conjugator is None else unimodular_inverse(conjugator)
+        self.gamma = tuple(gamma) if conjugator is None else tuple(self._conjugate(m) for m in gamma)
         self.lattice_images: dict[tuple[int, int, LatticeSpec], Matrix] = {}
 
+    def _conjugate(self, m: Matrix) -> Matrix:
+        """``f m f^-1`` for the conjugator f; m itself for a ladder table."""
+        if self.conjugator is None:
+            return m
+        return self.conjugator @ m @ self._conjugator_inverse
+
+    def blade_permutation(self, mask: int) -> SignedPermutation:
+        """The ladder's image of the blade e_I."""
+        return self._blades[mask]
+
+    def signed_permutation(self, g: GeneratorGroupElement) -> SignedPermutation:
+        """The ladder's image of a signed blade: its blade's image times its phase."""
+        return self._blades[g.blade].phased(g.i_power)
+
     def blade_image(self, mask: int) -> Matrix:
-        return self._blade_images[mask]
+        return self._conjugate(self._blades[mask].dense())
 
     def represent(self, u: CliffordElement) -> Matrix:
         """The matrix of an algebra element in this module."""
@@ -98,18 +162,20 @@ class RepresentationTable:
             raise SignatureMismatchError(f"{u.sig} vs {self.sig}")
         rows: list[dict[int, GaussianRational]] = [{} for _ in range(self.dim)]
         for mask, coeff in u.terms():
-            for acc, row in zip(rows, self._blade_images[mask].nonzero_rows()):
-                for c, x in row:
-                    term = x * coeff
-                    prev = acc.get(c)
-                    acc[c] = term if prev is None else prev + term
+            image = self._blades[mask]
+            # Row r adds i^t * coeff in column c.
+            scaled = tuple(coeff * unit for unit in UNITS)
+            for acc, c, t in zip(rows, image.cols, image.phases):
+                term = scaled[t]
+                prev = acc.get(c)
+                acc[c] = term if prev is None else prev + term
         columns = range(self.dim)
-        return Matrix._wrap(tuple(tuple(acc.get(c, _ZERO) for c in columns) for acc in rows))
+        dense = Matrix._wrap(tuple(tuple(acc.get(c, _ZERO) for c in columns) for acc in rows))
+        return self._conjugate(dense)
 
     def represent_group_element(self, g: GeneratorGroupElement) -> Matrix:
-        """The image of a signed blade: its blade image times its phase."""
-        image = self._blade_images[g.blade]
-        return image * g.phase if g.i_power else image
+        """The image of a signed blade, as a dense matrix."""
+        return self._conjugate(self.signed_permutation(g).dense())
 
     def __repr__(self) -> str:
         return f"RepresentationTable(k={self.k}, sig=({self.sig.p},{self.sig.q}))"
@@ -153,12 +219,12 @@ def verify_algebra_iso(table: RepresentationTable) -> IsoReport:
 
     Since a surjection between algebras of equal dimension is an
     isomorphism, full flattened rank is exactly the isomorphism property.
+    Conjugation is an invertible linear map of End, so the rank is read
+    from the ladder's signed permutations, one sparse flattened row each.
     """
     expected = 1 << (2 * table.k)
-    rows = (
-        table.blade_image(mask).flatten() for mask in range(1 << table.sig.n)
-    )
-    return IsoReport(spanning_rank=rank_of_rows(rows), expected_rank=expected)
+    rows = (table.blade_permutation(mask).flattened() for mask in range(1 << table.sig.n))
+    return IsoReport(spanning_rank=rank_of_sparse_rows(rows), expected_rank=expected)
 
 
 @dataclass(frozen=True)
@@ -174,13 +240,20 @@ class UnitaryReport:
 
 
 def verify_unitary(table: RepresentationTable) -> UnitaryReport:
-    """Compare the image of u* with the conjugate transpose for all e_I, i*e_I."""
+    """Compare the image of u* with the conjugate transpose for all e_I, i*e_I.
+
+    Each u and u* is a signed blade. A ladder table compares signed
+    permutations, whose adjoint is the inverse permutation with conjugated
+    phases. A transported table compares its dense images, because its
+    conjugator need not be unitary.
+    """
+    image = table.signed_permutation if table.conjugator is None else table.represent_group_element
     failures = []
     checked = 0
     for g in basis_blades(table.sig):
-        u = g.to_element(table.sig)
+        starred = as_signed_blade(g.to_element(table.sig).star())
         checked += 1
-        if table.represent(u.star()) != table.represent(u).adjoint():
+        if image(starred) != image(g).adjoint():
             failures.append(g.label())
     return UnitaryReport(checked=checked, failures=tuple(failures))
 

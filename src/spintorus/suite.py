@@ -39,6 +39,7 @@ from .clifford import (
     GeneratorGroupElement,
     Signature,
     as_signed_blade,
+    basis_blades,
     basis_elements,
     element_order,
     generator_group,
@@ -46,6 +47,7 @@ from .clifford import (
 from .endo import (
     automorphism_containment,
     decomposition_witness,
+    determinant_routes_agree,
     endo_rank,
     representation_determinants_match,
     subring_index,
@@ -103,6 +105,8 @@ _TORUS_SUITES = frozenset(
 # systems (dual_picard); the report's meta records both.
 POINTS_PER_K = 100
 CLASSES_PER_K = 100
+# Basis blades per k whose determinants endo_decomp also takes by the dense route.
+_DENSE_DETERMINANT_SAMPLE = 8
 
 SUITE_STATEMENTS: dict[str, tuple[str, ...]] = {
     "clifford_core": (
@@ -375,10 +379,12 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
     # blade equal to x.mul(h). Every signed blade is a word in the generators,
     # so x*G inside G for each generator x gives G*G inside G. This proves
     # closure under the CliffordElement product and `mul` with a generator on
-    # the left; it does not prove `mul` on composite left factors at k >= 3,
-    # nor `blade_mul`, which both sides share. At k <= 2 all pairs are read
-    # back too, and the images of the generator products are compared as
-    # matrices: the one part that does not depend on `blade_mul`.
+    # the left; it does not prove `mul` on composite left factors at k >= 3.
+    # Both sides share `blade_mul`, so the spinor matrices check it: for each
+    # e_j and each blade e_I, image(e_j.mul(e_I)) == image(e_j) @ image(e_I),
+    # as signed permutations. Phases are central and `mul` adds them, which
+    # the readback above checks, so this covers every h in the group. At
+    # k <= 2 all pairs are read back too.
     generators = [GeneratorGroupElement(1 << j, 0) for j in range(sig.n)]
     generators.append(GeneratorGroupElement(0, 1))
     closure_ok = all(
@@ -392,10 +398,11 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
             for g, g_element in zip(group, elements)
             for h, h_element in zip(group, elements)
         )
-        image = env.table.represent_group_element
-        closure_ok = closure_ok and all(
-            image(x.mul(h, sig)) == image(x) @ image(h) for x in generators for h in group
-        )
+    image = env.table.signed_permutation
+    blades = [GeneratorGroupElement(mask, 0) for mask in range(1 << sig.n)]
+    closure_ok = closure_ok and all(
+        image(x.mul(h, sig)) == image(x) @ image(h) for x in generators[:-1] for h in blades
+    )
     chk.record(closure_ok, {"k": env.k}, "group closed under products", closure_ok)
     chk.record(inverse_ok, {"k": env.k}, "every element has an inverse", inverse_ok)
     chk.record(order_ok, {"k": env.k}, "orders in {1, 2, 4} and minimal", order_ok)
@@ -423,7 +430,7 @@ def _run_spinor_rep(env: _Env) -> SuiteResult:
     table = env.table
     rng = env.rng("rep")
 
-    relations_ok = clifford_relation_failure(sig, table.gamma) is None
+    relations_ok = clifford_relation_failure(sig, table.ladder_gamma) is None
     chk.record(relations_ok, {"k": env.k}, "Clifford relations", relations_ok)
     entries_ok = all(g.is_gaussian_integer() for g in table.gamma)
     chk.record(entries_ok, {"k": env.k}, "generator entries in Z[i]", entries_ok)
@@ -770,8 +777,13 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
     lattice = env.lattice
     rng = env.rng("endo")
 
+    # Signed blades on the default lattice take the monomial route; a seeded
+    # sample of them also takes the dense Matrix.det route, which must agree.
     determinants_ok = all(
         representation_determinants_match(u, table, lattice) for u in basis_elements(sig)
+    ) and all(
+        determinant_routes_agree(g, table)
+        for g in env.rng("determinants").sample(list(basis_blades(sig)), _DENSE_DETERMINANT_SAMPLE)
     )
     chk.record(
         determinants_ok,

@@ -38,6 +38,8 @@ from spintorus import (
     transport_table,
     verify_two_torsion,
 )
+from spintorus.clifford import basis_blades
+from spintorus.endo import determinant_routes_agree
 
 SIG = Signature(2, 0)
 I = GaussianRational(0, 1)
@@ -178,6 +180,35 @@ def test_automorphism_containment(tables, lattices):
 
 
 SHEAR = Matrix([[1, I], [0, 1]])
+
+
+def shear(k: int) -> Matrix:
+    """The identity plus i at (0, 1): unimodular, so a basis of the default lattice."""
+    n = 1 << k
+    return Matrix([[1 if r == c else I if (r, c) == (0, 1) else 0 for c in range(n)] for r in range(n)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_monomial_determinants_agree_with_the_dense_route(tables, lattices, k):
+    """The monomial route against Matrix.det, on every basis blade and its transported image."""
+    table = tables[k]
+    sheared = LatticeSpec(k, shear(k))
+    moved = transport_table(shear(k), table)
+    for g in basis_blades(table.sig):
+        assert determinant_routes_agree(g, table)
+        assert determinant_routes_agree(g, moved)
+        u = g.to_element(table.sig)
+        assert representation_determinants_match(u, table, lattices[k])
+        # a custom lattice takes the dense route
+        assert representation_determinants_match(u, table, sheared)
+
+
+def test_containment_on_the_default_lattice_reads_the_signed_permutations(tables, lattices):
+    moved = transport_table(SHEAR, tables[1])
+    assert automorphism_containment(moved, lattices[1])
+    assert moved.lattice_images == {}
+    # the dense route over the same lattice in another basis agrees
+    assert automorphism_containment(moved, LatticeSpec(1, SHEAR))
 
 
 def test_transport_rejects_bad_conjugators(tables):

@@ -16,12 +16,14 @@ from spintorus import (
     GaussianRational,
     Matrix,
     NotIntegralError,
+    SignedPermutation,
     as_gaussian,
     rank_of_rows,
     realify,
     smith_form,
 )
-from spintorus.matrices import sparse_rows
+from spintorus.matrices import rank_of_sparse_rows, sparse_rows
+from spintorus.scalars import UNITS
 
 small_rationals = st.fractions(max_denominator=6)
 small_gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
@@ -283,3 +285,89 @@ def test_structure_helpers():
         (GaussianRational(1), GaussianRational(0)),
         (GaussianRational(0), GaussianRational(2)),
     )
+
+
+# Signed permutations against the dense Matrix oracle. The permutations are
+# arbitrary, not only the XOR permutations r -> r ^ x of the blade images.
+@st.composite
+def signed_permutations(draw, n=None):
+    n = n if n is not None else draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.permutations(range(n)))
+    phases = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    return SignedPermutation(cols, phases)
+
+
+def test_signed_permutation_draws_include_permutations_that_are_not_xor():
+    # (0 1 2) is a 3-cycle: no mask x sends r to r ^ x for every r.
+    cycle = SignedPermutation((1, 2, 0), (0, 1, 2))
+    assert cycle.dense() == Matrix([[0, 1, 0], [0, 0, GaussianRational(0, 1)], [-1, 0, 0]])
+    # An even permutation, so the determinant is the product 1 * i * -1 of the entries.
+    assert cycle.det() == cycle.dense().det() == GaussianRational(0, -1)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_signed_permutations_match_the_dense_oracle(data):
+    a = data.draw(signed_permutations())
+    b = data.draw(signed_permutations(a.size))
+    t = data.draw(st.integers(min_value=-5, max_value=5))
+    dense = a.dense()
+    assert (a @ b).dense() == dense @ b.dense()
+    assert a.phased(t).dense() == dense * UNITS[t % 4]
+    assert a.adjoint().dense() == dense.adjoint()
+    assert a @ a.adjoint() == SignedPermutation.identity(a.size)
+    assert a.det() == dense.det()
+    assert a.realified_rows() == dense.realified_rows() == sparse_rows(realify(dense))
+    assert a.realified_det() == Matrix(realify(dense)).det()
+    assert a.flattened() == {
+        index: (x.re, x.im) for index, x in enumerate(dense.flatten()) if x
+    }
+    assert SignedPermutation.from_matrix(dense) == a
+    assert hash(SignedPermutation.from_matrix(dense)) == hash(a)
+
+
+@settings(max_examples=40)
+@given(st.lists(signed_permutations(3), min_size=1, max_size=12))
+def test_rank_of_flattened_signed_permutations_matches_rank_of_rows(family):
+    assert rank_of_sparse_rows(p.flattened() for p in family) == rank_of_rows(
+        p.dense().flatten() for p in family
+    )
+
+
+# Corruptions of one row of a signed permutation: a second entry, a non-unit
+# Gaussian integer, or a fraction in place of the unit.
+non_units = st.sampled_from([GaussianRational(2), GaussianRational(1, 1), GaussianRational(0, -3)])
+fractions = st.sampled_from([GaussianRational(Fraction(1, 2)), GaussianRational(0, Fraction(-1, 3))])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_from_matrix_rejects_matrices_that_are_not_signed_permutations(data):
+    p = data.draw(signed_permutations())
+    r = data.draw(st.integers(min_value=0, max_value=p.size - 1))
+    rows = [list(row) for row in p.dense().entries()]
+    kind = data.draw(st.sampled_from(["second entry", "non-unit", "fraction"]))
+    if kind == "second entry":
+        if p.size == 1:
+            rows[0].append(GaussianRational(1))
+            rows.append([GaussianRational(0), GaussianRational(1)])
+        else:
+            other = data.draw(st.sampled_from([c for c in range(p.size) if c != p.cols[r]]))
+            rows[r][other] = data.draw(st.sampled_from(UNITS))
+    else:
+        rows[r][p.cols[r]] = data.draw(non_units if kind == "non-unit" else fractions)
+    with pytest.raises(ValueError):
+        SignedPermutation.from_matrix(Matrix(rows))
+
+
+def test_signed_permutations_need_a_permutation_and_one_phase_per_row():
+    with pytest.raises(ValueError):
+        SignedPermutation((0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        SignedPermutation((0, 1), (0,))
+    with pytest.raises(ValueError):
+        SignedPermutation((), ())
+    with pytest.raises(ValueError):
+        SignedPermutation.from_matrix(Matrix([[0, 1], [0, 1]]))
+    with pytest.raises(ValueError):
+        SignedPermutation.from_matrix(Matrix([[1, 0]]))

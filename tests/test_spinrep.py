@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from spintorus import (
     CliffordElement,
     GaussianRational,
+    GeneratorGroupElement,
     Matrix,
     NotUnitVectorError,
     RepresentationTable,
@@ -18,12 +21,14 @@ from spintorus import (
     basis_elements,
     build_generators,
     evaluate_element,
+    rank_of_rows,
     transport_table,
     star,
     verify_algebra_iso,
     verify_spin_preserves_form,
     verify_unitary,
 )
+from spintorus.clifford import basis_blades
 
 I = GaussianRational(0, 1)
 
@@ -165,11 +170,20 @@ def test_indefinite_generators_square_to_minus_one():
     assert table.gamma[1] @ table.gamma[1] == Matrix.identity(2) * (-1)
 
 
+def _dense_blade(table, mask):
+    """The reference blade image: the product of the dense generator matrices, in ascending order."""
+    acc = Matrix.identity(table.dim)
+    for a in range(table.sig.n):
+        if mask >> a & 1:
+            acc = acc @ table.gamma[a]
+    return acc
+
+
 def _dense_represent(table, u):
-    """The reference image: a dense sum of blade images times coefficients."""
+    """The reference image: a dense sum of reference blade images times coefficients."""
     acc = Matrix.zero(table.dim, table.dim)
     for mask, coeff in u.terms():
-        acc = acc + table.blade_image(mask) * coeff
+        acc = acc + _dense_blade(table, mask) * coeff
     return acc
 
 
@@ -190,3 +204,51 @@ def test_sparse_represent_matches_the_dense_sum(data):
     assert sparse == dense
     assert hash(sparse) == hash(dense)
     assert all(type(x) is GaussianRational for row in sparse.entries() for x in row)
+
+
+@pytest.mark.parametrize("table", REPRESENT_TABLES, ids=repr)
+def test_every_blade_image_matches_the_dense_generator_products(table):
+    for mask in range(1 << table.sig.n):
+        expected = _dense_blade(table, mask)
+        assert table.blade_image(mask) == expected
+        for t in range(4):
+            g = GeneratorGroupElement(mask, t)
+            assert table.represent_group_element(g) == expected * g.phase
+            assert table.represent(g.to_element(table.sig)) == expected * g.phase
+            if table.conjugator is None:
+                assert table.signed_permutation(g).dense() == expected * g.phase
+
+
+@pytest.mark.parametrize("table", REPRESENT_TABLES, ids=repr)
+def test_unitary_and_rank_reports_match_the_dense_oracle(table):
+    expected = tuple(
+        g.label()
+        for g in basis_blades(table.sig)
+        if _dense_represent(table, star(g.to_element(table.sig)))
+        != _dense_represent(table, g.to_element(table.sig)).adjoint()
+    )
+    assert verify_unitary(table).failures == expected
+    flattened = (_dense_blade(table, mask).flatten() for mask in range(1 << table.sig.n))
+    assert verify_algebra_iso(table).spanning_rank == rank_of_rows(flattened)
+
+
+def test_tables_reject_generators_that_are_not_signed_permutations():
+    # The transported generators have two entries in a row.
+    sheared = transport_table(Matrix([[1, I], [0, 1]]), build_generators(1))
+    with pytest.raises(ValueError, match="generator 1 is not a signed permutation"):
+        RepresentationTable(Signature(2, 0), sheared.gamma)
+    halved = Matrix([[0, GaussianRational(Fraction(1, 2))], [2, 0]])
+    with pytest.raises(ValueError, match="generator 1 is not a signed permutation"):
+        RepresentationTable(Signature(2, 0), [halved, Matrix([[0, -I], [I, 0]])])
+
+
+def test_transporting_twice_composes_the_conjugators():
+    table = build_generators(1)
+    shear, other = Matrix([[1, I], [0, 1]]), Matrix([[1, 0], [1 + I, 1]])
+    twice = transport_table(other, transport_table(shear, table))
+    f = other @ shear
+    assert twice.conjugator == f
+    for mask in range(4):
+        assert twice.blade_image(mask) == f @ table.blade_image(mask) @ f.inv()
+        assert twice.blade_permutation(mask) == table.blade_permutation(mask)
+    assert twice.description == "tensor ladder over X/Y/Z, transported, transported"

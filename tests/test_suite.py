@@ -234,22 +234,23 @@ def _blade_mul_without_square_sign(a, b, sig):
     return clifford._reorder_sign(a, b), a ^ b
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_closure_record_catches_a_flipped_sign_in_mul(monkeypatch, k):
     monkeypatch.setattr(GeneratorGroupElement, "mul", _mul_with_flipped_sign)
     result = _core_result(monkeypatch, k)
     assert _closure_failure(k) in result.failures
 
 
-def test_closure_record_catches_a_blade_mul_without_the_square_sign(monkeypatch):
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_closure_record_catches_a_blade_mul_without_the_square_sign(monkeypatch, k):
     # Clifford products and `mul` share blade_mul here, so only the matrix
-    # images can tell: e4 squares to -1 in signature (3, 1).
+    # images can tell: the last generator squares to -1 in signature (2k-1, 1).
     monkeypatch.setattr(clifford, "blade_mul", _blade_mul_without_square_sign)
-    result = _core_result(monkeypatch, 2, signature=(3, 1))
-    assert _closure_failure(2) in result.failures
+    result = _core_result(monkeypatch, k, signature=(2 * k - 1, 1))
+    assert _closure_failure(k) in result.failures
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_closure_record_catches_a_reorder_sign_of_always_plus_one(monkeypatch, k):
     monkeypatch.setattr(clifford, "_reorder_sign", lambda a, b: 1)
     result = _core_result(monkeypatch, k)
