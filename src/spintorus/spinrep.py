@@ -154,6 +154,7 @@ class RepresentationTable:
         return self._blades[g.blade].phased(g.i_power)
 
     def blade_image(self, mask: int) -> Matrix:
+        """The image of the blade e_I, as a dense matrix."""
         return self._conjugate(self._blades[mask].dense())
 
     def represent(self, u: CliffordElement) -> Matrix:
