@@ -18,6 +18,12 @@ The integer routines are the Smith form and one sparse kernel: a matrix
 with integer entries kept as sparse rows, applied to a column-major block
 of integer numerator vectors, each reduced modulo its own denominator.
 
+The determinant and the Smith form eliminate a large matrix one connected
+component at a time, where the components join rows and columns through
+nonzero entries: the flattenings of the endomorphism audit are block
+diagonal up to a permutation. A matrix of one component, or a small one,
+is eliminated whole.
+
 Everything here is deterministic: elimination always picks the first
 nonzero pivot in row/column order, and the Smith reduction always picks
 the smallest-magnitude nonzero entry of the working submatrix. That makes
@@ -27,6 +33,7 @@ ranks and divisors reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -45,6 +52,12 @@ _ZERO = GaussianRational()
 
 # The (real, imaginary) parts of the units i^t, indexed by t = 0..3.
 _UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+# Matrices with at most this many entries are eliminated whole. On them,
+# finding the components and eliminating each one costs more than the
+# elimination it saves: the 2g x 2g polarization forms and their leading
+# minors are such matrices up to g = 8.
+_WHOLE_ENTRIES = 256
 
 
 class Matrix:
@@ -220,30 +233,28 @@ class Matrix:
         return self.is_square() and self == self.adjoint()
 
     def det(self) -> GaussianRational:
+        """The exact determinant, by elimination on each connected component (see ``_split``).
+
+        A matrix that does not split is eliminated whole. Otherwise the
+        determinant is 0 if some component is not square, and else the
+        product of the components' determinants times the sign of the
+        permutation that takes each component's rows to its columns.
+        """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        work = [list(row) for row in self._entries]
-        n = self.rows
-        sign = 1
+        entries = self._entries
+        parts = _split(entries, self.cols)
+        if parts is None:
+            return _det(entries)
+        if any(len(rows) != len(cols) for rows, cols in parts):
+            return _ZERO
+        perm = [0] * self.rows
         result = ONE
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot_row is None:
-                return _ZERO
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            result = result * pivot
-            inv = pivot.inverse()
-            for r in range(col + 1, n):
-                factor = work[r][col]
-                if not factor:
-                    continue
-                scale = factor * inv
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - scale * work[col][c]
-        return result if sign > 0 else -result
+        for rows, cols in parts:
+            result = result * _det([[entries[r][c] for c in cols] for r in rows])
+            for r, c in zip(rows, cols):
+                perm[r] = c
+        return result if _permutation_sign(perm) > 0 else -result
 
     def inv(self) -> Matrix:
         if not self.is_square():
@@ -296,6 +307,75 @@ def _permutation_sign(perm: Sequence[int]) -> int:
                 seen[j] = True
                 j = perm[j]
     return -1 if (len(perm) - cycles) & 1 else 1
+
+
+def _components(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the incidence of rows and columns through nonzero entries.
+
+    A union-find over the rows and columns joins each row with the columns
+    of its nonzero entries. Each component is ``(rows, cols)``, both
+    ascending, in the order of their first row; a zero row is a component
+    without columns, and the zero columns come last, each a component
+    without rows. Permuting rows and columns by components makes the
+    matrix block diagonal, with the components' submatrices as blocks.
+    """
+    nr = len(rows)
+    parent = list(range(nr + ncols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for r, row in enumerate(rows):
+        root = find(r)
+        for c in compress(range(nr, nr + ncols), row):
+            other = find(c)
+            if other != root:
+                parent[other] = root
+    parts: dict[int, tuple[list[int], list[int]]] = {}
+    for r in range(nr):
+        parts.setdefault(find(r), ([], []))[0].append(r)
+    for c in range(ncols):
+        parts.setdefault(find(nr + c), ([], []))[1].append(c)
+    return list(parts.values())
+
+
+def _split(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list[int], list[int]]] | None:
+    """The components of a matrix to eliminate one at a time, or None to eliminate it whole.
+
+    None for a matrix of one component or of at most ``_WHOLE_ENTRIES`` entries.
+    """
+    if len(rows) * ncols <= _WHOLE_ENTRIES:
+        return None
+    parts = _components(rows, ncols)
+    return parts if len(parts) > 1 else None
+
+
+def _det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
+    """The determinant of a square matrix by Gaussian elimination over Q(i), first nonzero pivot."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    sign = 1
+    result = ONE
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            return _ZERO
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            sign = -sign
+        pivot = work[col][col]
+        result = result * pivot
+        inv = pivot.inverse()
+        for r in range(col + 1, n):
+            factor = work[r][col]
+            if not factor:
+                continue
+            scale = factor * inv
+            for c in range(col, n):
+                work[r][c] = work[r][c] - scale * work[col][c]
+    return result if sign > 0 else -result
 
 
 class SignedPermutation:
@@ -584,12 +664,55 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Returns the full diagonal of the Smith normal form: nonnegative integers
     d_1 | d_2 | ... with zeros trailing, of length min(rows, cols).
 
-    Elimination only diagonalizes; the diagonal then becomes the divisor
-    chain by replacing each pair ``(d_i, d_j)``, i < j, with ``(gcd, lcm)``,
-    which keeps the matrix equivalent. The divisors are unique, so this is
-    the Smith form whatever the pivots were.
+    Elimination only diagonalizes, one connected component (see
+    ``_split``) at a time: a matrix that is block diagonal up to a
+    permutation is equivalent to the direct sum of its blocks, and one that
+    does not split is eliminated whole. The diagonal then becomes the
+    divisor chain by (gcd, lcm) steps on pairs of its entries, which keep
+    the matrix equivalent. The divisors are unique, so this is the Smith
+    form whatever the pivots and components were.
     """
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(map(int, row)) for row in rows]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    parts = _split(a, nc)
+    if parts is None:
+        divisors = _smith_diagonal(a)
+    else:
+        divisors = [
+            d
+            for part_rows, cols in parts
+            if part_rows and cols
+            for d in _smith_diagonal([[a[r][c] for c in cols] for r in part_rows])
+        ]
+    return _divisor_chain(divisors, min(nr, nc))
+
+
+def _divisor_chain(diagonal: list[int], limit: int) -> tuple[int, ...]:
+    """The Smith form of a diagonal matrix: its nonzero entries as a divisor chain, then zeros up to ``limit``.
+
+    The entries join the chain in ascending order. One that the chain's last
+    divisor divides is appended; any other replaces each divisor c of the
+    chain with ``gcd(c, d)`` while it moves on as ``lcm(c, d)``. Entries
+    that are powers of one prime, as in the endomorphism audit, never take
+    the second branch.
+    """
+    chain: list[int] = []
+    for d in sorted(x for x in diagonal if x):
+        if chain and d % chain[-1]:
+            for i, c in enumerate(chain):
+                chain[i], d = gcd(c, d), lcm(c, d)
+        chain.append(d)
+    return tuple(chain) + (0,) * (limit - len(chain))
+
+
+def _smith_diagonal(a: list[list[int]]) -> list[int]:
+    """Diagonalize the integer matrix ``a`` in place; its nonzero diagonal, as absolute values.
+
+    Each step moves the first entry of least magnitude of the working
+    submatrix to the pivot and clears the pivot's column and row by integer
+    division steps.
+    """
     nr = len(a)
     nc = len(a[0]) if nr else 0
     limit = min(nr, nc)
@@ -643,9 +766,4 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 a[r][t], a[r][p] = a[r][p], a[r][t]
         divisors.append(abs(a[t][t]))
         t += 1
-    divisors.extend([0] * (limit - len(divisors)))
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            first, second = divisors[i], divisors[j]
-            divisors[i], divisors[j] = gcd(first, second), lcm(first, second)
-    return tuple(divisors)
+    return divisors

@@ -247,13 +247,17 @@ class _Env:
     sig: Signature
     table: RepresentationTable
     lattice: LatticeSpec
-    pol: PolarizationData
     config: SuiteConfig
     warnings: list[str]
     index_out: dict
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.config.seed}|{self.k}|{tag}")
+
+    @cached_property
+    def pol(self) -> PolarizationData:
+        """The default polarization of the lattice, built for the first suite that reads it."""
+        return PolarizationData.default(self.lattice)
 
     @cached_property
     def order_partition(self) -> tuple[list[GeneratorGroupElement], list[GeneratorGroupElement]]:
@@ -929,13 +933,11 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
         table = build_generators(k, sig)
         description = table.description
         lattice = config.lattice or LatticeSpec.default(k)
-        pol = PolarizationData.default(lattice)
         env = _Env(
             k=k,
             sig=sig,
             table=table,
             lattice=lattice,
-            pol=pol,
             config=config,
             warnings=warnings,
             index_out=index_out,

@@ -245,20 +245,21 @@ class _TorsionElement:
         owner = self.owner if owner is None else owner
         return (cls or type(self)).from_numerators(owner, den, [col[0] for col in image])
 
-    def _blocks_with(self, other: _TorsionElement) -> list[TorsionBlock]:
+    def _combine(self: _E, other: _E, sign: int) -> _E:
+        """``self + sign * other``, summed over the lcm of the two orders."""
         if type(other) is not type(self):
             raise TypeError(f"a {type(self).__name__} does not combine with a {type(other).__name__}")
         if self.owner is not other.owner and self.owner != other.owner:
             raise LatticeMismatchError(f"cannot combine {type(self).__name__} values of different tori")
-        return blocks_of_one(self, other)
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return self.from_numerators(self.owner, den, [(x * p + y * q) % den for x, y in zip(self.nums, other.nums)])
 
     def __add__(self: _E, other: _E) -> _E:
-        a, b = self._blocks_with(other)
-        return self.from_numerators(self.owner, *(a + b).item(0))
+        return self._combine(other, 1)
 
     def __sub__(self: _E, other: _E) -> _E:
-        a, b = self._blocks_with(other)
-        return self.from_numerators(self.owner, *(a - b).item(0))
+        return self._combine(other, -1)
 
     def __neg__(self: _E) -> _E:
         den = self.den

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,27 @@ from sympy.polys.matrices import DomainMatrix
 
 from spintorus import (
     GaussianRational,
+    LatticeSpec,
     Matrix,
     NotIntegralError,
     SignedPermutation,
     as_gaussian,
+    build_generators,
     rank_of_rows,
     realify,
     smith_form,
 )
-from spintorus.matrices import rank_of_sparse_rows, sparse_rows
+from spintorus.endo import _basis_images, _flattening
+from spintorus.matrices import (
+    _WHOLE_ENTRIES,
+    _components,
+    _det,
+    _divisor_chain,
+    _smith_diagonal,
+    _split,
+    rank_of_sparse_rows,
+    sparse_rows,
+)
 from spintorus.scalars import UNITS
 
 small_rationals = st.fractions(max_denominator=6)
@@ -72,7 +85,7 @@ def test_inverse_round_trips(m):
         assert m @ m.inv() == Matrix.identity(3)
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, deadline=None)
 @given(
     st.lists(
         st.lists(small_gaussians, min_size=5, max_size=5), min_size=3, max_size=3
@@ -168,7 +181,7 @@ def assert_canonical(result: Matrix, expected: sympy.Matrix) -> None:
     assert all(isinstance(x, GaussianRational) for row in result.entries() for x in row)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_products_and_constructions_match_sympy(data):
     r, m, c = (data.draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
@@ -270,6 +283,96 @@ def test_smith_examples():
     assert smith_form([[4, 0], [0, 6], [0, 0]]) == (2, 12)
     assert smith_form([[0, 0, 0], [0, 0, 5]]) == (5, 0)
     assert smith_form([[6, 0, 0], [0, 0, 0], [0, 0, 4]]) == (2, 12, 0)
+
+
+@st.composite
+def shuffled_block_matrices(draw, entries, square=False):
+    """A block-diagonal matrix with its rows and columns shuffled, as lists of rows.
+
+    Blocks may be rectangular or singular, and a single block gives a matrix
+    of one component. A block without rows adds zero columns and one
+    without columns adds zero rows; with ``square`` the blocks are either
+    all square or padded to a square by such a block. Half of the matrices
+    get 4 x 4 blocks until they have more entries than the size that is
+    always eliminated whole.
+    """
+    if square and draw(st.booleans()):
+        shapes = [(n, n) for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))]
+    else:
+        sizes = st.integers(0, 3)
+        shapes = draw(st.lists(st.tuples(sizes, sizes), min_size=1, max_size=4))
+    nr, nc = sum(h for h, _ in shapes), sum(w for _, w in shapes)
+    if draw(st.booleans()):
+        while nr * nc <= _WHOLE_ENTRIES:
+            shapes.append((4, 4))
+            nr, nc = nr + 4, nc + 4
+    if square:
+        shapes.append((nc - nr, 0) if nc > nr else (0, nr - nc))
+        nr = nc = max(nr, nc)
+    if not nr or not nc:
+        shapes.append((1, 1))
+        nr, nc = nr + 1, nc + 1
+    rows = [[0] * nc for _ in range(nr)]
+    top = left = 0
+    for h, w in shapes:
+        for r in range(top, top + h):
+            rows[r][left : left + w] = draw(st.lists(entries, min_size=w, max_size=w))
+        top, left = top + h, left + w
+    row_order = draw(st.permutations(range(nr)))
+    col_order = draw(st.permutations(range(nc)))
+    return [[rows[r][c] for c in col_order] for r in row_order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_block_matrices(st.integers(-6, 6)))
+def test_components_partition_rows_and_columns_along_nonzero_entries(rows):
+    parts = _components(rows, len(rows[0]))
+    assert sorted(r for part_rows, _ in parts for r in part_rows) == list(range(len(rows)))
+    assert sorted(c for _, cols in parts for c in cols) == list(range(len(rows[0])))
+    part_of_row = {r: i for i, (part_rows, _) in enumerate(parts) for r in part_rows}
+    part_of_col = {c: i for i, (_, cols) in enumerate(parts) for c in cols}
+    assert all(part_of_row[r] == part_of_col[c] for r, row in enumerate(rows) for c, x in enumerate(row) if x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_block_matrices(st.integers(-6, 6)))
+def test_smith_form_on_components_matches_the_whole_matrix_and_sympy(rows):
+    limit = min(len(rows), len(rows[0]))
+    divisors = smith_form(rows)
+    assert divisors == _divisor_chain(_smith_diagonal([list(row) for row in rows]), limit)
+    snf = smith_normal_form(sympy.Matrix(rows))
+    assert list(divisors) == [abs(snf[t, t]) for t in range(limit)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_block_matrices(st.one_of(gaussian_integers, small_gaussians), square=True))
+def test_determinant_on_components_matches_the_whole_matrix_and_sympy(rows):
+    m = Matrix(rows)
+    det = m.det()
+    assert det == _det(m.entries())
+    assert QQ_I.from_sympy(to_sympy_scalar(det)) == to_domain(m.entries()).det()
+
+
+def test_determinant_on_components_carries_the_sign_of_the_permutation():
+    # Past the size that is eliminated whole: rows 0 and 1 swap their columns, and row 2 holds i.
+    n = 17
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][{0: 1, 1: 0}.get(r, r)] = r + 1
+    rows[2][2] = GaussianRational(0, 1)
+    assert len(_split(rows, n)) == n
+    assert Matrix(rows).det() == GaussianRational(0, -math.prod(r + 1 for r in range(n) if r != 2))
+    # Rows 0 and 1 meet only column 0, and row 2 meets columns 1 and 2: components 2 x 1 and 1 x 2.
+    rows[0][:3], rows[1][:3], rows[2][:3] = [1, 0, 0], [2, 0, 0], [0, 1, 1]
+    assert len(_split(rows, n)) == n - 1
+    assert Matrix(rows).det() == GaussianRational()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_endomorphism_flattening_splits_into_components_of_2_to_the_k_rows(k):
+    rows = _flattening(_basis_images(build_generators(k), LatticeSpec.default(k)))
+    parts = _components(rows, len(rows[0]))
+    assert sorted((len(part_rows), len(cols)) for part_rows, cols in parts) == [(2**k, 2**k)] * 2 ** (k + 1)
 
 
 def test_structure_helpers():

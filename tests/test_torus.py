@@ -24,6 +24,7 @@ from spintorus import (
     torsion_count,
     torsion_points,
 )
+from spintorus.torus import blocks_of_one
 
 LATTICE = LatticeSpec.default(1)
 
@@ -59,6 +60,14 @@ def test_point_addition_is_an_abelian_group(a, b, c):
     assert a + zero == a
     assert (a - a).is_zero()
     assert a + (-a) == zero
+
+
+@settings(max_examples=60)
+@given(points, points)
+def test_one_element_sums_match_the_block_path(a, b):
+    x, y = blocks_of_one(a, b)
+    assert a + b == TorusPoint.from_numerators(LATTICE, *(x + y).item(0))
+    assert a - b == TorusPoint.from_numerators(LATTICE, *(x - y).item(0))
 
 
 @settings(max_examples=60)
