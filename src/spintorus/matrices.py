@@ -689,16 +689,16 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def _divisor_chain(diagonal: list[int], limit: int) -> tuple[int, ...]:
-    """The Smith form of a diagonal matrix: its nonzero entries as a divisor chain, then zeros up to ``limit``.
+    """The Smith form of a diagonal with nonzero entries: a divisor chain, then zeros up to ``limit``.
 
-    The entries join the chain in ascending order. One that the chain's last
-    divisor divides is appended; any other replaces each divisor c of the
-    chain with ``gcd(c, d)`` while it moves on as ``lcm(c, d)``. Entries
-    that are powers of one prime, as in the endomorphism audit, never take
-    the second branch.
+    The entries join the chain in ascending order. An entry d that the
+    chain's last divisor divides is appended. Any other replaces each
+    divisor c of the chain with ``gcd(c, d)`` while d moves on as
+    ``lcm(c, d)``, and the last lcm is appended. Entries that are powers of
+    one prime, as in the endomorphism audit, are always appended.
     """
     chain: list[int] = []
-    for d in sorted(x for x in diagonal if x):
+    for d in sorted(diagonal):
         if chain and d % chain[-1]:
             for i, c in enumerate(chain):
                 chain[i], d = gcd(c, d), lcm(c, d)
