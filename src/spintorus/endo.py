@@ -26,7 +26,7 @@ from .clifford import (
 from .errors import NotIntegralError, WitnessFailedError
 from .matrices import Matrix, SignedPermutation, rank_of_rows, realify, smith_form
 from .scalars import GaussianRational, as_gaussian
-from .spinrep import RepresentationTable, unimodular_inverse
+from .spinrep import RepresentationTable
 from .torus import LatticeSpec, TorusPoint
 
 
@@ -196,11 +196,10 @@ def decomposition_witness(
 def transport_multiplication(
     f: Matrix, h: CliffordElement, table: RepresentationTable
 ) -> Matrix:
-    """The transported action f * image(h) * f^-1 for a unimodular f."""
+    """The transported action f * image(h) * f^-1 for a unimodular f: h's image in ``transport_table``."""
     if not h.is_gaussian_integral():
         raise NotIntegralError("element has a coefficient outside Z[i]")
-    inverse = unimodular_inverse(f)
-    return f @ table.represent(h) @ inverse
+    return transport_table(f, table).represent(h)
 
 
 def transport_table(f: Matrix, table: RepresentationTable) -> RepresentationTable:

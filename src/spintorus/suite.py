@@ -51,7 +51,6 @@ from .endo import (
     endo_rank,
     representation_determinants_match,
     subring_index,
-    transport_multiplication,
     transport_table,
 )
 from .errors import EnumerationTooLargeError, NotIntegralError
@@ -87,19 +86,6 @@ from .torus import (
     torsion_points,
 )
 
-ALL_SUITES = (
-    "clifford_core",
-    "spinor_rep",
-    "spinor_torus",
-    "clifford_action",
-    "dual_picard",
-    "endo_decomp",
-)
-
-_TORUS_SUITES = frozenset(
-    {"spinor_torus", "clifford_action", "dual_picard", "endo_decomp"}
-)
-
 # Sample sizes per k: random points for the translation systems
 # (clifford_action, endo_decomp) and random bundle classes for the bundle
 # systems (dual_picard); the report's meta records both.
@@ -107,61 +93,6 @@ POINTS_PER_K = 100
 CLASSES_PER_K = 100
 # Basis blades per k whose determinants endo_decomp also takes by the dense route.
 _DENSE_DETERMINANT_SAMPLE = 8
-
-SUITE_STATEMENTS: dict[str, tuple[str, ...]] = {
-    "clifford_core": (
-        "(uv)w = u(vw)",
-        "star is an anti-automorphism: (uv)* = v* u* and u** = u",
-        "grade projections decompose every element",
-        "the signed blades form a group with element orders in {1, 2, 4}",
-        "the Z[i]-span of the blades is closed under the product",
-    ),
-    "spinor_rep": (
-        "gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab q(e_a) Id",
-        "the 4^k blade images are linearly independent, so the module map is an isomorphism onto the matrix algebra",
-        "the module map is a ring homomorphism",
-        "the image of u* is the conjugate transpose of the image of u",
-        "products of unit vectors act by unitary matrices",
-    ),
-    "spinor_torus": (
-        "E = Im H is integer valued on the lattice",
-        "E(iv, iw) = E(v, w)",
-        "H is positive definite",
-        "the polarization type is (1, ..., 1)",
-        "the n-torsion subgroup has n^(2g) points",
-    ),
-    "clifford_action": (
-        "g p = p + M, g^2 p = p + M + N, g^3 p = p + N, g^4 p = p",
-        "2p + M + N = 0 on the torus",
-        "order-2 actors satisfy N = -M",
-        "on two-torsion points N = M and 2M = 0",
-    ),
-    "dual_picard": (
-        "the polarization pairing is a group isomorphism onto the dual torus",
-        "duality intertwines the action: phi(g p) equals the induced action on phi(p)",
-        "the four translation bundles step through L_M, L_M x L_N, L_N, O",
-        "(L dual)^2 = L_M x L_N",
-        "order-2 classes give L_N = L_M with L_M 2-torsion",
-    ),
-    "endo_decomp": (
-        "the rational determinant equals the Gaussian norm of the analytic one",
-        "the realified images of the 2*4^k integral basis elements span rank 2^(2k+1)",
-        "the Smith-divisor product of the image lattice equals the flattening determinant norm",
-        "the scalar i acts as i * Id, an order-4 automorphism splitting the torus into 2^k curves of j-invariant 1728",
-        "every signed blade acts as an invertible lattice self-map",
-    ),
-}
-
-
-@dataclass
-class SuiteConfig:
-    ks: tuple[int, ...] = (1, 2, 3)
-    signature: tuple[int, int] | None = None
-    lattice: LatticeSpec | None = None
-    seed: int = 1729
-    cap: int = DEFAULT_ENUMERATION_CAP
-    suites: tuple[str, ...] = ALL_SUITES
-    strict: bool = False
 
 
 @dataclass
@@ -181,6 +112,7 @@ class SuiteResult:
     skipped: bool = False
     reason: str = ""
     details: dict | None = None
+    statements: tuple[str, ...] = ()
 
 
 @dataclass
@@ -210,19 +142,23 @@ def _render(value: object) -> str:
 
 
 class _Checker:
-    def __init__(self, name: str) -> None:
+    """The checks of one suite at one k, named by its label ``suite:k=K``."""
+
+    def __init__(self, name: str, k: int) -> None:
         self.name = name
+        self.k = k
         self.checks = 0
         self.failures: list[Failure] = []
         self.details: dict | None = None
 
-    def record(self, ok: bool, inputs: dict, expected: object, actual: object) -> None:
-        """Count one check; render its inputs and messages only when it fails.
+    def record(self, ok: bool, expected: object, actual: object, inputs: dict | None = None) -> None:
+        """Count one check; render k, its inputs and its messages only when it fails.
 
         Values may be raw objects or zero-argument callables producing them.
         """
         self.checks += 1
         if not ok:
+            inputs = {"k": self.k, **(inputs or {})}
             self.failures.append(
                 Failure(
                     inputs={key: _render(value) for key, value in inputs.items()},
@@ -231,13 +167,14 @@ class _Checker:
                 )
             )
 
-    def result(self) -> SuiteResult:
+    def result(self, statements: tuple[str, ...]) -> SuiteResult:
         return SuiteResult(
             name=self.name,
             passed=not self.failures,
             checks=self.checks,
             failures=self.failures,
             details=self.details,
+            statements=statements,
         )
 
 
@@ -323,29 +260,133 @@ def _random_bundle(k: int, rng: random.Random) -> BundleClass:
 
 
 def _random_ambient(lattice: LatticeSpec, rng: random.Random) -> tuple[GaussianRational, ...]:
-    return tuple(
-        GaussianRational(_signed_fraction(rng), _signed_fraction(rng))
-        for _ in range(lattice.dim)
-    )
+    return tuple(_random_gaussian(rng) for _ in range(lattice.dim))
 
 
-def _run_clifford_core(env: _Env) -> SuiteResult:
-    chk = _Checker(f"clifford_core:k={env.k}")
+def _two_torsion_limit(env: _Env, items: str) -> str | None:
+    """Why not every two-torsion point (or order-2 class, as many) is scanned; None if all are."""
+    if env.k > 2:
+        return "runs at k <= 2"
+    count = torsion_count(2, env.k)
+    if count > env.config.cap:
+        return f"would take {count} {items}, over the enumeration cap {env.config.cap}"
+    return None
+
+
+def _scan_translation_systems(
+    env: _Env, table: RepresentationTable, points: list[TorusPoint], chk: _Checker
+) -> None:
+    """Record the orbit checks of every actor on ``points``, and its two-torsion scan.
+
+    Past ``_two_torsion_limit`` each actor scans the same 100 seeded
+    two-torsion points, with a warning. LatticeNotPreservedError propagates.
+    """
+    sig = env.sig
+    lattice = env.lattice
+    order4, order2 = env.order_partition
+    block = TorsionBlock.of(points, 2 * lattice.dim)
+    # Each actor moves the whole block at once; a failing record renders its
+    # text from the one-point translation system.
+    for g in order4:
+        actor = g.to_element(sig)
+        orbit, m, n = translation_block(group_lattice_matrix(g, table, lattice), block)
+        verdicts = zip(points, four_step(block, m, n, orbit[1:]), closure(block, m, n))
+        for p, steps_hold, closes in verdicts:
+            inputs = {"actor": actor, "point": p}
+            chk.record(
+                steps_hold,
+                "orbit matches p, p+M, p+M+N, p+N, p",
+                lambda: " | ".join(str(q) for q in translation_system(g, p, table).orbit),
+                inputs,
+            )
+            chk.record(
+                closes,
+                "2p + M + N = 0",
+                lambda: _closure_sum(translation_system(g, p, table)),
+                inputs,
+            )
+
+    degenerate_points = points[:10]
+    degenerate_block = TorsionBlock.of(degenerate_points, 2 * lattice.dim)
+    for g in order2:
+        actor = g.to_element(sig)
+        orbit, m, n = translation_block(group_lattice_matrix(g, table, lattice), degenerate_block, steps=2)
+        for p, holds in zip(degenerate_points, degenerate_pair(degenerate_block, m, n, orbit[2])):
+            chk.record(
+                holds,
+                "N = -M and the orbit closes after two steps",
+                lambda: translation_system(g, p, table).second_translation,
+                {"actor": actor, "point": p},
+            )
+
+    sampled = None
+    why = _two_torsion_limit(env, "points")
+    if why is not None:
+        # Each coordinate draws its real, then its imaginary numerator over 2.
+        sample_rng = env.rng("two-torsion-sample")
+        draws = [[sample_rng.randrange(2) for _ in range(2 * lattice.dim)] for _ in range(100)]
+        sampled = [TorusPoint.from_numerators(lattice, 2, d[0::2] + d[1::2]) for d in draws]
+        warning = (
+            f"k={env.k}: two-torsion scan used 100 seeded points per actor; "
+            f"the exhaustive scan {why}"
+        )
+        if warning not in env.warnings:
+            env.warnings.append(warning)
+    for g in order4 + order2:
+        report = verify_two_torsion(g, table, lattice, cap=env.config.cap, points=sampled)
+        chk.record(
+            report.all_pass,
+            f"N = M and 2M = 0 on {'all' if sampled is None else 'sampled'} two-torsion points",
+            lambda: f"failing points: {', '.join(report.failures) or 'none'}",
+            {"actor": g.to_element(sig), "checked": report.checked},
+        )
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A verification suite: its runner, the statements it checks, and the signatures it runs at."""
+
+    run: Callable[[_Env, _Checker], None]
+    statements: tuple[str, ...]
+    needs_positive_definite: bool
+
+
+# Every suite, in report order; ``_suite`` registers each runner below.
+_SUITES: dict[str, _Suite] = {}
+
+
+def _suite(name: str, *statements: str, needs_positive_definite: bool = False) -> Callable:
+    def register(run: Callable[[_Env, _Checker], None]) -> Callable[[_Env, _Checker], None]:
+        _SUITES[name] = _Suite(run, statements, needs_positive_definite)
+        return run
+
+    return register
+
+
+@_suite(
+    "clifford_core",
+    "(uv)w = u(vw)",
+    "star is an anti-automorphism: (uv)* = v* u* and u** = u",
+    "grade projections decompose every element",
+    "the signed blades form a group with element orders in {1, 2, 4}",
+    "the Z[i]-span of the blades is closed under the product",
+)
+def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     sig = env.sig
     rng = env.rng("core")
 
     for _ in range(25):
         u, v, w = (_random_element(sig, rng) for _ in range(3))
         left, right = (u * v) * w, u * (v * w)
-        chk.record(left == right, {"k": env.k, "u": u, "v": v, "w": w}, left, right)
+        chk.record(left == right, left, right, {"u": u, "v": v, "w": w})
 
     for _ in range(25):
         u, v = _random_element(sig, rng), _random_element(sig, rng)
-        inputs = {"k": env.k, "u": u, "v": v}
+        inputs = {"u": u, "v": v}
         twice = u.star().star()
-        chk.record(twice == u, inputs, u, twice)
+        chk.record(twice == u, u, twice, inputs)
         left, right = (u * v).star(), v.star() * u.star()
-        chk.record(left == right, inputs, left, right)
+        chk.record(left == right, left, right, inputs)
 
     for _ in range(25):
         u = _random_element(sig, rng)
@@ -356,15 +397,10 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
             total = total + piece
             if not piece.is_zero() and piece.grades() != {grade}:
                 pure = False
-        chk.record(total == u and pure, {"k": env.k, "u": u}, u, total)
+        chk.record(total == u and pure, u, total, {"u": u})
 
     group = generator_group(sig)
-    chk.record(
-        len(group) == 1 << (sig.n + 2),
-        {"k": env.k},
-        1 << (sig.n + 2),
-        len(group),
-    )
+    chk.record(len(group) == 1 << (sig.n + 2), 1 << (sig.n + 2), len(group))
     elements = [g.to_element(sig) for g in group]
     inverse_ok = True
     order_ok = True
@@ -407,9 +443,9 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
     closure_ok = closure_ok and all(
         image(x.mul(h, sig)) == image(x) @ image(h) for x in generators[:-1] for h in blades
     )
-    chk.record(closure_ok, {"k": env.k}, "group closed under products", closure_ok)
-    chk.record(inverse_ok, {"k": env.k}, "every element has an inverse", inverse_ok)
-    chk.record(order_ok, {"k": env.k}, "orders in {1, 2, 4} and minimal", order_ok)
+    chk.record(closure_ok, "group closed under products", closure_ok)
+    chk.record(inverse_ok, "every element has an inverse", inverse_ok)
+    chk.record(order_ok, "orders in {1, 2, 4} and minimal", order_ok)
 
     for _ in range(25):
         u = _random_integral_element(sig, rng)
@@ -417,62 +453,62 @@ def _run_clifford_core(env: _Env) -> SuiteResult:
         product = u * v
         chk.record(
             product.is_gaussian_integral() and (u + v).is_gaussian_integral(),
-            {"k": env.k, "u": u, "v": v},
             "integral closure",
             product,
+            {"u": u, "v": v},
         )
-
-    return chk.result()
 
 
 _UNIT_CIRCLE = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)), (Fraction(8, 17), Fraction(15, 17)))
 
 
-def _run_spinor_rep(env: _Env) -> SuiteResult:
-    chk = _Checker(f"spinor_rep:k={env.k}")
+@_suite(
+    "spinor_rep",
+    "gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab q(e_a) Id",
+    "the 4^k blade images are linearly independent, so the module map is an isomorphism onto the matrix algebra",
+    "the module map is a ring homomorphism",
+    "the image of u* is the conjugate transpose of the image of u",
+    "products of unit vectors act by unitary matrices",
+)
+def _run_spinor_rep(env: _Env, chk: _Checker) -> None:
     sig = env.sig
     table = env.table
     rng = env.rng("rep")
 
     relations_ok = clifford_relation_failure(sig, table.ladder_gamma) is None
-    chk.record(relations_ok, {"k": env.k}, "Clifford relations", relations_ok)
+    chk.record(relations_ok, "Clifford relations", relations_ok)
     entries_ok = all(g.is_gaussian_integer() for g in table.gamma)
-    chk.record(entries_ok, {"k": env.k}, "generator entries in Z[i]", entries_ok)
+    chk.record(entries_ok, "generator entries in Z[i]", entries_ok)
 
     iso = verify_algebra_iso(table)
-    chk.record(
-        iso.independent,
-        {"k": env.k},
-        iso.expected_rank,
-        iso.spanning_rank,
-    )
+    chk.record(iso.independent, iso.expected_rank, iso.spanning_rank)
 
     for _ in range(20):
         u, v = _random_element(sig, rng), _random_element(sig, rng)
-        inputs = {"k": env.k, "u": u, "v": v}
+        inputs = {"u": u, "v": v}
         chk.record(
             table.represent(u * v) == table.represent(u) @ table.represent(v),
-            inputs,
             "multiplicative image",
             "image mismatch",
+            inputs,
         )
         chk.record(
             table.represent(u + v) == table.represent(u) + table.represent(v),
-            inputs,
             "additive image",
             "image mismatch",
+            inputs,
         )
 
     unitary = verify_unitary(table)
     if sig.is_positive_definite():
         chk.record(
             unitary.all_compatible,
-            {"k": env.k, "checked": unitary.checked},
             "image of star equals adjoint on all basis elements",
             lambda: f"failures: {', '.join(unitary.failures) or 'none'}",
+            {"checked": unitary.checked},
         )
     else:
-        chk.record(True, {"k": env.k}, "informational", "informational")
+        chk.record(True, "informational", "informational")
         if unitary.failures:
             env.warnings.append(
                 f"k={env.k}: adjoint compatibility fails for "
@@ -490,48 +526,53 @@ def _run_spinor_rep(env: _Env) -> SuiteResult:
             other = CliffordElement.generator(sig, rng.randint(1, sig.n))
             chk.record(
                 verify_spin_preserves_form(table, [vector, other]),
-                {"k": env.k, "v1": vector, "v2": other},
                 "unitary image",
                 "form not preserved",
+                {"v1": vector, "v2": other},
             )
 
-    return chk.result()
 
-
-def _run_spinor_torus(env: _Env) -> SuiteResult:
-    chk = _Checker(f"spinor_torus:k={env.k}")
+@_suite(
+    "spinor_torus",
+    "E = Im H is integer valued on the lattice",
+    "E(iv, iw) = E(v, w)",
+    "H is positive definite",
+    "the polarization type is (1, ..., 1)",
+    "the n-torsion subgroup has n^(2g) points",
+    needs_positive_definite=True,
+)
+def _run_spinor_torus(env: _Env, chk: _Checker) -> None:
     lattice = env.lattice
     pol = env.pol
     rng = env.rng("torus")
     g = lattice.dim
 
     riemann = riemann_check(pol)
-    chk.record(riemann.integral, {"k": env.k}, "integral on the lattice", riemann.integral)
+    chk.record(riemann.integral, "integral on the lattice", riemann.integral)
     chk.record(
         riemann.complex_compatible,
-        {"k": env.k},
         "invariant under multiplication by i",
         riemann.complex_compatible,
     )
-    chk.record(riemann.positive, {"k": env.k}, "positive definite", riemann.positive)
+    chk.record(riemann.positive, "positive definite", riemann.positive)
 
     ptype = polarization_type(pol)
-    chk.record(ptype == (1,) * g, {"k": env.k}, (1,) * g, ptype)
+    chk.record(ptype == (1,) * g, (1,) * g, ptype)
 
     if lattice.is_default:
         expected_form = [
             [0] * g + [-1 if a == b else 0 for b in range(g)] for a in range(g)
         ] + [[1 if a == b else 0 for b in range(g)] + [0] * g for a in range(g)]
         form = pol.integer_form()
-        chk.record(form == expected_form, {"k": env.k}, "standard alternating block form", form)
+        chk.record(form == expected_form, "standard alternating block form", form)
 
     for _ in range(25):
         p, q, r = (_random_point(lattice, rng) for _ in range(3))
-        inputs = {"k": env.k, "p": p, "q": q, "r": r}
-        chk.record((p + q) + r == p + (q + r), inputs, "associative addition", "mismatch")
-        chk.record(p + q == q + p, inputs, "commutative addition", "mismatch")
+        inputs = {"p": p, "q": q, "r": r}
+        chk.record((p + q) + r == p + (q + r), "associative addition", "mismatch", inputs)
+        chk.record(p + q == q + p, "commutative addition", "mismatch", inputs)
         cancelled = p + (-p)
-        chk.record(cancelled == TorusPoint.zero(lattice), inputs, "negation", cancelled)
+        chk.record(cancelled == TorusPoint.zero(lattice), "negation", cancelled, inputs)
 
     for _ in range(25):
         ambient = _random_ambient(lattice, rng)
@@ -539,9 +580,9 @@ def _run_spinor_torus(env: _Env) -> SuiteResult:
         again = lattice.reduce(reduced.lift())
         chk.record(
             again == reduced,
-            {"k": env.k, "ambient": lambda: ", ".join(str(x) for x in ambient)},
             reduced,
             again,
+            {"ambient": lambda: ", ".join(str(x) for x in ambient)},
         )
 
     unit_i = GaussianRational(0, 1)
@@ -549,33 +590,31 @@ def _run_spinor_torus(env: _Env) -> SuiteResult:
         p = _random_point(lattice, rng)
         via_ambient = lattice.reduce(tuple(unit_i * x for x in p.lift()))
         scaled = p.scale(unit_i)
-        chk.record(scaled == via_ambient, {"k": env.k, "p": p}, via_ambient, scaled)
+        chk.record(scaled == via_ambient, via_ambient, scaled, {"p": p})
 
     for n in (1, 2, 3):
         expected = torsion_count(n, env.k)
         if expected > env.config.cap:
             try:
                 torsion_points(n, lattice, cap=env.config.cap)
-                chk.record(False, {"k": env.k, "n": n}, "EnumerationTooLargeError", "no error")
+                chk.record(False, "EnumerationTooLargeError", "no error", {"n": n})
             except EnumerationTooLargeError:
-                chk.record(True, {"k": env.k, "n": n}, "EnumerationTooLargeError", "raised")
+                chk.record(True, "EnumerationTooLargeError", "raised", {"n": n})
             continue
-        count = 0
-        orders_divide = True
-        for point in torsion_points(n, lattice, cap=env.config.cap):
-            count += 1
-            if not (point * n).is_zero():
-                orders_divide = False
-        chk.record(count == expected, {"k": env.k, "n": n}, expected, count)
-        chk.record(
-            orders_divide, {"k": env.k, "n": n}, "every point killed by n", orders_divide
-        )
-
-    return chk.result()
+        killed = [(point * n).is_zero() for point in torsion_points(n, lattice, cap=env.config.cap)]
+        chk.record(len(killed) == expected, expected, len(killed), {"n": n})
+        chk.record(all(killed), "every point killed by n", all(killed), {"n": n})
 
 
-def _run_clifford_action(env: _Env) -> SuiteResult:
-    chk = _Checker(f"clifford_action:k={env.k}")
+@_suite(
+    "clifford_action",
+    "g p = p + M, g^2 p = p + M + N, g^3 p = p + N, g^4 p = p",
+    "2p + M + N = 0 on the torus",
+    "order-2 actors satisfy N = -M",
+    "on two-torsion points N = M and 2M = 0",
+    needs_positive_definite=True,
+)
+def _run_clifford_action(env: _Env, chk: _Checker) -> None:
     sig = env.sig
     table = env.table
     lattice = env.lattice
@@ -591,9 +630,9 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
         through_quotient = act(h, lattice.reduce(ambient), table)
         chk.record(
             direct == through_quotient,
-            {"k": env.k, "element": h, "ambient": lambda: ", ".join(str(x) for x in ambient)},
             direct,
             through_quotient,
+            {"element": h, "ambient": lambda: ", ".join(str(x) for x in ambient)},
         )
 
     for _ in range(20):
@@ -604,99 +643,40 @@ def _run_clifford_action(env: _Env) -> SuiteResult:
         chained = act(g1.to_element(sig), act(g2.to_element(sig), p, table), table)
         chk.record(
             composed == chained,
-            {"k": env.k, "first": g1.to_element(sig), "second": g2.to_element(sig), "point": p},
             composed,
             chained,
+            {"first": g1.to_element(sig), "second": g2.to_element(sig), "point": p},
         )
 
     half_e1 = CliffordElement.generator(sig, 1) * Fraction(1, 2)
     try:
         act(half_e1, TorusPoint.zero(lattice), table)
-        chk.record(False, {"k": env.k}, "NotIntegralError", "no error")
+        chk.record(False, "NotIntegralError", "no error")
     except NotIntegralError:
-        chk.record(True, {"k": env.k}, "NotIntegralError", "raised")
+        chk.record(True, "NotIntegralError", "raised")
 
-    order4, order2 = env.order_partition
+    order4 = env.order_partition[0]
     points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
-    block = TorsionBlock.of(points, 2 * lattice.dim)
     mixed_phase = sum(1 for g in order4 if g.i_power % 2 == 1)
-
-    # Each actor moves the whole block at once; a failing record renders its
-    # text from the one-point translation system.
-    for g in order4:
-        actor = g.to_element(sig)
-        orbit, m, n = translation_block(group_lattice_matrix(g, table, lattice), block)
-        verdicts = zip(points, four_step(block, m, n, orbit[1:]), closure(block, m, n))
-        for p, steps_hold, closes in verdicts:
-            inputs = {"k": env.k, "actor": actor, "point": p}
-            chk.record(
-                steps_hold,
-                inputs,
-                "orbit matches p, p+M, p+M+N, p+N, p",
-                lambda: " | ".join(str(q) for q in translation_system(g, p, table).orbit),
-            )
-            chk.record(
-                closes,
-                inputs,
-                "2p + M + N = 0",
-                lambda: _closure_sum(translation_system(g, p, table)),
-            )
     if mixed_phase:
         env.warnings.append(
             f"k={env.k}: {mixed_phase} of {len(order4)} order-4 actors carry phase "
             "i or -i; the four-step translation statement covers plain blades, and "
             "the phased actors are verified to satisfy it identically"
         )
-
-    degenerate_points = points[:10]
-    degenerate_block = TorsionBlock.of(degenerate_points, 2 * lattice.dim)
-    for g in order2:
-        actor = g.to_element(sig)
-        orbit, m, n = translation_block(group_lattice_matrix(g, table, lattice), degenerate_block, steps=2)
-        for p, holds in zip(degenerate_points, degenerate_pair(degenerate_block, m, n, orbit[2])):
-            chk.record(
-                holds,
-                {"k": env.k, "actor": actor, "point": p},
-                "N = -M and the orbit closes after two steps",
-                lambda: translation_system(g, p, table).second_translation,
-            )
-
-    sampled = None
-    scope = "all"
-    if env.k > 2:
-        sample_rng = env.rng("two-torsion-sample")
-        half = Fraction(1, 2)
-        sampled = [
-            TorusPoint(
-                lattice,
-                tuple(
-                    GaussianRational(
-                        half * sample_rng.randrange(2), half * sample_rng.randrange(2)
-                    )
-                    for _ in range(lattice.dim)
-                ),
-            )
-            for _ in range(100)
-        ]
-        scope = "sampled"
-        env.warnings.append(
-            f"k={env.k}: two-torsion scan used 100 seeded points per actor; "
-            "the exhaustive scan runs at k <= 2"
-        )
-    for g in order4 + order2:
-        report = verify_two_torsion(g, table, lattice, cap=env.config.cap, points=sampled)
-        chk.record(
-            report.all_pass,
-            {"k": env.k, "actor": g.to_element(sig), "checked": report.checked},
-            f"N = M and 2M = 0 on {scope} two-torsion points",
-            lambda: f"failing points: {', '.join(report.failures) or 'none'}",
-        )
-
-    return chk.result()
+    _scan_translation_systems(env, table, points, chk)
 
 
-def _run_dual_picard(env: _Env) -> SuiteResult:
-    chk = _Checker(f"dual_picard:k={env.k}")
+@_suite(
+    "dual_picard",
+    "the polarization pairing is a group isomorphism onto the dual torus",
+    "duality intertwines the action: phi(g p) equals the induced action on phi(p)",
+    "the four translation bundles step through L_M, L_M x L_N, L_N, O",
+    "(L dual)^2 = L_M x L_N",
+    "order-2 classes give L_N = L_M with L_M 2-torsion",
+    needs_positive_definite=True,
+)
+def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     sig = env.sig
     table = env.table
     lattice = env.lattice
@@ -706,19 +686,18 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
     for _ in range(25):
         p = _random_point(lattice, rng)
         roundtrip = bundle_to_point(point_to_bundle(p, pol), pol)
-        chk.record(roundtrip == p, {"k": env.k, "point": p}, p, roundtrip)
+        chk.record(roundtrip == p, p, roundtrip, {"point": p})
         bundle = _random_bundle(env.k, rng)
         back = point_to_bundle(bundle_to_point(bundle, pol), pol)
-        chk.record(back == bundle, {"k": env.k, "bundle": bundle}, bundle, back)
+        chk.record(back == bundle, bundle, back, {"bundle": bundle})
 
     for _ in range(15):
         p, q = _random_point(lattice, rng), _random_point(lattice, rng)
         chk.record(
-            point_to_bundle(p + q, pol)
-            == point_to_bundle(p, pol).tensor(point_to_bundle(q, pol)),
-            {"k": env.k, "p": p, "q": q},
+            point_to_bundle(p + q, pol) == point_to_bundle(p, pol).tensor(point_to_bundle(q, pol)),
             "duality is a homomorphism",
             "mismatch",
+            {"p": p, "q": q},
         )
 
     for _ in range(25):
@@ -726,12 +705,12 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
         p = _random_point(lattice, rng)
         left = point_to_bundle(act(h.to_element(sig), p, table), pol)
         right = bundle_action(h.to_element(sig), point_to_bundle(p, pol), table, pol)
-        chk.record(left == right, {"k": env.k, "element": h.to_element(sig), "point": p}, left, right)
+        chk.record(left == right, left, right, {"element": h.to_element(sig), "point": p})
 
     for _ in range(25):
         p = _random_point(lattice, rng)
         bundle_order = point_to_bundle(p, pol).order()
-        chk.record(bundle_order == p.order(), {"k": env.k, "point": p}, p.order(), bundle_order)
+        chk.record(bundle_order == p.order(), p.order(), bundle_order, {"point": p})
 
     order4, order2 = env.order_partition
     histogram: dict[str, list[int]] = {}
@@ -746,14 +725,15 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
         for bundle, holds in zip(bundles, held):
             chk.record(
                 holds,
-                {"k": env.k, "actor": actor, "bundle": bundle},
                 "four-step bundle system and dual-square identity",
                 lambda: f"steps: {' | '.join(str(s) for s in bundle_system(g, bundle, table, pol).steps)}",
+                {"actor": actor, "bundle": bundle},
             )
         histogram[g.label()] = sorted(set(first.orders()))
     chk.details = {"translation_bundle_orders": histogram}
 
-    if env.k <= 2:
+    why = _two_torsion_limit(env, "classes")
+    if why is None:
         # Every class of order <= 2, numerators over 2 in lexicographic order.
         halves = [list(col) for col in zip(*itertools.product(range(2), repeat=2 << env.k))]
         classes = TorsionBlock([2] * len(halves[0]), halves)
@@ -762,20 +742,24 @@ def _run_dual_picard(env: _Env) -> SuiteResult:
             witness = next((t for t, holds in enumerate(scan) if not holds), None)
             chk.record(
                 witness is None,
-                {"k": env.k, "actor": g.to_element(sig), "classes": len(classes)},
                 "translation bundles agree and are 2-torsion",
                 lambda: f"failing class: {BundleClass.from_numerators(env.k, *classes.item(witness))}",
+                {"actor": g.to_element(sig), "classes": len(classes)},
             )
     else:
-        env.warnings.append(
-            f"k={env.k}: the exhaustive order-2 bundle scan runs at k <= 2"
-        )
-
-    return chk.result()
+        env.warnings.append(f"k={env.k}: the exhaustive order-2 bundle scan {why}")
 
 
-def _run_endo_decomp(env: _Env) -> SuiteResult:
-    chk = _Checker(f"endo_decomp:k={env.k}")
+@_suite(
+    "endo_decomp",
+    "the rational determinant equals the Gaussian norm of the analytic one",
+    "the realified images of the 2*4^k integral basis elements span rank 2^(2k+1)",
+    "the Smith-divisor product of the image lattice equals the flattening determinant norm",
+    "the scalar i acts as i * Id, an order-4 automorphism splitting the torus into 2^k curves of j-invariant 1728",
+    "every signed blade acts as an invertible lattice self-map",
+    needs_positive_definite=True,
+)
+def _run_endo_decomp(env: _Env, chk: _Checker) -> None:
     sig = env.sig
     table = env.table
     lattice = env.lattice
@@ -791,23 +775,21 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
     )
     chk.record(
         determinants_ok,
-        {"k": env.k},
         "rational determinant equals the Gaussian norm of the analytic one",
         determinants_ok,
     )
 
     rank = endo_rank(table, lattice)
-    chk.record(rank == 1 << (2 * env.k + 1), {"k": env.k}, 1 << (2 * env.k + 1), rank)
+    chk.record(rank == 1 << (2 * env.k + 1), 1 << (2 * env.k + 1), rank)
 
     audit = subring_index(table, lattice)
     chk.record(
         audit.consistent,
-        {"k": env.k},
         lambda: f"Smith product {audit.index_str}",
         lambda: f"determinant norm {audit.determinant_norm}",
     )
     if env.k == 1:
-        chk.record(audit.index == 16, {"k": env.k}, 16, audit.index_str)
+        chk.record(audit.index == 16, 16, audit.index_str)
     if audit.index != 1:
         env.warnings.append(
             f"k={env.k}: the algebra image sits at index {audit.index_str} inside "
@@ -822,36 +804,24 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
 
     witness = decomposition_witness(table, lattice)
     chk.record(
-        witness.analytic_matrix
-        == Matrix.identity(table.dim) * GaussianRational(0, 1),
-        {"k": env.k},
+        witness.analytic_matrix == Matrix.identity(table.dim) * GaussianRational(0, 1),
         "i acts as i * identity",
         witness.analytic_matrix,
     )
-    chk.record(witness.order == 4, {"k": env.k}, 4, witness.order)
+    chk.record(witness.order == 4, 4, witness.order)
     if witness.basis_map is not None:
         split_ok = True
         for _ in range(10):
             p, q = _random_point(lattice, rng), _random_point(lattice, rng)
-            left = witness.split(p + q)
-            right = tuple(
-                (a + b).mod1() for a, b in zip(witness.split(p), witness.split(q))
-            )
-            if left != right:
-                split_ok = False
+            right = tuple((a + b).mod1() for a, b in zip(witness.split(p), witness.split(q)))
+            split_ok &= witness.split(p + q) == right
         chk.record(
-            split_ok,
-            {"k": env.k},
-            "coordinate projections are homomorphisms onto the factor curves",
-            split_ok,
+            split_ok, "coordinate projections are homomorphisms onto the factor curves", split_ok
         )
 
     contained = automorphism_containment(table, lattice)
     chk.record(
-        contained,
-        {"k": env.k},
-        "every generator-group element is an invertible lattice self-map",
-        contained,
+        contained, "every generator-group element is an invertible lattice self-map", contained
     )
 
     if env.k == 1:
@@ -859,50 +829,40 @@ def _run_endo_decomp(env: _Env) -> SuiteResult:
         moved = transport_table(conjugator, table)
         multiplicative_ok = True
         for _ in range(10):
-            u = _random_integral_element(sig, rng)
-            v = _random_integral_element(sig, rng)
-            lhs = transport_multiplication(conjugator, u * v, table)
-            rhs = (
-                transport_multiplication(conjugator, u, table)
-                @ transport_multiplication(conjugator, v, table)
-            )
-            if lhs != rhs:
-                multiplicative_ok = False
+            u, v = _random_integral_element(sig, rng), _random_integral_element(sig, rng)
+            multiplicative_ok &= moved.represent(u * v) == moved.represent(u) @ moved.represent(v)
         chk.record(
             multiplicative_ok,
-            {"k": env.k, "conjugator": "[[1, i], [0, 1]]"},
             "transported multiplication is multiplicative",
             multiplicative_ok,
+            {"conjugator": "[[1, i], [0, 1]]"},
         )
 
-        order4, order2 = env.order_partition
-        transported_ok = True
-        block = TorsionBlock.of([_random_point(lattice, rng) for _ in range(POINTS_PER_K)], 2 * lattice.dim)
-        for g in order4:
-            orbit, m, n = translation_block(group_lattice_matrix(g, moved, lattice), block)
-            if not (all(four_step(block, m, n, orbit[1:])) and all(closure(block, m, n))):
-                transported_ok = False
-        for g in order4 + order2:
-            if not verify_two_torsion(g, moved, lattice, cap=env.config.cap).all_pass:
-                transported_ok = False
+        # The scan's records only decide this one check.
+        points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
+        scan = _Checker(chk.name, env.k)
+        _scan_translation_systems(env, moved, points, scan)
+        transported_ok = not scan.failures
         chk.record(
             transported_ok,
-            {"k": env.k, "conjugator": "[[1, i], [0, 1]]"},
             "translation systems and two-torsion scan pass on the transported action",
             transported_ok,
+            {"conjugator": "[[1, i], [0, 1]]"},
         )
 
-    return chk.result()
+
+ALL_SUITES = tuple(_SUITES)
 
 
-_RUNNERS: dict[str, Callable[[_Env], SuiteResult]] = {
-    "clifford_core": _run_clifford_core,
-    "spinor_rep": _run_spinor_rep,
-    "spinor_torus": _run_spinor_torus,
-    "clifford_action": _run_clifford_action,
-    "dual_picard": _run_dual_picard,
-    "endo_decomp": _run_endo_decomp,
-}
+@dataclass
+class SuiteConfig:
+    ks: tuple[int, ...] = (1, 2, 3)
+    signature: tuple[int, int] | None = None
+    lattice: LatticeSpec | None = None
+    seed: int = 1729
+    cap: int = DEFAULT_ENUMERATION_CAP
+    suites: tuple[str, ...] = ALL_SUITES
+    strict: bool = False
 
 
 def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
@@ -942,24 +902,17 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
             warnings=warnings,
             index_out=index_out,
         )
-        for name in ALL_SUITES:
+        for name, suite in _SUITES.items():
             if name not in config.suites:
                 continue
-            label = f"{name}:k={k}"
-            if name in _TORUS_SUITES and not sig.is_positive_definite():
-                results.append(
-                    SuiteResult(
-                        name=label,
-                        passed=True,
-                        checks=0,
-                        failures=[],
-                        skipped=True,
-                        reason="needs a positive-definite signature",
-                    )
-                )
+            chk = _Checker(f"{name}:k={k}", k)
+            if suite.needs_positive_definite and not sig.is_positive_definite():
+                reason = "needs a positive-definite signature"
+                results.append(SuiteResult(chk.name, True, 0, [], skipped=True, reason=reason))
                 continue
             started = time.perf_counter()
-            result = _RUNNERS[name](env)
+            suite.run(env, chk)
+            result = chk.result(suite.statements)
             result.ms = (time.perf_counter() - started) * 1000.0
             results.append(result)
 
@@ -1015,9 +968,8 @@ def report_document(report: VerificationReport, include_timings: bool = False) -
             entry["reason"] = s.reason
         if s.details:
             entry["details"] = s.details
-        statements = SUITE_STATEMENTS.get(s.name.split(":", 1)[0])
-        if statements and not s.skipped:
-            entry["statements"] = list(statements)
+        if s.statements:
+            entry["statements"] = list(s.statements)
         suites.append(entry)
     return {
         "meta": report.meta,
@@ -1045,6 +997,7 @@ def report_from_document(doc: dict) -> VerificationReport:
                 skipped=entry.get("skipped", False),
                 reason=entry.get("reason", ""),
                 details=entry.get("details"),
+                statements=tuple(entry.get("statements", ())),
             )
         )
     return VerificationReport(

@@ -13,6 +13,7 @@ from spintorus import (
     CliffordElement,
     Failure,
     GeneratorGroupElement,
+    Matrix,
     Signature,
     SuiteConfig,
     TorusPoint,
@@ -137,6 +138,28 @@ FORCED_FAILURES = [
         },
     ),
     (
+        "spinor_rep",
+        [(Matrix, "__eq__", _false)],
+        54,
+        50,
+        {
+            0: _failure(
+                {
+                    "u": "0 - (14/3-46/35*i) - (18/31+8/3*i)*e1 + (16/13+34/63*i)*e2",
+                    "v": "0 - (2/3-14/11*i) - (59/12-51/38*i)*e1 - (5/2-38/43*i)*e2",
+                },
+                "multiplicative image",
+                "image mismatch",
+            ),
+            39: _failure(
+                {"u": "(15/8-50/49*i)*e1", "v": "(7+5/3*i) + (15/26+43/22*i)*e2"},
+                "additive image",
+                "image mismatch",
+            ),
+            40: _failure({"v1": "4/5*e1 + 3/5*e2", "v2": "e1"}, "unitary image", "form not preserved"),
+        },
+    ),
+    (
         "spinor_torus",
         [(TorusPoint, "__eq__", _false)],
         121,
@@ -190,6 +213,19 @@ FORCED_FAILURES = [
                 {"actor": "i", "classes": "16"},
                 "translation bundles agree and are 2-torsion",
                 "failing class: [0, 0, 0, 0]",
+            ),
+        },
+    ),
+    (
+        "endo_decomp",
+        [(TorsionBlock, "agrees", _disagrees)],
+        10,
+        1,
+        {
+            0: _failure(
+                {"conjugator": "[[1, i], [0, 1]]"},
+                "translation systems and two-torsion scan pass on the transported action",
+                "False",
             ),
         },
     ),
@@ -315,6 +351,17 @@ def test_cli_verify_text_and_exit_codes(capsys):
     assert main(["verify", "--k", "1", "--strict"]) == 1
     captured = capsys.readouterr()
     assert "proper containment" in captured.err
+
+
+def test_cli_verify_honours_a_cap_below_the_two_torsion_count(capsys):
+    # k=1 has 16 two-torsion points and 16 order-2 classes: both point scans
+    # (clifford_action, and endo_decomp's transported one) fall back to the
+    # seeded sample under one warning, and the class scan is skipped.
+    assert main(["verify", "--k", "1", "--cap", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "result: PASS" in out
+    assert out.count("the exhaustive scan would take 16 points, over the enumeration cap 4") == 1
+    assert "the exhaustive order-2 bundle scan would take 16 classes, over the enumeration cap 4" in out
 
 
 def test_cli_verify_json_output(capsys, tmp_path):
