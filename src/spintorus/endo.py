@@ -90,15 +90,18 @@ def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
 
     The realified matrix of an image is an injective linear function of its
     real and imaginary parts, so the realified images span a lattice of the
-    same rank as the flattening, which has half as many columns.
+    same rank as the flattening, which has half as many columns. Read from
+    ``subring_index``, which builds that flattening once for the rank and
+    the index.
     """
-    return rank_of_rows(_flattening(_basis_images(table, lattice)))
+    return subring_index(table, lattice).rank
 
 
 @dataclass(frozen=True)
 class SubringIndex:
-    """Both routes to the index of the algebra image in the full endomorphism ring."""
+    """Both routes to the index of the algebra image in the full endomorphism ring, and the image's rank."""
 
+    rank: int
     smith_divisors: tuple[int, ...]
     index: int | None
     determinant_norm: int
@@ -113,14 +116,17 @@ class SubringIndex:
 
 
 def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIndex:
-    """Measure the image's index inside all lattice endomorphisms, two ways.
+    """Measure the image's index inside all lattice endomorphisms, two ways, and its rank.
 
     Route one takes the product of the Smith divisors of the flattening,
     whose columns are the standard integer basis of the full matrix ring.
     Route two takes the Gaussian norm of the complex flattening determinant.
+    The rank (see ``endo_rank``) comes from a separate elimination of the
+    same flattening.
     """
     images = _basis_images(table, lattice)
-    divisors = smith_form(_flattening(images))
+    flattening = _flattening(images)
+    divisors = smith_form(flattening)
     index = None
     if all(divisors):
         index = 1
@@ -134,6 +140,7 @@ def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIn
         raise NotIntegralError("flattening determinant is not integral")
 
     return SubringIndex(
+        rank=rank_of_rows(flattening),
         smith_divisors=divisors,
         index=index,
         determinant_norm=norm.numerator,

@@ -18,11 +18,10 @@ The integer routines are the Smith form and one sparse kernel: a matrix
 with integer entries kept as sparse rows, applied to a column-major block
 of integer numerator vectors, each reduced modulo its own denominator.
 
-The determinant and the Smith form eliminate a large matrix one connected
+The determinant and the Smith form eliminate a matrix one connected
 component at a time, where the components join rows and columns through
 nonzero entries: the flattenings of the endomorphism audit are block
-diagonal up to a permutation. A matrix of one component, or a small one,
-is eliminated whole.
+diagonal up to a permutation.
 
 Everything here is deterministic: elimination always picks the first
 nonzero pivot in row/column order, and the Smith reduction always picks
@@ -52,12 +51,6 @@ _ZERO = GaussianRational()
 
 # The (real, imaginary) parts of the units i^t, indexed by t = 0..3.
 _UNIT_PARTS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-# Matrices with at most this many entries are eliminated whole. On them,
-# finding the components and eliminating each one costs more than the
-# elimination it saves: the 2g x 2g polarization forms and their leading
-# minors are such matrices up to g = 8.
-_WHOLE_ENTRIES = 256
 
 
 class Matrix:
@@ -233,19 +226,16 @@ class Matrix:
         return self.is_square() and self == self.adjoint()
 
     def det(self) -> GaussianRational:
-        """The exact determinant, by elimination on each connected component (see ``_split``).
+        """The exact determinant, by elimination on each connected component (see ``_components``).
 
-        A matrix that does not split is eliminated whole. Otherwise the
-        determinant is 0 if some component is not square, and else the
+        The determinant is 0 if some component is not square, and else the
         product of the components' determinants times the sign of the
         permutation that takes each component's rows to its columns.
         """
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         entries = self._entries
-        parts = _split(entries, self.cols)
-        if parts is None:
-            return _det(entries)
+        parts = _components(entries, self.cols)
         if any(len(rows) != len(cols) for rows, cols in parts):
             return _ZERO
         perm = [0] * self.rows
@@ -339,17 +329,6 @@ def _components(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list
     for c in range(ncols):
         parts.setdefault(find(nr + c), ([], []))[1].append(c)
     return list(parts.values())
-
-
-def _split(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list[int], list[int]]] | None:
-    """The components of a matrix to eliminate one at a time, or None to eliminate it whole.
-
-    None for a matrix of one component or of at most ``_WHOLE_ENTRIES`` entries.
-    """
-    if len(rows) * ncols <= _WHOLE_ENTRIES:
-        return None
-    parts = _components(rows, ncols)
-    return parts if len(parts) > 1 else None
 
 
 def _det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
@@ -665,26 +644,21 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     d_1 | d_2 | ... with zeros trailing, of length min(rows, cols).
 
     Elimination only diagonalizes, one connected component (see
-    ``_split``) at a time: a matrix that is block diagonal up to a
-    permutation is equivalent to the direct sum of its blocks, and one that
-    does not split is eliminated whole. The diagonal then becomes the
-    divisor chain by (gcd, lcm) steps on pairs of its entries, which keep
-    the matrix equivalent. The divisors are unique, so this is the Smith
-    form whatever the pivots and components were.
+    ``_components``) at a time: a matrix that is block diagonal up to a
+    permutation is equivalent to the direct sum of its blocks. The diagonal
+    then becomes the divisor chain by (gcd, lcm) steps on pairs of its
+    entries, which keep the matrix equivalent. The divisors are unique, so
+    this is the Smith form whatever the pivots and components were.
     """
     a = [list(map(int, row)) for row in rows]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    parts = _split(a, nc)
-    if parts is None:
-        divisors = _smith_diagonal(a)
-    else:
-        divisors = [
-            d
-            for part_rows, cols in parts
-            if part_rows and cols
-            for d in _smith_diagonal([[a[r][c] for c in cols] for r in part_rows])
-        ]
+    divisors = [
+        d
+        for part_rows, cols in _components(a, nc)
+        if part_rows and cols
+        for d in _smith_diagonal([[a[r][c] for c in cols] for r in part_rows])
+    ]
     return _divisor_chain(divisors, min(nr, nc))
 
 

@@ -12,7 +12,6 @@ reproducible.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
@@ -48,7 +47,6 @@ from .endo import (
     automorphism_containment,
     decomposition_witness,
     determinant_routes_agree,
-    endo_rank,
     representation_determinants_match,
     subring_index,
     transport_table,
@@ -82,6 +80,7 @@ from .torus import (
     TorusPoint,
     polarization_type,
     riemann_check,
+    torsion_block,
     torsion_count,
     torsion_points,
 )
@@ -734,9 +733,8 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
 
     why = _two_torsion_limit(env, "classes")
     if why is None:
-        # Every class of order <= 2, numerators over 2 in lexicographic order.
-        halves = [list(col) for col in zip(*itertools.product(range(2), repeat=2 << env.k))]
-        classes = TorsionBlock([2] * len(halves[0]), halves)
+        # Every class of order <= 2: the numerators over 2 of the two-torsion points, in their order.
+        classes = torsion_block(2, lattice, cap=env.config.cap)
         for g in order4 + order2:
             scan = two_torsion_bundle_scan(g, classes, table, pol)
             witness = next((t for t, holds in enumerate(scan) if not holds), None)
@@ -779,10 +777,8 @@ def _run_endo_decomp(env: _Env, chk: _Checker) -> None:
         determinants_ok,
     )
 
-    rank = endo_rank(table, lattice)
-    chk.record(rank == 1 << (2 * env.k + 1), 1 << (2 * env.k + 1), rank)
-
     audit = subring_index(table, lattice)
+    chk.record(audit.rank == 1 << (2 * env.k + 1), 1 << (2 * env.k + 1), audit.rank)
     chk.record(
         audit.consistent,
         lambda: f"Smith product {audit.index_str}",

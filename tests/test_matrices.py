@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ_I
 from sympy.matrices.normalforms import smith_normal_form
@@ -27,12 +27,10 @@ from spintorus import (
 )
 from spintorus.endo import _basis_images, _flattening
 from spintorus.matrices import (
-    _WHOLE_ENTRIES,
     _components,
     _det,
     _divisor_chain,
     _smith_diagonal,
-    _split,
     rank_of_sparse_rows,
     sparse_rows,
 )
@@ -292,20 +290,15 @@ def shuffled_block_matrices(draw, entries, square=False):
     Blocks may be rectangular or singular, and a single block gives a matrix
     of one component. A block without rows adds zero columns and one
     without columns adds zero rows; with ``square`` the blocks are either
-    all square or padded to a square by such a block. Half of the matrices
-    get 4 x 4 blocks until they have more entries than the size that is
-    always eliminated whole.
+    all square and nonsingular or padded to a square by such a block.
     """
-    if square and draw(st.booleans()):
+    nonsingular = square and draw(st.booleans())
+    if nonsingular:
         shapes = [(n, n) for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))]
     else:
         sizes = st.integers(0, 3)
         shapes = draw(st.lists(st.tuples(sizes, sizes), min_size=1, max_size=4))
     nr, nc = sum(h for h, _ in shapes), sum(w for _, w in shapes)
-    if draw(st.booleans()):
-        while nr * nc <= _WHOLE_ENTRIES:
-            shapes.append((4, 4))
-            nr, nc = nr + 4, nc + 4
     if square:
         shapes.append((nc - nr, 0) if nc > nr else (0, nr - nc))
         nr = nc = max(nr, nc)
@@ -315,8 +308,9 @@ def shuffled_block_matrices(draw, entries, square=False):
     rows = [[0] * nc for _ in range(nr)]
     top = left = 0
     for h, w in shapes:
-        for r in range(top, top + h):
-            rows[r][left : left + w] = draw(st.lists(entries, min_size=w, max_size=w))
+        block = st.lists(st.lists(entries, min_size=w, max_size=w), min_size=h, max_size=h)
+        for r, row in enumerate(draw(block.filter(_det) if nonsingular else block), start=top):
+            rows[r][left : left + w] = row
         top, left = top + h, left + w
     row_order = draw(st.permutations(range(nr)))
     col_order = draw(st.permutations(range(nc)))
@@ -334,8 +328,8 @@ def test_components_partition_rows_and_columns_along_nonzero_entries(rows):
     assert all(part_of_row[r] == part_of_col[c] for r, row in enumerate(rows) for c, x in enumerate(row) if x)
 
 
-# Shrinking a failing example of up to about 20 x 20 through sympy takes
-# minutes; these comparisons report the first failing matrix as drawn.
+# Shrinking a failing example of up to 12 x 12 through sympy is slow;
+# these comparisons report the first failing matrix as drawn.
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
@@ -349,7 +343,10 @@ def test_smith_form_on_components_matches_the_whole_matrix_and_sympy(rows):
     assert list(divisors) == [abs(snf[t, t]) for t in range(limit)]
 
 
-@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+# Components 2 x 2 (rows 0 and 2) and 1 x 1 (row 1), paired with their
+# columns by the odd permutation [0, 2, 1]: the determinant is -(3-2i)*5.
+@example([[1, GaussianRational(0, 1), 0], [0, 0, 5], [2, 3, 0]])
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(shuffled_block_matrices(st.one_of(gaussian_integers, small_gaussians), square=True))
 def test_determinant_on_components_matches_the_whole_matrix_and_sympy(rows):
     m = Matrix(rows)
@@ -359,17 +356,17 @@ def test_determinant_on_components_matches_the_whole_matrix_and_sympy(rows):
 
 
 def test_determinant_on_components_carries_the_sign_of_the_permutation():
-    # Past the size that is eliminated whole: rows 0 and 1 swap their columns, and row 2 holds i.
+    # Rows 0 and 1 swap their columns, and row 2 holds i.
     n = 17
     rows = [[0] * n for _ in range(n)]
     for r in range(n):
         rows[r][{0: 1, 1: 0}.get(r, r)] = r + 1
     rows[2][2] = GaussianRational(0, 1)
-    assert len(_split(rows, n)) == n
+    assert len(_components(rows, n)) == n
     assert Matrix(rows).det() == GaussianRational(0, -math.prod(r + 1 for r in range(n) if r != 2))
     # Rows 0 and 1 meet only column 0, and row 2 meets columns 1 and 2: components 2 x 1 and 1 x 2.
     rows[0][:3], rows[1][:3], rows[2][:3] = [1, 0, 0], [2, 0, 0], [0, 1, 1]
-    assert len(_split(rows, n)) == n - 1
+    assert len(_components(rows, n)) == n - 1
     assert Matrix(rows).det() == GaussianRational()
 
 

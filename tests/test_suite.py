@@ -388,7 +388,7 @@ def test_cli_report_round_trip(capsys, tmp_path):
     assert capsys.readouterr().out.encode() == target.read_bytes()
 
     assert main(["report", "--json", str(target), "--strict"]) == 1
-    capsys.readouterr()
+    assert "strict: the endomorphism audit reports a proper containment" in capsys.readouterr().err
 
     corrupted = tmp_path / "broken.json"
     corrupted.write_text("{not json")
