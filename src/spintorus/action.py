@@ -15,13 +15,14 @@ of points at once: the actor's realified lattice rows act on each
 coordinate column, and M, N and every identity are column arithmetic
 modulo each point's own denominator. Each identity is one predicate over
 blocks, returning a verdict per point; a single :class:`TranslationSystem`
-checks itself with the same predicates on blocks of one.
+checks itself with the same predicates on blocks of one, and
+``verify_two_torsion`` on the block of every two-torsion point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, as_signed_blade, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
@@ -222,7 +223,7 @@ def translation_system(
 
 @dataclass(frozen=True)
 class TwoTorsionReport:
-    """Exhaustive (or sampled) two-torsion scan for one actor."""
+    """Exhaustive two-torsion scan for one actor."""
 
     actor: GeneratorGroupElement
     checked: int
@@ -238,22 +239,17 @@ def verify_two_torsion(
     table: RepresentationTable,
     lattice: LatticeSpec,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    points: Iterable[TorusPoint] | None = None,
 ) -> TwoTorsionReport:
-    """On each scanned two-torsion point: both translations coincide and are 2-torsion.
+    """On every two-torsion point: both translations coincide and are 2-torsion.
 
-    ``points`` defaults to every two-torsion point, enumerated under ``cap``;
-    pass a subset to scan a sample instead. The points are scanned as one
-    block, and the failures name every failing point in scan order.
+    The points, enumerated under ``cap``, are scanned as one block, and the
+    failures name every failing point in scan order.
     """
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("the scan needs an actor of order at least 2")
     matrix = group_lattice_matrix(g, table, lattice)
-    if points is None:
-        block = torsion_block(2, lattice, cap=cap)
-    else:
-        block = TorsionBlock.of(list(points), 2 * lattice.dim)
+    block = torsion_block(2, lattice, cap=cap)
     _, m, n = translation_block(matrix, block, steps=2)
     failures = tuple(
         str(TorusPoint.from_numerators(lattice, *block.item(t)))

@@ -17,6 +17,7 @@ back through `act` or `dual`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -265,7 +266,9 @@ def _add_common(parser: argparse.ArgumentParser, default_k: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="spintorus",
         description="Exact Clifford-algebra actions on Gaussian tori.",

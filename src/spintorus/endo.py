@@ -90,11 +90,11 @@ def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
 
     The realified matrix of an image is an injective linear function of its
     real and imaginary parts, so the realified images span a lattice of the
-    same rank as the flattening, which has half as many columns. Read from
-    ``subring_index``, which builds that flattening once for the rank and
-    the index.
+    same rank as the flattening, which has half as many columns. The
+    elimination is the one ``subring_index`` runs for its own ``rank``,
+    without that audit's Smith form and determinant.
     """
-    return subring_index(table, lattice).rank
+    return rank_of_rows(_flattening(_basis_images(table, lattice)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .action import (
     preserves_lattice,
     translation_block,
     translation_system,
-    verify_two_torsion,
+    two_torsion_pair,
 )
 from .clifford import (
     CliffordElement,
@@ -82,7 +82,6 @@ from .torus import (
     riemann_check,
     torsion_block,
     torsion_count,
-    torsion_points,
 )
 
 # Sample sizes per k: random points for the translation systems
@@ -208,6 +207,20 @@ class _Env:
                 order2.append(g)
         return order4, order2
 
+    @cached_property
+    def two_torsion(self) -> TorsionBlock:
+        """The two-torsion block every scan at this k reads: all points, or 100 seeded ones and a warning."""
+        why = _two_torsion_limit(self, "points")
+        if why is None:
+            return torsion_block(2, self.lattice, cap=self.config.cap)
+        # Each coordinate draws its real, then its imaginary numerator over 2.
+        rng = self.rng("two-torsion-sample")
+        draws = [[rng.randrange(2) for _ in range(2 * self.lattice.dim)] for _ in range(100)]
+        self.warnings.append(
+            f"k={self.k}: two-torsion scan used 100 seeded points per actor; the exhaustive scan {why}"
+        )
+        return TorsionBlock([2] * 100, [list(col) for col in zip(*(d[0::2] + d[1::2] for d in draws))])
+
 
 def _unit_fraction(rng: random.Random) -> Fraction:
     denominator = rng.randint(1, 64)
@@ -275,10 +288,9 @@ def _two_torsion_limit(env: _Env, items: str) -> str | None:
 def _scan_translation_systems(
     env: _Env, table: RepresentationTable, points: list[TorusPoint], chk: _Checker
 ) -> None:
-    """Record the orbit checks of every actor on ``points``, and its two-torsion scan.
+    """Record the orbit checks of every actor on ``points``, and its scan of ``env.two_torsion``.
 
-    Past ``_two_torsion_limit`` each actor scans the same 100 seeded
-    two-torsion points, with a warning. LatticeNotPreservedError propagates.
+    LatticeNotPreservedError propagates.
     """
     sig = env.sig
     lattice = env.lattice
@@ -318,26 +330,17 @@ def _scan_translation_systems(
                 {"actor": actor, "point": p},
             )
 
-    sampled = None
-    why = _two_torsion_limit(env, "points")
-    if why is not None:
-        # Each coordinate draws its real, then its imaginary numerator over 2.
-        sample_rng = env.rng("two-torsion-sample")
-        draws = [[sample_rng.randrange(2) for _ in range(2 * lattice.dim)] for _ in range(100)]
-        sampled = [TorusPoint.from_numerators(lattice, 2, d[0::2] + d[1::2]) for d in draws]
-        warning = (
-            f"k={env.k}: two-torsion scan used 100 seeded points per actor; "
-            f"the exhaustive scan {why}"
-        )
-        if warning not in env.warnings:
-            env.warnings.append(warning)
+    two_torsion = env.two_torsion
+    scope = "all" if _two_torsion_limit(env, "points") is None else "sampled"
     for g in order4 + order2:
-        report = verify_two_torsion(g, table, lattice, cap=env.config.cap, points=sampled)
+        _, m, n = translation_block(group_lattice_matrix(g, table, lattice), two_torsion, steps=2)
+        failing = [t for t, holds in enumerate(two_torsion_pair(m, n)) if not holds]
         chk.record(
-            report.all_pass,
-            f"N = M and 2M = 0 on {'all' if sampled is None else 'sampled'} two-torsion points",
-            lambda: f"failing points: {', '.join(report.failures) or 'none'}",
-            {"actor": g.to_element(sig), "checked": report.checked},
+            not failing,
+            f"N = M and 2M = 0 on {scope} two-torsion points",
+            lambda: "failing points: "
+            + ", ".join(str(TorusPoint.from_numerators(lattice, *two_torsion.item(t))) for t in failing),
+            {"actor": g.to_element(sig), "checked": len(two_torsion)},
         )
 
 
@@ -595,14 +598,15 @@ def _run_spinor_torus(env: _Env, chk: _Checker) -> None:
         expected = torsion_count(n, env.k)
         if expected > env.config.cap:
             try:
-                torsion_points(n, lattice, cap=env.config.cap)
+                torsion_block(n, lattice, cap=env.config.cap)
                 chk.record(False, "EnumerationTooLargeError", "no error", {"n": n})
             except EnumerationTooLargeError:
                 chk.record(True, "EnumerationTooLargeError", "raised", {"n": n})
             continue
-        killed = [(point * n).is_zero() for point in torsion_points(n, lattice, cap=env.config.cap)]
-        chk.record(len(killed) == expected, expected, len(killed), {"n": n})
-        chk.record(all(killed), "every point killed by n", all(killed), {"n": n})
+        block = torsion_block(n, lattice, cap=env.config.cap)
+        killed = all(n % order == 0 for order in block.orders())
+        chk.record(len(block) == expected, expected, len(block), {"n": n})
+        chk.record(killed, "every point killed by n", killed, {"n": n})
 
 
 @_suite(
@@ -734,7 +738,7 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     why = _two_torsion_limit(env, "classes")
     if why is None:
         # Every class of order <= 2: the numerators over 2 of the two-torsion points, in their order.
-        classes = torsion_block(2, lattice, cap=env.config.cap)
+        classes = env.two_torsion
         for g in order4 + order2:
             scan = two_torsion_bundle_scan(g, classes, table, pol)
             witness = next((t for t, holds in enumerate(scan) if not holds), None)

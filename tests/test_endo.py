@@ -38,6 +38,7 @@ from spintorus import (
     transport_table,
     verify_two_torsion,
 )
+from spintorus import endo
 from spintorus.clifford import basis_blades
 from spintorus.endo import determinant_routes_agree
 
@@ -170,6 +171,15 @@ def test_decomposition_witness_on_a_custom_basis(tables):
     assert witness.basis_map is None
     with pytest.raises(WitnessFailedError):
         witness.split(parse_point("0, 0", 1))
+
+
+def test_the_custom_lattice_witness_takes_only_the_rank(tables, monkeypatch):
+    # The witness needs the rank of the flattening, not the index audit's Smith form.
+    calls = []
+    monkeypatch.setattr(endo, "smith_form", lambda rows: calls.append(rows))
+    for k in (1, 2):
+        assert decomposition_witness(tables[k], shear_lattice(k)).basis_map is None
+    assert calls == []
 
 
 def test_automorphism_containment(tables, lattices):

@@ -41,7 +41,6 @@ from spintorus import (
     run_suite,
     torsion_points,
     two_torsion_bundle_check,
-    verify_two_torsion,
 )
 from spintorus import action
 from spintorus.action import closure, degenerate_pair, four_step, translation_block, two_torsion_pair
@@ -500,8 +499,6 @@ def test_a_block_of_no_points_gives_empty_results():
     assert two_torsion_pair(m, n) == []
     group = generator_group(table.sig)
     actor = next(g for g in group if element_order(g, table.sig) == 4)
-    report = verify_two_torsion(actor, table, lattice, points=[])
-    assert (report.checked, report.failures) == (0, ())
     assert two_torsion_bundle_scan(actor, empty, table, pol) == []
     held, first = bundle_systems_hold(actor, empty, table, pol)
     assert held == [] and len(first) == 0
@@ -517,16 +514,12 @@ def test_torsion_block_enumerates_like_torsion_points():
 
 
 def test_a_scan_sample_of_mixed_widths_is_rejected():
-    table = table_for(1, "definite")
     lattice = LatticeSpec.default(1)
-    actor = next(g for g in generator_group(table.sig) if element_order(g, table.sig) == 4)
     narrow = list(torsion_points(2, lattice))[5]
     wide = list(torsion_points(2, LatticeSpec.default(2)))[5]
     for sample in ([narrow, wide], [wide, narrow]):
         with pytest.raises(ValueError):
             TorsionBlock.of(sample, 2 * lattice.dim)
-        with pytest.raises(ValueError):
-            verify_two_torsion(actor, table, lattice, points=sample)
 
 
 def test_blocks_combine_only_over_the_same_denominators():

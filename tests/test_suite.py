@@ -27,7 +27,7 @@ from spintorus import (
     run_suite,
     translation_system,
 )
-from spintorus import cli, clifford
+from spintorus import cli, clifford, torus
 from spintorus.cli import main
 from spintorus.torus import TorsionBlock
 
@@ -332,6 +332,21 @@ def test_seeds_change_samples_but_not_verdicts():
     assert json.loads(reseeded)["suites"][0]["passed"] is True
 
 
+def test_one_two_torsion_block_serves_every_scan_at_a_k(monkeypatch):
+    # The point scans of all 63 actors and the class scan read one enumeration.
+    calls = []
+    enumerate_numerators = torus._torsion_numerators
+
+    def counted(n, lattice, cap):
+        calls.append(n)
+        return enumerate_numerators(n, lattice, cap)
+
+    monkeypatch.setattr(torus, "_torsion_numerators", counted)
+    report = run_suite(SuiteConfig(ks=(2,), suites=("clifford_action", "dual_picard")))
+    assert report.all_passed()
+    assert calls == [2]
+
+
 def test_cli_build_summary(capsys):
     assert main(["build", "--k", "1"]) == 0
     out = capsys.readouterr().out
@@ -494,6 +509,31 @@ def test_cli_rejects_malformed_ranges(capsys):
             main(["verify", "--k", bad])
         assert err.value.code == 2
         assert "--k" in capsys.readouterr().err
+
+
+def test_cli_main_reuses_one_parser_and_answers_as_fresh_ones_do(capsys):
+    queries = [
+        ["act", "e1*e2", "1/4, 0", "--orbit"],
+        ["act", "e1", "1/4, 0", "--k", "x"],
+        ["dual", "[0, 0, 1/2, 0]", "--act", "e1"],
+    ]
+
+    def answer(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in queries:
+        cli.build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 0]
+    cli.build_parser.cache_clear()
+    assert [answer(argv) for argv in queries + queries] == fresh + fresh
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_cli_unknown_suite(capsys):
