@@ -11,18 +11,22 @@ and ``2p + M + N = 0`` on the torus. Order-2 actors degenerate to N = -M,
 and on two-torsion points both collapse to N = M with 2M = 0.
 
 The orbits are computed for a whole :class:`~spintorus.torus.TorsionBlock`
-of points at once: the actor's realified lattice rows act on each
-coordinate column, and M, N and every identity are column arithmetic
-modulo each point's own denominator. Each identity is one predicate over
-blocks, returning a verdict per point; a single :class:`TranslationSystem`
-checks itself with the same predicates on blocks of one, and
+of points at once. When every realified lattice row of the actor is a
+single +1 or -1 entry, as for every signed blade on the default lattice,
+image s selects columns of the block and of its negation by the rows of
+R^s, composed from R itself: no arithmetic per step, and the negation is
+built once per block. Other actors apply their rows through the sparse
+kernel. Each identity is one pass per coordinate column over the orbit
+that computes M and N item by item, modulo each point's own denominator,
+and returns a verdict per point; a single :class:`TranslationSystem`
+checks itself with the same functions on blocks of one, and
 ``verify_two_torsion`` on the block of every two-torsion point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, as_signed_blade, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
@@ -112,60 +116,96 @@ def act(h: CliffordElement, p: TorusPoint, table: RepresentationTable) -> TorusP
     return apply_matrix(lattice_matrix(h, table, p.lattice), p)
 
 
-def translation_block(
-    matrix: Matrix, block: TorsionBlock, steps: int = 4
-) -> tuple[list[TorsionBlock], TorsionBlock, TorsionBlock]:
-    """The orbits of a block of points under a lattice matrix, and their translations.
+def translation_block(matrix: Matrix, block: TorsionBlock, steps: int = 4) -> list[TorsionBlock]:
+    """The orbits of a block of points under a lattice matrix: the block and its first ``steps`` images.
 
-    Returns ``(orbit, M, N)``: ``orbit`` is the block and its first ``steps``
-    images (``steps >= 2``), ``M = orbit[1] - orbit[0]`` and
-    ``N = orbit[2] - orbit[1]``, every point over its own denominator.
+    A signed permutation (every signed blade on the default lattice) moves
+    the block by column selection; other matrices use the sparse kernel
+    (see ``TorsionBlock.orbit``).
     """
     if matrix.rows != matrix.cols or 2 * matrix.rows != len(block.cols):
         raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix cannot act on {len(block.cols)} numerators")
-    rows = matrix.realified_rows()
-    orbit = [block]
-    for _ in range(steps):
-        orbit.append(orbit[-1].transform(rows))
-    return orbit, orbit[1] - block, orbit[2] - orbit[1]
+    return block.orbit(matrix.realified_rows(), steps)
 
 
-def _every(*verdicts: list[bool]) -> list[bool]:
-    return [all(per_point) for per_point in zip(*verdicts)]
+# The identities below take the orbit of a block of points or of bundle
+# classes alike: the block and its images, all over the same denominators.
+# With M = image 1 - base and N = image 2 - image 1, each identity is one
+# pass per coordinate column that computes M, N and every comparison item
+# by item, and gives one verdict per item.
 
 
-# The identities below take blocks of points or of bundle classes alike, all
-# over the same denominators, and give one verdict per item.
+def _clear_false(ok: list[bool], holds: Sequence[bool]) -> None:
+    """Clear ``ok[t]`` wherever ``holds[t]`` is false: every comparison of the identities lands here."""
+    if not all(holds):
+        for t, h in enumerate(holds):
+            if not h:
+                ok[t] = False
 
 
-def four_step(
-    base: TorsionBlock, m: TorsionBlock, n: TorsionBlock, steps: Sequence[TorsionBlock]
-) -> list[bool]:
-    """The order-4 pattern: the four steps are base + M, base + M + N, base + N, base."""
-    moved = base + m
-    return _every(
-        steps[0].agrees(moved),
-        steps[1].agrees(moved + n),
-        steps[2].agrees(base + n),
-        steps[3].agrees(base),
-    )
+def _clear_nonzero(ok: list[bool], values: Sequence[int]) -> None:
+    """Clear ``ok[t]`` wherever ``values[t]`` is nonzero: the zero test of the closure identity."""
+    if any(values):
+        for t, x in enumerate(values):
+            if x:
+                ok[t] = False
 
 
-def closure(base: TorsionBlock, m: TorsionBlock, n: TorsionBlock) -> list[bool]:
-    """2 * base + M + N = 0."""
-    return (base + base + m + n).is_zero()
+def _columns(orbit: Sequence[TorsionBlock]) -> tuple[list[int], Iterator[tuple[list[int], ...]]]:
+    """The common denominators of the orbit's blocks, and its columns zipped across the blocks."""
+    dens = orbit[0].dens
+    if any(q.dens is not dens and q.dens != dens for q in orbit):
+        raise ValueError("blocks over different denominators do not combine")
+    return dens, zip(*(q.cols for q in orbit))
 
 
-def degenerate_pair(
-    base: TorsionBlock, m: TorsionBlock, n: TorsionBlock, second: TorsionBlock
-) -> list[bool]:
-    """The order-2 pattern: N = -M, and the second step is base again."""
-    return _every(n.agrees(-m), second.agrees(base))
+def four_step(orbit: Sequence[TorsionBlock]) -> tuple[list[bool], list[bool]]:
+    """The order-4 pattern and the closure identity, per item of ``orbit = (base, g base, ..., g^4 base)``.
+
+    The pattern: the four images are base + M, base + M + N, base + N and
+    base. The closure: 2 * base + M + N = 0.
+    """
+    dens, columns = _columns(orbit)
+    steps_hold, closes = [True] * len(dens), [True] * len(dens)
+    if not dens:
+        return steps_hold, closes
+    for base, first, second, third, fourth in columns:
+        # Per item: whether the four images match, and 2 * base + M + N.
+        compared, sums = zip(*[
+            (y1 == (x + m) % d and y2 == (x + m + n) % d and y3 == (x + n) % d and y4 == x, (x + x + m + n) % d)
+            for x, y1, y2, y3, y4, d in zip(base, first, second, third, fourth, dens)
+            for m in [(y1 - x) % d]
+            for n in [(y2 - y1) % d]
+        ])
+        _clear_false(steps_hold, compared)
+        _clear_nonzero(closes, sums)
+    return steps_hold, closes
 
 
-def two_torsion_pair(m: TorsionBlock, n: TorsionBlock) -> list[bool]:
-    """On two-torsion: N = M and 2M = 0."""
-    return _every(n.agrees(m), (m + m).is_zero())
+def degenerate_pair(orbit: Sequence[TorsionBlock]) -> list[bool]:
+    """The order-2 pattern on ``orbit = (base, g base, g^2 base, ...)``: N = -M, and the second image is base."""
+    dens, columns = _columns(orbit[:3])
+    ok = [True] * len(dens)
+    for base, first, second in columns:
+        _clear_false(ok, [
+            (y2 - y1) % d == -m % d and y2 == x
+            for x, y1, y2, d in zip(base, first, second, dens)
+            for m in [(y1 - x) % d]
+        ])
+    return ok
+
+
+def two_torsion_pair(orbit: Sequence[TorsionBlock]) -> list[bool]:
+    """On two-torsion, per item of ``orbit = (base, g base, g^2 base, ...)``: N = M and 2M = 0."""
+    dens, columns = _columns(orbit[:3])
+    ok = [True] * len(dens)
+    for base, first, second in columns:
+        _clear_false(ok, [
+            (y2 - y1) % d == m and (m + m) % d == 0
+            for x, y1, y2, d in zip(base, first, second, dens)
+            for m in [(y1 - x) % d]
+        ])
+    return ok
 
 
 @dataclass(frozen=True)
@@ -179,22 +219,20 @@ class TranslationSystem:
     second_translation: TorusPoint
     orbit: tuple[TorusPoint, ...]
 
+    def _orbit_blocks(self) -> list[TorsionBlock]:
+        return blocks_of_one(*self.orbit)
+
     def four_step_holds(self) -> bool:
         """The order-4 translation pattern."""
-        base, m, n, *steps = blocks_of_one(
-            self.base, self.first_translation, self.second_translation, *self.orbit[1:]
-        )
-        return four_step(base, m, n, steps)[0]
+        return four_step(self._orbit_blocks())[0][0]
 
     def closure_identity_holds(self) -> bool:
         """For order-4 actors: 2 * base + M + N = 0 on the torus."""
-        return closure(*blocks_of_one(self.base, self.first_translation, self.second_translation))[0]
+        return four_step(self._orbit_blocks())[1][0]
 
     def degenerate_pair_holds(self) -> bool:
         """For order-2 actors: N = -M and the orbit closes after two steps."""
-        return degenerate_pair(
-            *blocks_of_one(self.base, self.first_translation, self.second_translation, self.orbit[2])
-        )[0]
+        return degenerate_pair(self._orbit_blocks())[0]
 
 
 def translation_system(
@@ -206,18 +244,15 @@ def translation_system(
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("translation systems need an actor of order at least 2")
-    orbit, m, n = translation_block(group_lattice_matrix(g, table, p.lattice), blocks_of_one(p)[0])
-
-    def point(block: TorsionBlock) -> TorusPoint:
-        return TorusPoint.from_numerators(p.lattice, *block.item(0))
-
+    blocks = translation_block(group_lattice_matrix(g, table, p.lattice), blocks_of_one(p)[0])
+    orbit = (p, *(TorusPoint.from_numerators(p.lattice, *block.item(0)) for block in blocks[1:]))
     return TranslationSystem(
         actor=g,
         order=order,
         base=p,
-        first_translation=point(m),
-        second_translation=point(n),
-        orbit=(p, *(point(q) for q in orbit[1:])),
+        first_translation=orbit[1] - p,
+        second_translation=orbit[2] - orbit[1],
+        orbit=orbit,
     )
 
 
@@ -250,10 +285,9 @@ def verify_two_torsion(
         raise ValueError("the scan needs an actor of order at least 2")
     matrix = group_lattice_matrix(g, table, lattice)
     block = torsion_block(2, lattice, cap=cap)
-    _, m, n = translation_block(matrix, block, steps=2)
     failures = tuple(
         str(TorusPoint.from_numerators(lattice, *block.item(t)))
-        for t, ok in enumerate(two_torsion_pair(m, n))
+        for t, ok in enumerate(two_torsion_pair(translation_block(matrix, block, steps=2)))
         if not ok
     )
     return TwoTorsionReport(actor=g, checked=len(block), failures=failures)

@@ -17,6 +17,9 @@ every entry.
 The integer routines are the Smith form and one sparse kernel: a matrix
 with integer entries kept as sparse rows, applied to a column-major block
 of integer numerator vectors, each reduced modulo its own denominator.
+Sparse rows also compose, and rows that are each a single ±1 entry (the
+realified signed permutations) are recognised, so that a block can take
+their image by selecting columns instead.
 
 The determinant and the Smith form eliminate a matrix one connected
 component at a time, where the components join rows and columns through
@@ -556,6 +559,23 @@ def sparse_matvec_mod(
             acc = [a + c * x for a, x in zip(acc, cols[j])]
         out.append([a % d for a, d in zip(acc, dens)])
     return out
+
+
+def compose_rows(outer: IntegerRows, inner: IntegerRows) -> IntegerRows:
+    """The sparse rows of the integer product ``outer @ inner``, each sorted by column."""
+    out = []
+    for row in outer:
+        acc: dict[int, int] = {}
+        for j, c in row:
+            for i, x in inner[j]:
+                acc[i] = acc.get(i, 0) + c * x
+        out.append(tuple(sorted((i, x) for i, x in acc.items() if x)))
+    return tuple(out)
+
+
+def is_signed_selection(rows: IntegerRows) -> bool:
+    """Whether every row is a single entry +1 or -1, so that applying the rows selects signed columns."""
+    return all(len(row) == 1 and row[0][1] in (1, -1) for row in rows)
 
 
 def _gaussian_integer_row(row: Iterable[int | Fraction | GaussianRational]) -> _GaussianIntegerRow:

@@ -12,11 +12,13 @@ and its integral inverse E^-T, applied as sparse integer rows to the
 numerators modulo their common denominator.
 
 The bundle systems and the order-2 class scan run on a
-:class:`~spintorus.torus.TorsionBlock` of classes: E^-T takes the block to
-points, the actor moves them, and E^T takes the translations and steps
-back, all column by column modulo each class's own denominator. They are
-checked with the identities of :mod:`spintorus.action`, which hold on
-bundle blocks as on point blocks because the duality is a group
+:class:`~spintorus.torus.TorsionBlock` of classes: the actor acts on
+classes through E^T R E^-T, composed once per actor, so the class block
+is never converted to points. On the default lattice that map is a signed
+permutation and its powers select columns; otherwise the sparse kernel
+applies it, column by column modulo each class's own denominator. The
+orbits are checked with the identities of :mod:`spintorus.action`, which
+hold on bundle blocks as on point blocks because the duality is a group
 isomorphism.
 """
 
@@ -26,18 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .action import (
-    act,
-    closure,
-    four_step,
-    group_lattice_matrix,
-    translation_block,
-    translation_system,
-    two_torsion_pair,
-)
+from .action import act, four_step, group_lattice_matrix, translation_system, two_torsion_pair
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
-from .matrices import Matrix
+from .matrices import Matrix, compose_rows
 from .scalars import as_rational, format_rational
 from .spinrep import RepresentationTable
 from .torus import (
@@ -133,15 +127,14 @@ class BundleSystem:
 
     def four_step_holds(self) -> bool:
         """The steps are L x L_M, L x L_M x L_N, L x L_N and L."""
-        base, lm, ln, *steps = blocks_of_one(self.base, self.first_bundle, self.second_bundle, *self.steps)
-        return four_step(base, lm, ln, steps)[0]
+        return four_step(blocks_of_one(self.base, *self.steps))[0][0]
 
     def dual_square_holds(self) -> bool:
         """(L dual) tensor squared equals the product of the two translation bundles.
 
         Checked in the equivalent form that L^2 x L_M x L_N is trivial.
         """
-        return closure(*blocks_of_one(self.base, self.first_bundle, self.second_bundle))[0]
+        return four_step(blocks_of_one(self.base, *self.steps))[1][0]
 
     def holds(self) -> bool:
         return self.four_step_holds() and self.dual_square_holds()
@@ -171,16 +164,19 @@ def bundle_system(
     )
 
 
-def _translation_bundles(
-    matrix: Matrix, classes: TorsionBlock, pol: PolarizationData, steps: int
-) -> tuple[list[TorsionBlock], TorsionBlock, TorsionBlock]:
-    """The orbit of each class's point, and the class's translation bundles L_M and L_N."""
+def _bundle_orbit(matrix: Matrix, classes: TorsionBlock, pol: PolarizationData, steps: int) -> list[TorsionBlock]:
+    """The classes and their first ``steps`` images under the action the actor induces on the dual.
+
+    The induced map is E^T R E^-T for the actor's realified lattice matrix
+    R, composed once per actor; its powers are E^T R^s E^-T, so image s is
+    the class of g^s applied to the class's point. On the default lattice
+    all three are signed permutations, and the images are column selections.
+    """
     _require_principal(pol)
     if len(classes.cols) != 2 * pol.g:
         raise ValueError("bundle and polarization have different dimensions")
-    orbit, m, n = translation_block(matrix, classes.transform(pol.point_rows()), steps)
-    rows = pol.bundle_rows()
-    return orbit, m.transform(rows), n.transform(rows)
+    induced = compose_rows(pol.bundle_rows(), compose_rows(matrix.realified_rows(), pol.point_rows()))
+    return classes.orbit(induced, steps)
 
 
 def bundle_systems_hold(
@@ -189,10 +185,9 @@ def bundle_systems_hold(
     """Per class of the block: whether ``bundle_system(g, class, ...).holds()``; and the block of L_M."""
     if element_order(g, table.sig) != 4:
         raise ValueError("the four-bundle system needs an order-4 actor")
-    orbit, lm, ln = _translation_bundles(group_lattice_matrix(g, table, pol.lattice), classes, pol, 4)
-    rows = pol.bundle_rows()
-    steps = [q.transform(rows) for q in orbit[1:]]
-    return [a and b for a, b in zip(four_step(classes, lm, ln, steps), closure(classes, lm, ln))], lm
+    orbit = _bundle_orbit(group_lattice_matrix(g, table, pol.lattice), classes, pol, 4)
+    steps_hold, closes = four_step(orbit)
+    return [a and b for a, b in zip(steps_hold, closes)], orbit[1] - classes
 
 
 def two_torsion_bundle_scan(
@@ -209,8 +204,7 @@ def two_torsion_bundle_scan(
     """
     if matrix is None:
         matrix = group_lattice_matrix(g, table, pol.lattice)
-    _, lm, ln = _translation_bundles(matrix, classes, pol, 2)
-    return two_torsion_pair(lm, ln)
+    return two_torsion_pair(_bundle_orbit(matrix, classes, pol, 2))
 
 
 def two_torsion_bundle_check(

@@ -27,7 +27,9 @@ point. Block arithmetic runs down each column modulo each point's own
 denominator, and never reduces to lowest terms; a point's orbit and its
 translations have orders dividing its own, so its denominator serves them
 all. Sums and differences of single elements are the same block code on
-blocks of one, and a single element goes through the same kernel.
+blocks of one, and a single element goes through the same kernel. A block
+moves under a signed permutation by selecting columns of itself and of its
+negation, which it builds once and keeps.
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ from .errors import (
     LatticeMismatchError,
     NotIntegralError,
 )
-from .matrices import IntegerRows, Matrix, smith_form, sparse_matvec_mod, sparse_rows
+from .matrices import (
+    IntegerRows,
+    Matrix,
+    compose_rows,
+    is_signed_selection,
+    smith_form,
+    sparse_matvec_mod,
+    sparse_rows,
+)
 from .scalars import GaussianRational, _reduced, as_gaussian
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -116,13 +126,16 @@ class TorsionBlock:
     and orbits of an item all have orders dividing its order, so no common
     denominator is ever needed. Blocks combine only with blocks over the same
     denominators, and then two items agree exactly when their numerators do.
+    A block is never changed after it is built, so blocks share their column
+    lists, and the negation is built once and kept.
     """
 
-    __slots__ = ("dens", "cols")
+    __slots__ = ("dens", "cols", "_negation")
 
     def __init__(self, dens: list[int], cols: list[list[int]]) -> None:
         self.dens = dens
         self.cols = cols
+        self._negation: TorsionBlock | None = None
 
     @classmethod
     def of(cls, items: Sequence[_TorsionElement], width: int) -> TorsionBlock:
@@ -148,6 +161,43 @@ class TorsionBlock:
         """Apply a realified integer matrix, given as sparse rows, to every item."""
         return TorsionBlock(self.dens, sparse_matvec_mod(rows, self.cols, self.dens))
 
+    def _select(self, rows: IntegerRows) -> TorsionBlock:
+        """The image under rows that are each a single entry +1 or -1 (see ``is_signed_selection``).
+
+        Row r taking column j with +1 is column j of this block, with -1
+        column j of its negation: no arithmetic once the negation is built.
+        """
+        cols, negated = self.cols, None
+        out = []
+        for ((j, c),) in rows:
+            if c == 1:
+                out.append(cols[j])
+            else:
+                if negated is None:
+                    negated = (-self).cols
+                out.append(negated[j])
+        return TorsionBlock(self.dens, out)
+
+    def orbit(self, rows: IntegerRows, steps: int) -> list[TorsionBlock]:
+        """This block and its first ``steps`` images under a realified integer matrix R.
+
+        When every row of R is a single entry +1 or -1, image s is a column
+        selection from this block and its negation by the rows of the power
+        R^s, composed from R's own rows. Otherwise the sparse kernel applies
+        R to each image in turn.
+        """
+        orbit = [self]
+        if not is_signed_selection(rows):
+            for _ in range(steps):
+                orbit.append(orbit[-1].transform(rows))
+            return orbit
+        power = rows
+        for step in range(steps):
+            if step:
+                power = compose_rows(rows, power)
+            orbit.append(self._select(power))
+        return orbit
+
     def _same_items(self, other: TorsionBlock) -> list[int]:
         dens = self.dens
         if other.dens is not dens and other.dens != dens:
@@ -167,19 +217,11 @@ class TorsionBlock:
         )
 
     def __neg__(self) -> TorsionBlock:
-        dens = self.dens
-        return TorsionBlock(dens, [[-x % d for x, d in zip(a, dens)] for a in self.cols])
-
-    def agrees(self, other: TorsionBlock) -> list[bool]:
-        """Per item: whether it equals the item at the same position of ``other``."""
-        dens = self._same_items(other)
-        ok = [True] * len(dens)
-        for a, b in zip(self.cols, other.cols):
-            if a != b:
-                for t, (x, y) in enumerate(zip(a, b)):
-                    if x != y:
-                        ok[t] = False
-        return ok
+        """The negation, built on first use and kept."""
+        if self._negation is None:
+            dens = self.dens
+            self._negation = TorsionBlock(dens, [[-x % d for x, d in zip(a, dens)] for a in self.cols])
+        return self._negation
 
     def is_zero(self) -> list[bool]:
         """Per item: whether it is zero."""
@@ -340,8 +382,8 @@ def torsion_count(n: int, k: int) -> int:
     return n ** (2 * (1 << k))
 
 
-def _torsion_numerators(n: int, lattice: LatticeSpec, cap: int) -> Iterator[tuple[int, ...]]:
-    """Numerators over n of the n-torsion points, in lexicographic order; the cap is checked at once."""
+def _check_cap(n: int, lattice: LatticeSpec, cap: int) -> int:
+    """The number of n-torsion points; raise before anything is built if it exceeds the cap."""
     if n < 1:
         raise ValueError("n must be positive")
     total = torsion_count(n, lattice.k)
@@ -349,29 +391,38 @@ def _torsion_numerators(n: int, lattice: LatticeSpec, cap: int) -> Iterator[tupl
         raise EnumerationTooLargeError(
             f"{total} points exceed the enumeration cap {cap}"
         )
-    # Digits pair each coordinate's real and imaginary numerators, which
-    # fixes the enumeration order; points store real parts first.
-    digits = itertools.product(range(n), repeat=2 * lattice.dim)
-    return (d[0::2] + d[1::2] for d in digits)
+    return total
 
 
 def torsion_points(
     n: int, lattice: LatticeSpec, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[TorusPoint]:
     """Enumerate the n-torsion points in deterministic lexicographic order."""
-    numerators = _torsion_numerators(n, lattice, cap)
+    _check_cap(n, lattice, cap)
+    # Digits pair each coordinate's real and imaginary numerators, which
+    # fixes the enumeration order; points store real parts first.
+    digits = itertools.product(range(n), repeat=2 * lattice.dim)
 
     def generate() -> Iterator[TorusPoint]:
-        for nums in numerators:
-            yield TorusPoint.from_numerators(lattice, n, nums)
+        for d in digits:
+            yield TorusPoint.from_numerators(lattice, n, d[0::2] + d[1::2])
 
     return generate()
 
 
 def torsion_block(n: int, lattice: LatticeSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> TorsionBlock:
-    """The n-torsion points as one block over the denominator n, in ``torsion_points`` order."""
-    cols = [list(col) for col in zip(*_torsion_numerators(n, lattice, cap))]
-    return TorsionBlock([n] * len(cols[0]), cols)
+    """The n-torsion points as one block over the denominator n, in ``torsion_points`` order.
+
+    Digit p of the lexicographic order (of 2g, pairing each coordinate's real
+    and imaginary numerators) holds each value for n^(2g-1-p) points in a
+    row, and the pattern repeats n^p times; the columns are built so.
+    """
+    total = _check_cap(n, lattice, cap)
+    width = 2 * lattice.dim
+    digits = [
+        [v for v in range(n) for _ in range(n ** (width - 1 - p))] * n**p for p in range(width)
+    ]
+    return TorsionBlock([n] * total, digits[0::2] + digits[1::2])
 
 
 def hermitian_value(

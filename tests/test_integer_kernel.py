@@ -10,13 +10,14 @@ at a time. Each test here recomputes the same value through the dense path
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from spintorus import (
@@ -43,10 +44,16 @@ from spintorus import (
     two_torsion_bundle_check,
 )
 from spintorus import action
-from spintorus.action import closure, degenerate_pair, four_step, translation_block, two_torsion_pair
+from spintorus.action import degenerate_pair, four_step, translation_block, two_torsion_pair
+from spintorus.errors import LatticeNotPreservedError
+from spintorus.matrices import is_signed_selection, sparse_matvec_mod
 from spintorus.picard import bundle_systems_hold, two_torsion_bundle_scan
 from spintorus.scalars import as_gaussian
-from spintorus.torus import TorsionBlock, torsion_block
+from spintorus.torus import TorsionBlock, is_principal, torsion_block
+
+# Shrinking a failing block reruns every identity (or every sampled actor) per
+# step and took minutes; the unshrunk example names the failing case as well.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 CASES = [(k, sig, shear) for k in (1, 2, 3) for sig in ("definite", "indefinite") for shear in (False, True)]
 CASE_IDS = [f"k{k}-{sig}-{'shear' if shear else 'default'}" for k, sig, shear in CASES]
@@ -367,15 +374,11 @@ def test_block_orbits_and_identities_match_the_dense_action_for_every_signed_bla
     starts = [block_coords(block, t, lattice) for t in range(len(block))]
     for actor, matrix in zip(generator_group(table.sig), matrices):
         ambient = table.represent_group_element(actor)
-        orbit, m, n = translation_block(matrix, block)
+        orbit = translation_block(matrix, block)
         assert orbit[0] is block
         assert block.transform(matrix.realified_rows()).cols == orbit[1].cols
-        verdicts = (
-            four_step(block, m, n, orbit[1:]),
-            closure(block, m, n),
-            degenerate_pair(block, m, n, orbit[2]),
-            two_torsion_pair(m, n),
-        )
+        m, n = orbit[1] - orbit[0], orbit[2] - orbit[1]
+        verdicts = (*four_step(orbit), degenerate_pair(orbit), two_torsion_pair(orbit))
         for t, start in enumerate(starts):
             path = dense_orbit(lattice, ambient, start, 4)
             assert [block_coords(q, t, lattice) for q in orbit] == path
@@ -390,10 +393,10 @@ def test_block_orbits_and_identities_match_the_dense_action_for_every_signed_bla
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_identities_on_blocks_match_the_dense_identities(k, data):
-    # Arbitrary blocks, where the identities mostly fail; the items drawn as
+    # Arbitrary orbits, where the identities mostly fail; the items drawn as
     # honest are made to satisfy them, so both verdicts occur.
     lattice = LatticeSpec.default(k)
     base = data.draw(blocks(2 * lattice.dim))
@@ -408,30 +411,146 @@ def test_identities_on_blocks_match_the_dense_identities(k, data):
         cols = [[y if h else x for x, y, h in zip(a, b, honest)] for a, b in zip(block.cols, target.cols)]
         return TorsionBlock(dens, cols)
 
-    m, n = arbitrary(), arbitrary()
-    steps = [forced(arbitrary(), target) for target in (base + m, base + m + n, base + n, base)]
-    n_opposite, second = forced(arbitrary(), -m), forced(arbitrary(), base)
-    closing = -(base + base + m)
+    first, second = arbitrary(), arbitrary()
+    # M = first - base and N = second - first; honest items step to base + N, then base.
+    orbit = [base, first, second, forced(arbitrary(), base + second - first), forced(arbitrary(), base)]
+    # Here 2 * base + M + N = base + closing = 0 for every item.
+    closing = [base, first, -base, *orbit[3:]]
+    returning = [base, first, forced(arbitrary(), base)]
+    # Here N = M for every item, and 2M = 0 only for some.
+    doubling = [base, base + first, base + first + first]
     got = (
-        four_step(base, m, n, steps),
-        closure(base, m, n),
-        closure(base, m, closing),
-        degenerate_pair(base, m, n_opposite, second),
-        two_torsion_pair(m, n),
-        two_torsion_pair(m, m),
+        *four_step(orbit),
+        four_step(closing)[1],
+        degenerate_pair(returning),
+        two_torsion_pair(orbit),
+        two_torsion_pair(doubling),
     )
     for t in range(size):
-        b, mm, nn, nc = (block_coords(q, t, lattice) for q in (base, m, n, closing))
+        b, x1, x2, xc, xr = (block_coords(q, t, lattice) for q in (base, first, second, closing[2], returning[2]))
+        steps = [block_coords(q, t, lattice) for q in orbit[1:]]
+        mm, nn = minus(x1, b), minus(x2, x1)
         assert tuple(verdict[t] for verdict in got) == (
-            dense_four_step(b, mm, nn, [block_coords(q, t, lattice) for q in steps]),
+            dense_four_step(b, mm, nn, steps),
             dense_closure(b, mm, nn),
-            dense_closure(b, mm, nc),
-            dense_degenerate_pair(b, mm, block_coords(n_opposite, t, lattice), block_coords(second, t, lattice)),
+            dense_closure(b, mm, minus(xc, x1)),
+            dense_degenerate_pair(b, mm, minus(xr, x1), xr),
             dense_two_torsion_pair(mm, nn),
-            dense_two_torsion_pair(mm, mm),
+            dense_two_torsion_pair(x1, x1),
         )
     assert all(holds for holds, h in zip(got[0], honest) if h)
     assert all(got[2])
+    assert all(holds for holds, h in zip(got[3], honest) if h)
+    assert all(two_torsion_pair([base, base, base]))
+
+
+# The reference for the selection kernel and the fused identities: every
+# orbit step through the sparse kernel, and each identity as block
+# arithmetic on the translations M and N.
+def reference_orbit(rows, block: TorsionBlock, steps: int) -> list[TorsionBlock]:
+    orbit = [block]
+    for _ in range(steps):
+        orbit.append(TorsionBlock(block.dens, sparse_matvec_mod(rows, orbit[-1].cols, block.dens)))
+    return orbit
+
+
+def reference_agrees(a: TorsionBlock, b: TorsionBlock) -> list[bool]:
+    assert a.dens == b.dens
+    return [x == y for x, y in zip(zip(*a.cols), zip(*b.cols))] if a.dens else []
+
+
+def reference_every(*verdicts: list[bool]) -> list[bool]:
+    return [all(per_item) for per_item in zip(*verdicts)]
+
+
+def reference_verdicts(base, m, n, steps) -> tuple[list[bool], ...]:
+    """The four-step, closure, degenerate-pair and two-torsion verdicts."""
+    moved = base + m
+    four = reference_every(
+        reference_agrees(steps[0], moved),
+        reference_agrees(steps[1], moved + n),
+        reference_agrees(steps[2], base + n),
+        reference_agrees(steps[3], base),
+    )
+    closes = (base + base + m + n).is_zero()
+    degenerate = reference_every(reference_agrees(n, -m), reference_agrees(steps[1], base))
+    two_torsion = reference_every(reference_agrees(n, m), (m + m).is_zero())
+    return four, closes, degenerate, two_torsion
+
+
+# The README lattice (padded with the identity), and a sublattice of index 2.
+DIFFERENTIAL_LATTICES = {
+    "default": lambda k: LatticeSpec.default(k),
+    "shear": lambda k: setting(k, "definite", True)[0],
+    "index-2": lambda k: LatticeSpec(1, Matrix([[1, GaussianRational(1, 1)], [1, 0]])),
+}
+DIFFERENTIAL_CASES = [
+    (k, p, name) for k in (1, 2, 3) for p in range(2 * k + 1) for name in DIFFERENTIAL_LATTICES if name != "index-2" or k == 1
+]
+
+
+@lru_cache(maxsize=None)
+def differential_setting(k: int, p: int, name: str):
+    """The table, lattice and polarization, and every actor of order >= 2 with its lattice matrix."""
+    table = build_generators(k, Signature(p, 2 * k - p))
+    lattice = DIFFERENTIAL_LATTICES[name](k)
+    pol = PolarizationData.default(lattice)
+    actors = []
+    for g in generator_group(table.sig):
+        if element_order(g, table.sig) < 2:
+            continue
+        try:
+            actors.append((g, group_lattice_matrix(g, table, lattice)))
+        except LatticeNotPreservedError:
+            continue
+    return table, lattice, pol, actors
+
+
+@pytest.mark.parametrize("k, p, name", DIFFERENTIAL_CASES, ids=[f"k{k}-sig{p},{2 * k - p}-{n}" for k, p, n in DIFFERENTIAL_CASES])
+@settings(max_examples=4, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_selection_and_fused_identities_match_the_sparse_reference(k, p, name, data):
+    table, lattice, pol, actors = differential_setting(k, p, name)
+    width = 2 * lattice.dim
+    # A block of mixed denominators, and a block of no items.
+    drawn = data.draw(blocks(width))
+    # A sample of the actors keeps k = 3 quick.
+    chosen = data.draw(st.lists(st.sampled_from(actors), min_size=1, max_size=12, unique_by=lambda a: a[0]))
+    principal = is_principal(pol)
+    for (g, matrix), block in itertools.product(chosen, (drawn, TorsionBlock.of([], width))):
+        rows = matrix.realified_rows()
+        orbit = translation_block(matrix, block)
+        reference = reference_orbit(rows, block, 4)
+        assert [q.cols for q in orbit] == [q.cols for q in reference]
+        m, n = reference[1] - reference[0], reference[2] - reference[1]
+        assert ((orbit[1] - orbit[0]).cols, (orbit[2] - orbit[1]).cols) == (m.cols, n.cols)
+        four, closes, degenerate, two_torsion = reference_verdicts(block, m, n, reference[1:])
+        assert four_step(orbit) == (four, closes)
+        assert degenerate_pair(orbit) == degenerate
+        assert two_torsion_pair(orbit) == two_torsion
+        if not principal:
+            continue
+        # The same block read as bundle classes: through points, the actor, and back.
+        points = block.transform(pol.point_rows())
+        moved = reference_orbit(rows, points, 4)
+        to_bundles = pol.bundle_rows()
+        steps = [q.transform(to_bundles) for q in moved[1:]]
+        lm, ln = (moved[1] - moved[0]).transform(to_bundles), (moved[2] - moved[1]).transform(to_bundles)
+        four, closes, _, two_torsion = reference_verdicts(block, lm, ln, steps)
+        assert two_torsion_bundle_scan(g, block, table, pol) == two_torsion
+        if element_order(g, table.sig) == 4:
+            held, first = bundle_systems_hold(g, block, table, pol)
+            assert held == [a and b for a, b in zip(four, closes)]
+            assert first.cols == lm.cols
+
+
+def test_the_differential_cases_reach_both_kernels():
+    # Of the 15 actors of order >= 2 at k = 1, all move default-lattice blocks
+    # by selection, 3 move README-lattice blocks so, and the rest use the sparse kernel.
+    for name, selections in (("default", 15), ("shear", 3)):
+        _, _, _, actors = differential_setting(1, 2, name)
+        assert len(actors) == 15
+        assert sum(is_signed_selection(matrix.realified_rows()) for _, matrix in actors) == selections
 
 
 def block_values(block: TorsionBlock, t: int) -> tuple[Fraction, ...]:
@@ -489,14 +608,13 @@ def test_a_block_of_no_points_gives_empty_results():
     table = table_for(2, "definite")
     empty = TorsionBlock.of([], 2 * lattice.dim)
     assert len(empty) == 0 and empty.cols == [[] for _ in range(8)]
-    assert empty.orders() == [] and empty.is_zero() == [] and empty.agrees(empty) == []
+    assert empty.orders() == [] and empty.is_zero() == [] and (-empty).cols == empty.cols
     assert empty.transform(pol.bundle_rows()).cols == empty.cols
-    orbit, m, n = translation_block(matrices[3], empty)
-    for q in (*orbit, m, n):
+    orbit = translation_block(matrices[3], empty)
+    for q in orbit:
         assert len(q) == 0 and q.cols == empty.cols
-    assert four_step(empty, m, n, orbit[1:]) == []
-    assert closure(empty, m, n) == [] and degenerate_pair(empty, m, n, orbit[2]) == []
-    assert two_torsion_pair(m, n) == []
+    assert four_step(orbit) == ([], [])
+    assert degenerate_pair(orbit) == [] and two_torsion_pair(orbit) == []
     group = generator_group(table.sig)
     actor = next(g for g in group if element_order(g, table.sig) == 4)
     assert two_torsion_bundle_scan(actor, empty, table, pol) == []
@@ -504,8 +622,9 @@ def test_a_block_of_no_points_gives_empty_results():
     assert held == [] and len(first) == 0
 
 
-def test_torsion_block_enumerates_like_torsion_points():
-    lattice, _, _ = setting(1, "definite", True)
+@pytest.mark.parametrize("k", (1, 2))
+def test_torsion_block_enumerates_like_torsion_points(k):
+    lattice, _, _ = setting(k, "definite", True)
     for n in (1, 2, 3):
         block = torsion_block(n, lattice)
         points = list(torsion_points(n, lattice))
@@ -528,6 +647,6 @@ def test_blocks_combine_only_over_the_same_denominators():
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
-        a.agrees(b)
+        four_step([a, b, a, b, a])
     assert (a + a).cols == [[0, 1], [0, 2]] and (a - a).is_zero() == [True, True]
     assert (-a).cols == [[1, 1], [0, 2]] and a.orders() == [2, 3]

@@ -27,7 +27,7 @@ from spintorus import (
     run_suite,
     translation_system,
 )
-from spintorus import cli, clifford, torus
+from spintorus import action, cli, clifford, torus
 from spintorus.cli import main
 from spintorus.torus import TorsionBlock
 
@@ -104,15 +104,16 @@ def _false(*args) -> bool:
     return False
 
 
-def _disagrees(block, other) -> list[bool]:
-    """A block comparison answers per item: here every item differs."""
-    return [False] * len(block)
+def _disagrees(ok, holds) -> None:
+    """The identities compare blocks one column at a time: here every item differs."""
+    ok[:] = [False] * len(ok)
 
 
 # Each case forces some comparisons of one k=1 suite to fail and pins the
 # exact text of a few records, by their position in the suite's failure list.
-# Point and class objects compare with ``__eq__``; the suites compare whole
-# blocks of them with ``TorsionBlock.agrees``.
+# Point and class objects compare with ``__eq__``; the identities of the
+# orbit scans compare whole blocks of them, one column at a time, through
+# ``action._clear_false``.
 FORCED_FAILURES = [
     (
         "clifford_core",
@@ -175,7 +176,7 @@ FORCED_FAILURES = [
     ),
     (
         "clifford_action",
-        [(TorusPoint, "__eq__", _false), (TorsionBlock, "agrees", _disagrees)],
+        [(TorusPoint, "__eq__", _false), (action, "_clear_false", _disagrees)],
         1726,
         925,
         {
@@ -200,7 +201,7 @@ FORCED_FAILURES = [
     ),
     (
         "dual_picard",
-        [(BundleSystem, "holds", _false), (BundleClass, "__eq__", _false), (TorsionBlock, "agrees", _disagrees)],
+        [(BundleSystem, "holds", _false), (BundleClass, "__eq__", _false), (action, "_clear_false", _disagrees)],
         930,
         880,
         {
@@ -218,7 +219,7 @@ FORCED_FAILURES = [
     ),
     (
         "endo_decomp",
-        [(TorsionBlock, "agrees", _disagrees)],
+        [(action, "_clear_false", _disagrees)],
         10,
         1,
         {
@@ -335,16 +336,27 @@ def test_seeds_change_samples_but_not_verdicts():
 def test_one_two_torsion_block_serves_every_scan_at_a_k(monkeypatch):
     # The point scans of all 63 actors and the class scan read one enumeration.
     calls = []
-    enumerate_numerators = torus._torsion_numerators
+    build = torus.torsion_block
 
     def counted(n, lattice, cap):
         calls.append(n)
-        return enumerate_numerators(n, lattice, cap)
+        return build(n, lattice, cap)
 
-    monkeypatch.setattr(torus, "_torsion_numerators", counted)
+    monkeypatch.setattr("spintorus.suite.torsion_block", counted)
     report = run_suite(SuiteConfig(ks=(2,), suites=("clifford_action", "dual_picard")))
     assert report.all_passed()
     assert calls == [2]
+
+
+def test_the_torsion_record_fails_when_sums_do_not_kill_the_points(monkeypatch):
+    # Summing each n-torsion block n times must give zero; a sum that keeps
+    # its left operand leaves the 2- and 3-torsion points alive.
+    monkeypatch.setattr(TorsionBlock, "__add__", lambda self, other: self)
+    result = run_suite(SuiteConfig(ks=(1,), suites=("spinor_torus",))).suites[0]
+    monkeypatch.undo()
+    assert result.checks == 121
+    assert [f.inputs for f in result.failures] == [{"k": "1", "n": "2"}, {"k": "1", "n": "3"}]
+    assert all(f.expected == "every point killed by n" for f in result.failures)
 
 
 def test_cli_build_summary(capsys):
