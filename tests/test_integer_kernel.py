@@ -622,10 +622,9 @@ def test_a_block_of_no_points_gives_empty_results():
     assert held == [] and len(first) == 0
 
 
-@pytest.mark.parametrize("k", (1, 2))
-def test_torsion_block_enumerates_like_torsion_points(k):
-    lattice, _, _ = setting(k, "definite", True)
-    for n in (1, 2, 3):
+def test_torsion_block_enumerates_like_torsion_points():
+    for k, n in itertools.product((1, 2), (1, 2, 3)):
+        lattice, _, _ = setting(k, "definite", True)
         block = torsion_block(n, lattice)
         points = list(torsion_points(n, lattice))
         assert len(block) == len(points) and block.dens == [n] * len(points)
