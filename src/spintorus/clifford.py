@@ -8,6 +8,18 @@ table reduces to XORs plus a transposition sign.
 
 Elements are sparse blade-to-coefficient maps. They are immutable: every
 operation returns a fresh element with zero coefficients evicted.
+
+The public constructor ``CliffordElement(sig, terms)`` checks its input: each
+mask must lie in ``0 .. 2^n - 1``, each coefficient must be an int,
+``Fraction`` or ``GaussianRational`` (a float is a TypeError), and zeros are
+dropped. ``GeneratorGroupElement.to_element`` goes through it too. The
+operations build their results through the private ``CliffordElement._of``
+instead, which takes a dict of nonzero ``GaussianRational`` coefficients as
+it is: the XOR of two in-range masks is in range, so products, sums,
+negation, ``star`` and grade projection only do the arithmetic. Signatures
+are compared by identity first and by value only when that fails. Powers
+start from the lowest set bit of the exponent and square no further than the
+highest one, so ``u**4`` costs two products.
 """
 
 from __future__ import annotations
@@ -17,7 +29,9 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .errors import IndexOutOfRangeError, SignatureMismatchError
-from .scalars import UNITS, GaussianRational, as_gaussian
+from .scalars import UNITS, GaussianRational, _binary_power, as_gaussian
+
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,14 @@ class CliffordElement:
         self._terms = cleaned
 
     @classmethod
+    def _of(cls, sig: Signature, terms: dict[int, GaussianRational]) -> CliffordElement:
+        """An element on ``terms`` as given: nonzero GaussianRationals on in-range masks."""
+        u = _new(cls)
+        u.sig = sig
+        u._terms = terms
+        return u
+
+    @classmethod
     def zero(cls, sig: Signature) -> CliffordElement:
         return cls(sig)
 
@@ -153,17 +175,16 @@ class CliffordElement:
         return all(mask == 0 for mask in self._terms)
 
     def grade_project(self, grade: int) -> CliffordElement:
-        return CliffordElement(
-            self.sig,
-            {m: c for m, c in self._terms.items() if m.bit_count() == grade},
+        return CliffordElement._of(
+            self.sig, {m: c for m, c in self._terms.items() if m.bit_count() == grade}
         )
 
     def star(self) -> CliffordElement:
         """Conjugate coefficients and reverse blades; an anti-automorphism."""
-        return CliffordElement(
+        return CliffordElement._of(
             self.sig,
             {
-                m: c.conjugate() * reversion_sign(m.bit_count())
+                m: c.conjugate() if reversion_sign(m.bit_count()) > 0 else -c.conjugate()
                 for m, c in self._terms.items()
             },
         )
@@ -180,11 +201,13 @@ class CliffordElement:
         other = _coerce_element(other, self.sig)
         if other is None:
             return NotImplemented
-        self._require_same_signature(other)
+        if other.sig is not self.sig:
+            self._require_same_signature(other)
         merged = dict(self._terms)
         for mask, coeff in other._terms.items():
-            merged[mask] = merged.get(mask, as_gaussian(0)) + coeff
-        return CliffordElement(self.sig, merged)
+            prev = merged.get(mask)
+            merged[mask] = coeff if prev is None else prev + coeff
+        return CliffordElement._of(self.sig, {m: c for m, c in merged.items() if c})
 
     __radd__ = __add__
 
@@ -201,22 +224,29 @@ class CliffordElement:
         return other - self
 
     def __neg__(self) -> CliffordElement:
-        return CliffordElement(self.sig, {m: -c for m, c in self._terms.items()})
+        return CliffordElement._of(self.sig, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: object) -> CliffordElement:
         other = _coerce_element(other, self.sig)
         if other is None:
             return NotImplemented
-        self._require_same_signature(other)
+        sig = self.sig
+        if other.sig is not sig:
+            self._require_same_signature(other)
         acc: dict[int, GaussianRational] = {}
+        get = acc.get
+        right = other._terms.items()
         for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                sign, mask = blade_mul(ma, mb, self.sig)
+            for mb, cb in right:
+                # The module global, so that blade_mul stays the one sign rule.
+                sign, mask = blade_mul(ma, mb, sig)
                 coeff = ca * cb
                 if sign < 0:
                     coeff = -coeff
-                acc[mask] = acc.get(mask, as_gaussian(0)) + coeff
-        return CliffordElement(self.sig, acc)
+                prev = get(mask)
+                acc[mask] = coeff if prev is None else prev + coeff
+        # A product of two nonzero coefficients is nonzero; only sums cancel.
+        return CliffordElement._of(sig, {m: c for m, c in acc.items() if c})
 
     def __rmul__(self, other: object) -> CliffordElement:
         other = _coerce_element(other, self.sig)
@@ -229,14 +259,9 @@ class CliffordElement:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative powers are not defined for general elements")
-        result = CliffordElement.scalar(self.sig, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        if not exponent:
+            return CliffordElement.scalar(self.sig, 1)
+        return _binary_power(self, exponent)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -264,6 +289,8 @@ def _coerce_element(x: object, sig: Signature) -> CliffordElement | None:
 
 
 _PHASE_LABELS = ("", "i*", "-", "-i*")
+# The power t of each unit i^t, keyed by its canonical (a, b, d) triple.
+_UNIT_POWERS = {(u._a, u._b, u._d): t for t, u in enumerate(UNITS)}
 
 
 @dataclass(frozen=True)
@@ -314,10 +341,8 @@ def as_signed_blade(u: CliffordElement) -> GeneratorGroupElement | None:
     if len(u._terms) != 1:
         return None
     ((mask, coeff),) = u._terms.items()
-    for t, phase in enumerate(UNITS):
-        if coeff == phase:
-            return GeneratorGroupElement(mask, t)
-    return None
+    t = _UNIT_POWERS.get((coeff._a, coeff._b, coeff._d))
+    return None if t is None else GeneratorGroupElement(mask, t)
 
 
 def element_order(g: GeneratorGroupElement, sig: Signature) -> int:

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import TypeVar
 
 from .errors import InvalidScalarError
 
 Rational = Fraction
+
+_T = TypeVar("_T")
 
 
 def as_rational(x: int | Fraction) -> Fraction:
@@ -160,14 +163,7 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return _binary_power(self, exponent) if exponent else ONE
 
     def __neg__(self) -> GaussianRational:
         return _make(-self._a, -self._b, self._d)
@@ -206,6 +202,25 @@ class GaussianRational:
             return _imag_str(self.im)
         sign = "+" if self._b > 0 else "-"
         return f"{format_rational(self.re)}{sign}{_imag_str(abs(self.im))}"
+
+
+def _binary_power(base: _T, exponent: int) -> _T:
+    """``base ** exponent`` for ``exponent >= 1`` by repeated squaring.
+
+    It starts from the lowest set bit of the exponent and squares no further
+    than the highest, so ``x**4`` costs two products and ``x**1`` none.
+    """
+    while not exponent & 1:
+        base = base * base
+        exponent >>= 1
+    result = base
+    exponent >>= 1
+    while exponent:
+        base = base * base
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+    return result
 
 
 def _imag_str(b: Fraction) -> str:

@@ -399,6 +399,7 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     group = generator_group(sig)
     chk.record(len(group) == 1 << (sig.n + 2), 1 << (sig.n + 2), len(group))
     elements = [g.to_element(sig) for g in group]
+    one = CliffordElement.scalar(sig, 1)
     inverse_ok = True
     order_ok = True
     for g, element in zip(group, elements):
@@ -407,9 +408,9 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
         order = element_order(g, sig)
         if order not in (1, 2, 4):
             order_ok = False
-        if element**order != CliffordElement.scalar(sig, 1):
+        if element**order != one:
             order_ok = False
-        if order > 1 and element ** (order // 2) == CliffordElement.scalar(sig, 1):
+        if order > 1 and element ** (order // 2) == one:
             order_ok = False
     # Closure, proved on generators: for each x in {e_1, ..., e_n, i} and each
     # h in the group, the Clifford product x*h must read back as a signed
@@ -424,9 +425,10 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     # k <= 2 all pairs are read back too.
     generators = [GeneratorGroupElement(1 << j, 0) for j in range(sig.n)]
     generators.append(GeneratorGroupElement(0, 1))
+    generator_elements = [x.to_element(sig) for x in generators]
     closure_ok = all(
-        as_signed_blade(x.to_element(sig) * element) == x.mul(h, sig)
-        for x in generators
+        as_signed_blade(x_element * element) == x.mul(h, sig)
+        for x, x_element in zip(generators, generator_elements)
         for h, element in zip(group, elements)
     )
     if env.k <= 2:

@@ -443,6 +443,20 @@ def hermitian_value(
     return acc
 
 
+def _imag_gram(
+    h: Matrix, columns: Sequence[Sequence[GaussianRational]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Im h(c_a, c_b) for all pairs of columns: the imaginary parts of C^T * H * conj(C).
+
+    C holds the columns side by side. ``hermitian_value`` is linear in its
+    first argument, so this is its Gram matrix; C^H * H * C would be the
+    transpose.
+    """
+    c = Matrix._wrap(tuple(zip(*columns)))
+    gram = c.transpose() @ h @ c.conjugate()
+    return tuple(tuple(x.im for x in row) for row in gram.entries())
+
+
 class PolarizationData:
     """A Hermitian form on the spinor space and its imaginary part on the lattice.
 
@@ -473,11 +487,7 @@ class PolarizationData:
         columns = [lattice.basis.column(c) for c in range(lattice.dim)]
         columns += [tuple(unit_i * x for x in col) for col in columns[: lattice.dim]]
         self.real_basis = tuple(columns)
-        size = 2 * lattice.dim
-        self.imag_gram = tuple(
-            tuple(hermitian_value(hermitian, columns[a], columns[b]).im for b in range(size))
-            for a in range(size)
-        )
+        self.imag_gram = _imag_gram(hermitian, self.real_basis)
         self._inverse_transpose: Matrix | None = None
         self._principal: bool | None = None
         self._bundle_rows: IntegerRows | None = None
@@ -547,18 +557,8 @@ def riemann_check(pol: PolarizationData) -> RiemannReport:
     integral = pol.is_integral()
 
     unit_i = GaussianRational(0, 1)
-    compatible = True
-    basis = pol.real_basis
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            iv = tuple(unit_i * x for x in basis[a])
-            iw = tuple(unit_i * x for x in basis[b])
-            lhs = hermitian_value(pol.hermitian, iv, iw).im
-            if lhs != pol.imag_gram[a][b]:
-                compatible = False
-                break
-        if not compatible:
-            break
+    turned = tuple(tuple(unit_i * x for x in col) for col in pol.real_basis)
+    compatible = _imag_gram(pol.hermitian, turned) == pol.imag_gram
 
     positive = True
     for size in range(1, pol.g + 1):

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spintorus import (
     CliffordElement,
     GaussianRational,
     GeneratorGroupElement,
+    IndexOutOfRangeError,
     Signature,
+    SignatureMismatchError,
     as_signed_blade,
     blade_label,
     blade_mul,
     blade_square_sign,
+    build_generators,
     element_order,
     evaluate_element,
     generator_group,
@@ -24,6 +28,7 @@ from spintorus import (
     reversion_sign,
     star,
 )
+from spintorus import clifford
 
 SIG = Signature(2, 0)
 
@@ -200,3 +205,159 @@ def test_signature_validation():
     sig = Signature(1, 1)
     assert sig.n == 2
     assert blade_mul(0b10, 0b10, sig) == (-1, 0)
+
+
+# The lean product against the plain one: a double loop over the terms that
+# builds every result through the public constructor, which drops zeros.
+SIGNATURES = [Signature(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
+UNIT_I = GaussianRational(0, 1)
+small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+mixed_coeffs = st.one_of(
+    st.sampled_from([1, -1, UNIT_I, -UNIT_I]),
+    st.integers(min_value=-2, max_value=2),
+    small_fractions,
+    st.builds(GaussianRational, small_fractions, small_fractions),
+)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements over a pool of at most three blades, so terms meet and cancel."""
+    sig = draw(st.sampled_from(SIGNATURES))
+    pool = draw(st.lists(st.integers(0, (1 << sig.n) - 1), min_size=1, max_size=3, unique=True))
+    terms = st.dictionaries(st.sampled_from(pool), mixed_coeffs, max_size=3)
+    u_terms, v_terms = draw(terms), draw(terms)
+    # v may carry the negatives of some of u's terms, which u + v then loses.
+    for mask in draw(st.sets(st.sampled_from(pool))):
+        if mask in u_terms:
+            v_terms[mask] = -u_terms[mask]
+    return CliffordElement(sig, u_terms), CliffordElement(sig, v_terms)
+
+
+def reference_mul(u, v):
+    acc = {}
+    for ma, ca in u._terms.items():
+        for mb, cb in v._terms.items():
+            sign, mask = blade_mul(ma, mb, u.sig)
+            acc[mask] = acc.get(mask, GaussianRational(0)) + sign * ca * cb
+    return CliffordElement(u.sig, acc)
+
+
+def reference_add(u, v):
+    merged = dict(u._terms)
+    for mask, coeff in v._terms.items():
+        merged[mask] = merged.get(mask, GaussianRational(0)) + coeff
+    return CliffordElement(u.sig, merged)
+
+
+def reference_pow(u, exponent):
+    result = CliffordElement.scalar(u.sig, 1)
+    for _ in range(exponent):
+        result = reference_mul(result, u)
+    return result
+
+
+def assert_same_terms(lean, reference):
+    assert lean.sig == reference.sig
+    assert lean._terms == reference._terms
+    assert all(type(c) is GaussianRational and c for c in lean._terms.values())
+
+
+@lru_cache(maxsize=None)
+def table_for(sig):
+    return build_generators(sig.k, sig)
+
+
+S20 = Signature(2, 0)
+E1 = CliffordElement.generator(S20, 1)
+ONE = CliffordElement.scalar(S20, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+# (1 + e1)(1 - e1) = 1 - e1^2 cancels to zero, and so does u + v.
+@example((ONE + E1, ONE - E1))
+@example((E1, -E1))
+def test_lean_operations_match_the_reference_double_loop(pair):
+    u, v = pair
+    sig = u.sig
+    assert_same_terms(u * v, reference_mul(u, v))
+    assert_same_terms(v * u, reference_mul(v, u))
+    assert_same_terms(u + v, reference_add(u, v))
+    assert_same_terms(-u, CliffordElement(sig, {m: -c for m, c in u._terms.items()}))
+    assert_same_terms(
+        u.star(),
+        CliffordElement(
+            sig, {m: c.conjugate() * reversion_sign(m.bit_count()) for m, c in u._terms.items()}
+        ),
+    )
+    for grade in range(sig.n + 1):
+        assert_same_terms(
+            u.grade_project(grade),
+            CliffordElement(sig, {m: c for m, c in u._terms.items() if m.bit_count() == grade}),
+        )
+    for exponent in range(6):
+        assert_same_terms(u**exponent, reference_pow(u, exponent))
+    table = table_for(sig)
+    assert table.represent(u * v) == table.represent(u) @ table.represent(v)
+
+
+def test_powers_make_one_product_per_squaring_and_set_bit(monkeypatch):
+    u = CliffordElement(S20, {0: 1, 0b01: UNIT_I, 0b11: Fraction(1, 2)})
+    calls = []
+    product = CliffordElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    for exponent, products in [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3)]:
+        calls.clear()
+        power = u**exponent
+        assert len(calls) == products
+        assert_same_terms(power, reference_pow(u, exponent))
+    z = GaussianRational(Fraction(2, 3), -1)
+    for exponent in range(-3, 9):
+        expected = GaussianRational(1)
+        for _ in range(abs(exponent)):
+            expected = expected * (z if exponent > 0 else z.inverse())
+        assert z**exponent == expected
+
+
+def test_public_constructors_still_check_their_input():
+    sig = Signature(4, 0)
+    with pytest.raises(IndexOutOfRangeError):
+        GeneratorGroupElement(1 << sig.n, 0).to_element(sig)
+    with pytest.raises(IndexOutOfRangeError):
+        CliffordElement(sig, {1 << sig.n: 1})
+    with pytest.raises(TypeError):
+        CliffordElement(sig, {0b11: 0.5})
+    # Signatures are compared by value when they are not the same object.
+    twin = Signature(4, 0)
+    assert twin is not sig
+    product = CliffordElement.generator(sig, 1) * CliffordElement.generator(twin, 2)
+    assert product == CliffordElement.blade(sig, 0b11)
+    total = CliffordElement.generator(sig, 1) + CliffordElement.generator(twin, 1)
+    assert total == CliffordElement.blade(sig, 0b1, 2)
+    other = Signature(3, 1)
+    with pytest.raises(SignatureMismatchError):
+        CliffordElement.generator(sig, 1) * CliffordElement.generator(other, 1)
+    with pytest.raises(SignatureMismatchError):
+        CliffordElement.generator(sig, 1) + CliffordElement.generator(other, 1)
+
+
+def test_element_and_group_products_share_blade_mul(monkeypatch):
+    calls = []
+    sign_rule = clifford.blade_mul
+
+    def counted(a, b, sig):
+        calls.append((a, b))
+        return sign_rule(a, b, sig)
+
+    monkeypatch.setattr(clifford, "blade_mul", counted)
+    sig = Signature(3, 1)
+    CliffordElement.generator(sig, 1) * CliffordElement.generator(sig, 4)
+    assert calls == [(0b0001, 0b1000)]
+    GeneratorGroupElement(0b0110, 1).mul(GeneratorGroupElement(0b0011, 2), sig)
+    assert calls[1:] == [(0b0110, 0b0011)]

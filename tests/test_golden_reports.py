@@ -4,8 +4,13 @@ The files under ``golden/`` are ``spintorus verify --k 1 --format json``,
 the same with ``--lattice`` holding ``[["1","i"],["0","1"]]``, and
 ``spintorus verify --k 2 --suite spinor_torus,clifford_action,dual_picard
 --format json``, whose exhaustive two-torsion scans and bundle systems run
-on blocks of points. A refactor that keeps every verdict, check count and
-failure text keeps these bytes.
+on blocks of points. Two more pin the algebra suites, whose Clifford
+products, signed-blade group and spinor images the torus suites do not
+reach: ``spintorus verify --k 3 --suite clifford_core,spinor_rep,endo_decomp
+--format json`` and ``spintorus verify --k 2 --signature 3,1 --suite
+clifford_core,spinor_rep --format json`` in an indefinite signature. A
+refactor that keeps every verdict, check count and failure text keeps these
+bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from spintorus import GaussianRational, LatticeSpec, Matrix, SuiteConfig, emit_r
 GOLDEN = Path(__file__).parent / "golden"
 SHEAR = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
 TORUS_SUITES = ("spinor_torus", "clifford_action", "dual_picard")
+ALGEBRA_SUITES = ("clifford_core", "spinor_rep", "endo_decomp")
 
 
 @pytest.mark.parametrize(
@@ -27,8 +33,13 @@ TORUS_SUITES = ("spinor_torus", "clifford_action", "dual_picard")
         ("verify_k1.json", SuiteConfig(ks=(1,))),
         ("verify_k1_shear.json", SuiteConfig(ks=(1,), lattice=SHEAR)),
         ("verify_k2_torus.json", SuiteConfig(ks=(2,), suites=TORUS_SUITES)),
+        ("verify_k3_algebra.json", SuiteConfig(ks=(3,), suites=ALGEBRA_SUITES)),
+        (
+            "verify_k2_sig31_algebra.json",
+            SuiteConfig(ks=(2,), signature=(3, 1), suites=ALGEBRA_SUITES[:2]),
+        ),
     ],
-    ids=["default", "shear", "k2-torus"],
+    ids=["default", "shear", "k2-torus", "k3-algebra", "k2-sig31-algebra"],
 )
 def test_report_matches_the_golden_file(name, config):
     report = run_suite(config)

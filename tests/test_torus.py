@@ -165,6 +165,32 @@ def test_hermitian_value_conventions():
     assert hermitian_value(h, v, w) == GaussianRational(1, 1) * GaussianRational(0, -1)
 
 
+I_UNIT = GaussianRational(0, 1)
+GRAM_LATTICES = [
+    *(LatticeSpec.default(k) for k in (1, 2, 3)),
+    LatticeSpec(1, Matrix([[1, I_UNIT], [0, 1]])),
+    LatticeSpec(1, Matrix([[1, 1 + I_UNIT], [1, 0]])),
+]
+
+
+@pytest.mark.parametrize("lattice", GRAM_LATTICES, ids=["k1", "k2", "k3", "shear", "index2"])
+@pytest.mark.parametrize("form", ["identity", "skew"])
+def test_imag_gram_is_the_imaginary_part_of_every_pairing(lattice, form):
+    g = lattice.dim
+    h = Matrix.identity(g)
+    if form == "skew":
+        # A Hermitian form with imaginary entries off the diagonal.
+        h = Matrix([[2 * g if r == c else (I_UNIT if r < c else -I_UNIT) for c in range(g)] for r in range(g)])
+    pol = PolarizationData(h, lattice)
+    basis = pol.real_basis
+    expected = tuple(
+        tuple(hermitian_value(h, basis[a], basis[b]).im for b in range(2 * g)) for a in range(2 * g)
+    )
+    assert pol.imag_gram == expected
+    assert all(type(x) is Fraction for row in pol.imag_gram for x in row)
+    assert riemann_check(pol).complex_compatible
+
+
 def test_custom_lattices_reduce_against_their_own_basis():
     doubled = LatticeSpec(1, Matrix([[2, 0], [0, 1]]))
     assert not doubled.is_default
