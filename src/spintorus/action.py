@@ -16,11 +16,11 @@ single +1 or -1 entry, as for every signed blade on the default lattice,
 image s selects columns of the block and of its negation by the rows of
 R^s, composed from R itself: no arithmetic per step, and the negation is
 built once per block. Other actors apply their rows through the sparse
-kernel. Each identity is one pass per coordinate column over the orbit
-that computes M and N item by item, modulo each point's own denominator,
-and returns a verdict per point; a single :class:`TranslationSystem`
-checks itself with the same functions on blocks of one, and
-``verify_two_torsion`` on the block of every two-torsion point.
+kernel. Each identity is one pass per coordinate column over the orbit,
+item by item modulo each point's own denominator, with a verdict per
+point; a single :class:`TranslationSystem` checks itself with the same
+functions on blocks of one, and ``verify_two_torsion`` on the block of
+every two-torsion point.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def translation_block(matrix: Matrix, block: TorsionBlock, steps: int = 4) -> li
 
 # The identities below take the orbit of a block of points or of bundle
 # classes alike: the block and its images, all over the same denominators.
-# With M = image 1 - base and N = image 2 - image 1, each identity is one
-# pass per coordinate column that computes M, N and every comparison item
-# by item, and gives one verdict per item.
+# M = image 1 - base and N = image 2 - image 1 are read off the orbit, so
+# each identity compares only what those definitions leave open, in one
+# pass per coordinate column with one verdict per item.
 
 
 def _clear_false(ok: list[bool], holds: Sequence[bool]) -> None:
@@ -163,35 +163,27 @@ def four_step(orbit: Sequence[TorsionBlock]) -> tuple[list[bool], list[bool]]:
     """The order-4 pattern and the closure identity, per item of ``orbit = (base, g base, ..., g^4 base)``.
 
     The pattern: the four images are base + M, base + M + N, base + N and
-    base. The closure: 2 * base + M + N = 0.
+    base; the first two hold by the definition of M and N, so the third
+    and fourth are compared. The closure: 2 * base + M + N, which is
+    base + g^2 base, is zero.
     """
     dens, columns = _columns(orbit)
     steps_hold, closes = [True] * len(dens), [True] * len(dens)
-    if not dens:
-        return steps_hold, closes
     for base, first, second, third, fourth in columns:
-        # Per item: whether the four images match, and 2 * base + M + N.
-        compared, sums = zip(*[
-            (y1 == (x + m) % d and y2 == (x + m + n) % d and y3 == (x + n) % d and y4 == x, (x + x + m + n) % d)
+        _clear_false(steps_hold, [
+            y3 == (x + y2 - y1) % d and y4 == x
             for x, y1, y2, y3, y4, d in zip(base, first, second, third, fourth, dens)
-            for m in [(y1 - x) % d]
-            for n in [(y2 - y1) % d]
         ])
-        _clear_false(steps_hold, compared)
-        _clear_nonzero(closes, sums)
+        _clear_nonzero(closes, [(x + y2) % d for x, y2, d in zip(base, second, dens)])
     return steps_hold, closes
 
 
 def degenerate_pair(orbit: Sequence[TorsionBlock]) -> list[bool]:
-    """The order-2 pattern on ``orbit = (base, g base, g^2 base, ...)``: N = -M, and the second image is base."""
+    """The order-2 pattern on ``orbit = (base, g base, g^2 base, ...)``: N = -M, that is, the second image is base."""
     dens, columns = _columns(orbit[:3])
     ok = [True] * len(dens)
-    for base, first, second in columns:
-        _clear_false(ok, [
-            (y2 - y1) % d == -m % d and y2 == x
-            for x, y1, y2, d in zip(base, first, second, dens)
-            for m in [(y1 - x) % d]
-        ])
+    for base, _, second in columns:
+        _clear_false(ok, [y2 == x for x, y2 in zip(base, second)])
     return ok
 
 

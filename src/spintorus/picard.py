@@ -11,15 +11,17 @@ is a group isomorphism from the torus to its dual, which is what
 and its integral inverse E^-T, applied as sparse integer rows to the
 numerators modulo their common denominator.
 
-The bundle systems and the order-2 class scan run on a
-:class:`~spintorus.torus.TorsionBlock` of classes: the actor acts on
-classes through E^T R E^-T, composed once per actor, so the class block
-is never converted to points. On the default lattice that map is a signed
+An actor acts on classes through E^T R E^-T, for R its realified lattice
+matrix, composed once per actor: ``bundle_action`` applies it to one
+class, and the bundle systems and the order-2 class scan to a
+:class:`~spintorus.torus.TorsionBlock` of classes, which is never
+converted to points. On the default lattice that map is a signed
 permutation and its powers select columns; otherwise the sparse kernel
 applies it, column by column modulo each class's own denominator. The
 orbits are checked with the identities of :mod:`spintorus.action`, which
 hold on bundle blocks as on point blocks because the duality is a group
-isomorphism.
+isomorphism. ``bundle_system`` builds the same steps through the points
+instead, as the reference.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .action import act, four_step, group_lattice_matrix, translation_system, two_torsion_pair
+from .action import four_step, group_lattice_matrix, lattice_matrix, translation_system, two_torsion_pair
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
-from .matrices import Matrix, compose_rows
+from .matrices import IntegerRows, Matrix, compose_rows
 from .scalars import as_rational, format_rational
 from .spinrep import RepresentationTable
 from .torus import (
@@ -104,14 +106,22 @@ def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
     return bundle.transform(pol.point_rows(), TorusPoint, pol.lattice)
 
 
+def _induced_rows(matrix: Matrix, pol: PolarizationData) -> IntegerRows:
+    """E^T R E^-T for the realified lattice matrix R: the action induced on bundle numerators."""
+    return compose_rows(pol.bundle_rows(), compose_rows(matrix.realified_rows(), pol.point_rows()))
+
+
 def bundle_action(
     h: CliffordElement,
     bundle: BundleClass,
     table: RepresentationTable,
     pol: PolarizationData,
 ) -> BundleClass:
-    """The action induced on the dual: conjugate the torus action by duality."""
-    return point_to_bundle(act(h, bundle_to_point(bundle, pol), table), pol)
+    """The action induced on the dual: the torus action conjugated by duality, E^T R E^-T."""
+    _require_principal(pol)
+    if bundle.k != pol.lattice.k:
+        raise ValueError("bundle and polarization have different dimensions")
+    return bundle.transform(_induced_rows(lattice_matrix(h, table, pol.lattice), pol))
 
 
 @dataclass(frozen=True)
@@ -175,8 +185,7 @@ def _bundle_orbit(matrix: Matrix, classes: TorsionBlock, pol: PolarizationData, 
     _require_principal(pol)
     if len(classes.cols) != 2 * pol.g:
         raise ValueError("bundle and polarization have different dimensions")
-    induced = compose_rows(pol.bundle_rows(), compose_rows(matrix.realified_rows(), pol.point_rows()))
-    return classes.orbit(induced, steps)
+    return classes.orbit(_induced_rows(matrix, pol), steps)
 
 
 def bundle_systems_hold(
@@ -195,16 +204,9 @@ def two_torsion_bundle_scan(
     classes: TorsionBlock,
     table: RepresentationTable,
     pol: PolarizationData,
-    matrix: Matrix | None = None,
 ) -> list[bool]:
-    """Per class of the block: both translation bundles agree and are 2-torsion.
-
-    ``matrix`` is the actor's lattice matrix; by default it is looked up
-    through ``group_lattice_matrix``, which builds it once per lattice.
-    """
-    if matrix is None:
-        matrix = group_lattice_matrix(g, table, pol.lattice)
-    return two_torsion_pair(_bundle_orbit(matrix, classes, pol, 2))
+    """Per class of the block: both translation bundles agree and are 2-torsion."""
+    return two_torsion_pair(_bundle_orbit(group_lattice_matrix(g, table, pol.lattice), classes, pol, 2))
 
 
 def two_torsion_bundle_check(
@@ -214,5 +216,7 @@ def two_torsion_bundle_check(
     pol: PolarizationData,
     matrix: Matrix | None = None,
 ) -> bool:
-    """For order-2 bundles: both translation bundles agree and are 2-torsion."""
-    return two_torsion_bundle_scan(g, blocks_of_one(bundle)[0], table, pol, matrix)[0]
+    """For order-2 bundles: both translation bundles agree and are 2-torsion (``matrix``: the actor's)."""
+    if matrix is None:
+        matrix = group_lattice_matrix(g, table, pol.lattice)
+    return two_torsion_pair(_bundle_orbit(matrix, blocks_of_one(bundle)[0], pol, 2))[0]

@@ -26,10 +26,10 @@ realified coordinate, with one entry per point, plus one denominator per
 point. Block arithmetic runs down each column modulo each point's own
 denominator, and never reduces to lowest terms; a point's orbit and its
 translations have orders dividing its own, so its denominator serves them
-all. Sums and differences of single elements are the same block code on
-blocks of one, and a single element goes through the same kernel. A block
-moves under a signed permutation by selecting columns of itself and of its
-negation, which it builds once and keeps.
+all. A sum or difference of two single elements is taken directly over
+the lcm of their orders, and a single element goes through the same sparse
+kernel as a block. A block moves under a signed permutation by selecting
+columns of itself and of its negation, which it builds once and keeps.
 """
 
 from __future__ import annotations
@@ -443,20 +443,6 @@ def hermitian_value(
     return acc
 
 
-def _imag_gram(
-    h: Matrix, columns: Sequence[Sequence[GaussianRational]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Im h(c_a, c_b) for all pairs of columns: the imaginary parts of C^T * H * conj(C).
-
-    C holds the columns side by side. ``hermitian_value`` is linear in its
-    first argument, so this is its Gram matrix; C^H * H * C would be the
-    transpose.
-    """
-    c = Matrix._wrap(tuple(zip(*columns)))
-    gram = c.transpose() @ h @ c.conjugate()
-    return tuple(tuple(x.im for x in row) for row in gram.entries())
-
-
 class PolarizationData:
     """A Hermitian form on the spinor space and its imaginary part on the lattice.
 
@@ -487,7 +473,11 @@ class PolarizationData:
         columns = [lattice.basis.column(c) for c in range(lattice.dim)]
         columns += [tuple(unit_i * x for x in col) for col in columns[: lattice.dim]]
         self.real_basis = tuple(columns)
-        self.imag_gram = _imag_gram(hermitian, self.real_basis)
+        # Im h(c_a, c_b) for all pairs of basis vectors, as Im(C^T * H * conj(C))
+        # with C the basis side by side: ``hermitian_value``'s Gram matrix.
+        c = Matrix._wrap(tuple(zip(*columns)))
+        gram = c.transpose() @ hermitian @ c.conjugate()
+        self.imag_gram = tuple(tuple(x.im for x in row) for row in gram.entries())
         self._inverse_transpose: Matrix | None = None
         self._principal: bool | None = None
         self._bundle_rows: IntegerRows | None = None
@@ -553,12 +543,20 @@ class RiemannReport:
 
 
 def riemann_check(pol: PolarizationData) -> RiemannReport:
-    """Check integrality on the lattice, invariance under i, and positivity."""
+    """Check integrality on the lattice, invariance under i, and positivity.
+
+    Invariance under i is E(i x, i y) = E(x, y), read off E itself: on the
+    realified basis (u_1..u_g, i*u_1..i*u_g), i sends basis vector a to
+    s_a times basis vector tau(a), where tau swaps u_a and i*u_a and s is -1
+    on the i*u half. So E[tau a][tau b] * s_a * s_b must equal E[a][b].
+    """
     integral = pol.is_integral()
 
-    unit_i = GaussianRational(0, 1)
-    turned = tuple(tuple(unit_i * x for x in col) for col in pol.real_basis)
-    compatible = _imag_gram(pol.hermitian, turned) == pol.imag_gram
+    e, g = pol.imag_gram, pol.g
+    turn = [(a + g, 1) for a in range(g)] + [(a, -1) for a in range(g)]
+    compatible = all(
+        e[ta][tb] * (sa * sb) == e[a][b] for a, (ta, sa) in enumerate(turn) for b, (tb, sb) in enumerate(turn)
+    )
 
     positive = True
     for size in range(1, pol.g + 1):

@@ -444,6 +444,19 @@ def test_identities_on_blocks_match_the_dense_identities(k, data):
     assert all(two_torsion_pair([base, base, base]))
 
 
+def test_the_fourth_image_is_compared_on_its_own():
+    # Every item steps to base + N and closes (second = -base); the fourth
+    # image misses base on items 0, 1 and 3 only, and only those fail.
+    dens = [4, 6, 5, 3]
+    base = TorsionBlock(dens, [[1, 5, 2, 0], [3, 0, 4, 2]])
+    first = TorsionBlock(dens, [[2, 1, 0, 1], [0, 4, 3, 1]])
+    off = TorsionBlock(dens, [[0, 1, 0, 2], [1, 0, 0, 0]])
+    second = -base
+    orbit = [base, first, second, base + second - first, base + off]
+    assert four_step(orbit) == ([False, False, True, False], [True] * 4)
+    assert four_step([*orbit[:4], base]) == ([True] * 4, [True] * 4)
+
+
 # The reference for the selection kernel and the fused identities: every
 # orbit step through the sparse kernel, and each identity as block
 # arithmetic on the translations M and N.

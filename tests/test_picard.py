@@ -16,20 +16,26 @@ from spintorus import (
     LatticeMismatchError,
     LatticeSpec,
     Matrix,
+    NotIntegralError,
     NotPrincipalError,
     PolarizationData,
     Signature,
+    SuiteConfig,
     TorusPoint,
     act,
     bundle_action,
     bundle_system,
     bundle_to_point,
     element_order,
+    evaluate_element,
     generator_group,
     parse_point,
     point_to_bundle,
+    run_suite,
     two_torsion_bundle_check,
 )
+from spintorus import picard
+from spintorus.matrices import compose_rows
 from spintorus.picard import bundle_systems_hold
 from spintorus.torus import TorsionBlock
 
@@ -195,3 +201,30 @@ def test_imprincipal_polarizations_are_rejected():
         point_to_bundle(parse_point("1/2, 0", 1), doubled)
     with pytest.raises(NotPrincipalError):
         bundle_to_point(BundleClass.trivial(1), doubled)
+
+
+def test_bundle_action_checks_the_polarization_then_the_rank_then_the_element(tables, polarizations):
+    doubled = PolarizationData(Matrix([[2, 0], [0, 2]]), LATTICE)
+    half = evaluate_element("(1/2)*e1", SIG)
+    wide = BundleClass.trivial(2)
+    with pytest.raises(NotPrincipalError):
+        bundle_action(half, wide, tables[1], doubled)
+    with pytest.raises(ValueError, match="different dimensions"):
+        bundle_action(half, wide, tables[1], polarizations[1])
+    with pytest.raises(NotIntegralError):
+        bundle_action(half, BundleClass.trivial(1), tables[1], polarizations[1])
+
+
+def _induced_the_wrong_way_round(matrix, pol):
+    return compose_rows(pol.point_rows(), compose_rows(matrix.realified_rows(), pol.bundle_rows()))
+
+
+def test_a_wrong_induced_map_fails_the_intertwining_records(monkeypatch):
+    # E^-T R E^T in place of E^T R E^-T. On the default lattice the two agree
+    # for every complex-linear R, so the sheared lattice is needed to tell.
+    shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
+    monkeypatch.setattr(picard, "_induced_rows", _induced_the_wrong_way_round)
+    result = run_suite(SuiteConfig(ks=(1,), suites=("dual_picard",), lattice=shear)).suites[0]
+    monkeypatch.undo()
+    assert result.failures
+    assert all(set(f.inputs) == {"k", "element", "point"} for f in result.failures)

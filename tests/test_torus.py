@@ -191,6 +191,20 @@ def test_imag_gram_is_the_imaginary_part_of_every_pairing(lattice, form):
     assert riemann_check(pol).complex_compatible
 
 
+def test_complex_compatibility_is_read_off_the_form():
+    # The i*u half reordered to (i*u_2, i*u_1): E is still the imaginary part of
+    # every pairing, but i no longer sends basis vector a to basis vector a + g.
+    # On the default lattice that reordering is a symmetry of E; here it is not.
+    pol = PolarizationData.default(GRAM_LATTICES[3])
+    u1, u2, iu1, iu2 = pol.real_basis
+    basis = (u1, u2, iu2, iu1)
+    pol.real_basis = basis
+    pol.imag_gram = tuple(tuple(hermitian_value(pol.hermitian, v, w).im for w in basis) for v in basis)
+    report = riemann_check(pol)
+    assert report.integral and report.positive
+    assert not report.complex_compatible
+
+
 def test_custom_lattices_reduce_against_their_own_basis():
     doubled = LatticeSpec(1, Matrix([[2, 0], [0, 1]]))
     assert not doubled.is_default
