@@ -8,15 +8,18 @@ N moves that image to the second. The full orbit is then
     p -> p + M -> p + M + N -> p + N -> p
 
 and ``2p + M + N = 0`` on the torus. Order-2 actors degenerate to N = -M,
-and on two-torsion points both collapse to N = M with 2M = 0.
+and on two-torsion points both collapse to N = M with 2M = 0, which is
+g^2 p = p with 2M = 0: on the blocks the suites scan, one comparison of
+lists per coordinate column.
 
 The orbits are computed for a whole :class:`~spintorus.torus.TorsionBlock`
 of points at once. When every realified lattice row of the actor is a
 single +1 or -1 entry, as for every signed blade on the default lattice,
 image s selects columns of the block and of its negation by the rows of
-R^s, composed from R itself: no arithmetic per step, and the negation is
-built once per block. Other actors apply their rows through the sparse
-kernel. Each identity is one pass per coordinate column over the orbit,
+R^s: no arithmetic per step, and the negation is built once per block.
+Other actors apply the rows of R^s through the sparse kernel. A scan
+composes each actor's powers once and moves every block it checks with
+them. Each identity is one pass per coordinate column over the orbit,
 item by item modulo each point's own denominator, with a verdict per
 point; a single :class:`TranslationSystem` checks itself with the same
 functions on blocks of one, and ``verify_two_torsion`` on the block of
@@ -30,7 +33,7 @@ from typing import Iterator, Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, as_signed_blade, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
-from .matrices import Matrix
+from .matrices import Matrix, power_rows
 from .spinrep import RepresentationTable
 from .torus import (
     DEFAULT_ENUMERATION_CAP,
@@ -125,7 +128,7 @@ def translation_block(matrix: Matrix, block: TorsionBlock, steps: int = 4) -> li
     """
     if matrix.rows != matrix.cols or 2 * matrix.rows != len(block.cols):
         raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix cannot act on {len(block.cols)} numerators")
-    return block.orbit(matrix.realified_rows(), steps)
+    return block.orbit(power_rows(matrix.realified_rows(), steps))
 
 
 # The identities below take the orbit of a block of points or of bundle
@@ -188,15 +191,24 @@ def degenerate_pair(orbit: Sequence[TorsionBlock]) -> list[bool]:
 
 
 def two_torsion_pair(orbit: Sequence[TorsionBlock]) -> list[bool]:
-    """On two-torsion, per item of ``orbit = (base, g base, g^2 base, ...)``: N = M and 2M = 0."""
+    """On two-torsion, per item of ``orbit = (base, g base, g^2 base, ...)``: N = M and 2M = 0.
+
+    Over any denominator the two hold exactly when g^2 base = base and
+    2M = 0: given 2M = 0, N = M reads g^2 base = 2 g base - base = base +
+    2M = base, and back, N = base - g base = -M = M. So a column whose
+    second image equals its base is one list comparison, and only a column
+    that differs is compared item by item. 2M = 0 cannot fail over a
+    denominator that divides 2, as on every two-torsion block the suites
+    scan, so it is compared only on blocks with another denominator.
+    """
     dens, columns = _columns(orbit[:3])
     ok = [True] * len(dens)
+    fixed = [True] * len(dens)
+    doubles = any(2 % d for d in dens)
     for base, first, second in columns:
-        _clear_false(ok, [
-            (y2 - y1) % d == m and (m + m) % d == 0
-            for x, y1, y2, d in zip(base, first, second, dens)
-            for m in [(y1 - x) % d]
-        ])
+        _clear_false(ok, fixed if second == base else [y2 == x for x, y2 in zip(base, second)])
+        if doubles:
+            _clear_false(ok, [2 * (y1 - x) % d == 0 for x, y1, d in zip(base, first, dens)])
     return ok
 
 

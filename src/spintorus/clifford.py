@@ -306,6 +306,15 @@ class GeneratorGroupElement:
         if self.blade < 0:
             raise ValueError("blade mask must be nonnegative")
 
+    @classmethod
+    def _of(cls, blade: int, i_power: int) -> GeneratorGroupElement:
+        """The element on a nonnegative mask and a power in 0..3, taken as given."""
+        g = _new(cls)
+        fields = g.__dict__
+        fields["blade"] = blade
+        fields["i_power"] = i_power
+        return g
+
     @property
     def phase(self) -> GaussianRational:
         return UNITS[self.i_power]
@@ -313,7 +322,7 @@ class GeneratorGroupElement:
     def mul(self, other: GeneratorGroupElement, sig: Signature) -> GeneratorGroupElement:
         sign, mask = blade_mul(self.blade, other.blade, sig)
         t = (self.i_power + other.i_power + (2 if sign < 0 else 0)) % 4
-        return GeneratorGroupElement(mask, t)
+        return GeneratorGroupElement._of(mask, t)
 
     def inverse(self, sig: Signature) -> GeneratorGroupElement:
         extra = 0 if blade_square_sign(self.blade, sig) > 0 else 2
@@ -342,7 +351,7 @@ def as_signed_blade(u: CliffordElement) -> GeneratorGroupElement | None:
         return None
     ((mask, coeff),) = u._terms.items()
     t = _UNIT_POWERS.get((coeff._a, coeff._b, coeff._d))
-    return None if t is None else GeneratorGroupElement(mask, t)
+    return None if t is None else GeneratorGroupElement._of(mask, t)
 
 
 def element_order(g: GeneratorGroupElement, sig: Signature) -> int:

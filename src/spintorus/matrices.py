@@ -573,6 +573,14 @@ def compose_rows(outer: IntegerRows, inner: IntegerRows) -> IntegerRows:
     return tuple(out)
 
 
+def power_rows(rows: IntegerRows, steps: int) -> list[IntegerRows]:
+    """The sparse rows of R, R^2, ..., R^steps, each composed from the one before."""
+    powers = [rows]
+    for _ in range(steps - 1):
+        powers.append(compose_rows(rows, powers[-1]))
+    return powers
+
+
 def is_signed_selection(rows: IntegerRows) -> bool:
     """Whether every row is a single entry +1 or -1, so that applying the rows selects signed columns."""
     return all(len(row) == 1 and row[0][1] in (1, -1) for row in rows)

@@ -12,13 +12,13 @@ and its integral inverse E^-T, applied as sparse integer rows to the
 numerators modulo their common denominator.
 
 An actor acts on classes through E^T R E^-T, for R its realified lattice
-matrix, composed once per actor: ``bundle_action`` applies it to one
-class, and the bundle systems and the order-2 class scan to a
-:class:`~spintorus.torus.TorsionBlock` of classes, which is never
-converted to points. On the default lattice that map is a signed
-permutation and its powers select columns; otherwise the sparse kernel
-applies it, column by column modulo each class's own denominator. The
-orbits are checked with the identities of :mod:`spintorus.action`, which
+matrix: ``bundle_action`` applies it to one class, and the bundle systems
+and the order-2 class scan apply its powers, composed once per actor
+(``induced_powers``), to a :class:`~spintorus.torus.TorsionBlock` of
+classes, which is never converted to points. On the default lattice
+those powers are signed permutations that select columns; otherwise the
+sparse kernel applies them, column by column modulo each class's own
+denominator. The orbits are checked with the identities of :mod:`spintorus.action`, which
 hold on bundle blocks as on point blocks because the duality is a group
 isomorphism. ``bundle_system`` builds the same steps through the points
 instead, as the reference.
@@ -33,7 +33,7 @@ from typing import Sequence
 from .action import four_step, group_lattice_matrix, lattice_matrix, translation_system, two_torsion_pair
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
-from .matrices import IntegerRows, Matrix, compose_rows
+from .matrices import IntegerRows, Matrix, compose_rows, power_rows
 from .scalars import as_rational, format_rational
 from .spinrep import RepresentationTable
 from .torus import (
@@ -174,18 +174,23 @@ def bundle_system(
     )
 
 
-def _bundle_orbit(matrix: Matrix, classes: TorsionBlock, pol: PolarizationData, steps: int) -> list[TorsionBlock]:
-    """The classes and their first ``steps`` images under the action the actor induces on the dual.
+def induced_powers(matrix: Matrix, pol: PolarizationData, steps: int) -> list[IntegerRows]:
+    """The rows of E^T R^s E^-T for s = 1..steps, R the actor's realified lattice matrix.
 
-    The induced map is E^T R E^-T for the actor's realified lattice matrix
-    R, composed once per actor; its powers are E^T R^s E^-T, so image s is
-    the class of g^s applied to the class's point. On the default lattice
-    all three are signed permutations, and the images are column selections.
+    The induced map E^T R E^-T is composed once, and its powers from it,
+    so image s of a class is the class of g^s applied to the class's point.
+    On the default lattice all three are signed permutations, and the
+    images are column selections (``TorsionBlock.orbit``).
     """
     _require_principal(pol)
+    return power_rows(_induced_rows(matrix, pol), steps)
+
+
+def _bundle_orbit(classes: TorsionBlock, powers: list[IntegerRows], pol: PolarizationData) -> list[TorsionBlock]:
+    """The classes and their images under the powers the actor induces on the dual."""
     if len(classes.cols) != 2 * pol.g:
         raise ValueError("bundle and polarization have different dimensions")
-    return classes.orbit(_induced_rows(matrix, pol), steps)
+    return classes.orbit(powers)
 
 
 def bundle_systems_hold(
@@ -194,7 +199,7 @@ def bundle_systems_hold(
     """Per class of the block: whether ``bundle_system(g, class, ...).holds()``; and the block of L_M."""
     if element_order(g, table.sig) != 4:
         raise ValueError("the four-bundle system needs an order-4 actor")
-    orbit = _bundle_orbit(group_lattice_matrix(g, table, pol.lattice), classes, pol, 4)
+    orbit = _bundle_orbit(classes, induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 4), pol)
     steps_hold, closes = four_step(orbit)
     return [a and b for a, b in zip(steps_hold, closes)], orbit[1] - classes
 
@@ -206,7 +211,8 @@ def two_torsion_bundle_scan(
     pol: PolarizationData,
 ) -> list[bool]:
     """Per class of the block: both translation bundles agree and are 2-torsion."""
-    return two_torsion_pair(_bundle_orbit(group_lattice_matrix(g, table, pol.lattice), classes, pol, 2))
+    powers = induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 2)
+    return two_torsion_pair(_bundle_orbit(classes, powers, pol))
 
 
 def two_torsion_bundle_check(
@@ -219,4 +225,4 @@ def two_torsion_bundle_check(
     """For order-2 bundles: both translation bundles agree and are 2-torsion (``matrix``: the actor's)."""
     if matrix is None:
         matrix = group_lattice_matrix(g, table, pol.lattice)
-    return two_torsion_pair(_bundle_orbit(matrix, blocks_of_one(bundle)[0], pol, 2))[0]
+    return two_torsion_pair(_bundle_orbit(blocks_of_one(bundle)[0], induced_powers(matrix, pol, 2), pol))[0]

@@ -28,7 +28,6 @@ from .action import (
     four_step,
     group_lattice_matrix,
     preserves_lattice,
-    translation_block,
     translation_system,
     two_torsion_pair,
 )
@@ -52,15 +51,14 @@ from .endo import (
 )
 from .errors import EnumerationTooLargeError, NotIntegralError
 from .exprs import element_source
-from .matrices import Matrix
+from .matrices import IntegerRows, Matrix, power_rows
 from .picard import (
     BundleClass,
     bundle_action,
     bundle_system,
-    bundle_systems_hold,
     bundle_to_point,
+    induced_powers,
     point_to_bundle,
-    two_torsion_bundle_scan,
 )
 from .scalars import GaussianRational
 from .spinrep import (
@@ -284,6 +282,11 @@ def _two_torsion_limit(env: _Env, items: str) -> str | None:
     return None
 
 
+def _two_torsion_failures(block: TorsionBlock, powers: list[IntegerRows]) -> list[int]:
+    """The items of a block that fail N = M and 2M = 0 under an actor's powers R, R^2, ..."""
+    return [t for t, holds in enumerate(two_torsion_pair(block.orbit(powers[:2]))) if not holds]
+
+
 # A check as ``_Checker.record`` takes it: verdict, expected, actual and inputs.
 _Record = tuple[bool, object, object, dict]
 
@@ -293,15 +296,23 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
 
     A failing record renders its text from the one-point translation system
     only when a checker records it. LatticeNotPreservedError propagates.
+    Each actor's powers are composed once and move both of its blocks; its
+    two-torsion verdicts wait, as failing indices, for the records that
+    follow every orbit record.
     """
     sig = env.sig
     lattice = env.lattice
     order4, order2 = env.order_partition
     block = TorsionBlock.of(points, 2 * lattice.dim)
+    two_torsion = env.two_torsion
+    # Per actor of order4 + order2, in that order: the two-torsion items that fail.
+    failing_items = []
     # Each actor moves the whole block at once.
     for g in order4:
         actor = g.to_element(sig)
-        orbit = translation_block(group_lattice_matrix(g, table, lattice), block)
+        powers = power_rows(group_lattice_matrix(g, table, lattice).realified_rows(), 4)
+        failing_items.append(_two_torsion_failures(two_torsion, powers))
+        orbit = block.orbit(powers)
         for p, steps_hold, closes in zip(points, *four_step(orbit)):
             inputs = {"actor": actor, "point": p}
             yield (
@@ -316,7 +327,9 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
     degenerate_block = TorsionBlock.of(degenerate_points, 2 * lattice.dim)
     for g in order2:
         actor = g.to_element(sig)
-        orbit = translation_block(group_lattice_matrix(g, table, lattice), degenerate_block, steps=2)
+        powers = power_rows(group_lattice_matrix(g, table, lattice).realified_rows(), 2)
+        failing_items.append(_two_torsion_failures(two_torsion, powers))
+        orbit = degenerate_block.orbit(powers)
         for p, holds in zip(degenerate_points, degenerate_pair(orbit)):
             yield (
                 holds,
@@ -325,11 +338,8 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
                 {"actor": actor, "point": p},
             )
 
-    two_torsion = env.two_torsion
     scope = "all" if _two_torsion_limit(env, "points") is None else "sampled"
-    for g in order4 + order2:
-        orbit = translation_block(group_lattice_matrix(g, table, lattice), two_torsion, steps=2)
-        failing = [t for t, holds in enumerate(two_torsion_pair(orbit)) if not holds]
+    for g, failing in zip(order4 + order2, failing_items):
         yield (
             not failing,
             f"N = M and 2M = 0 on {scope} two-torsion points",
@@ -723,26 +733,34 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     per_actor = CLASSES_PER_K if env.k <= 2 else max(1, CLASSES_PER_K // 12)
     bundles = [_random_bundle(env.k, rng) for _ in range(per_actor)]
     bundle_block = TorsionBlock.of(bundles, 2 << env.k)
+    why = _two_torsion_limit(env, "classes")
+    # Every class of order <= 2: the numerators over 2 of the two-torsion points, in their order.
+    classes = env.two_torsion if why is None else None
+    # Per actor of order4 + order2, in that order: the order-2 classes that fail.
+    failing_classes = []
     for g in order4:
         actor = g.to_element(sig)
-        held, first = bundle_systems_hold(g, bundle_block, table, pol)
-        for bundle, holds in zip(bundles, held):
+        # The induced powers are composed once and move both blocks of classes.
+        powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 4)
+        if classes is not None:
+            failing_classes.append(_two_torsion_failures(classes, powers))
+        orbit = bundle_block.orbit(powers)
+        for bundle, steps_hold, closes in zip(bundles, *four_step(orbit)):
             chk.record(
-                holds,
+                steps_hold and closes,
                 "four-step bundle system and dual-square identity",
                 lambda: f"steps: {' | '.join(str(s) for s in bundle_system(g, bundle, table, pol).steps)}",
                 {"actor": actor, "bundle": bundle},
             )
-        histogram[g.label()] = sorted(set(first.orders()))
+        histogram[g.label()] = sorted(set((orbit[1] - bundle_block).orders()))
     chk.details = {"translation_bundle_orders": histogram}
 
-    why = _two_torsion_limit(env, "classes")
-    if why is None:
-        # Every class of order <= 2: the numerators over 2 of the two-torsion points, in their order.
-        classes = env.two_torsion
-        for g in order4 + order2:
-            scan = two_torsion_bundle_scan(g, classes, table, pol)
-            witness = next((t for t, holds in enumerate(scan) if not holds), None)
+    if classes is not None:
+        for g in order2:
+            powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 2)
+            failing_classes.append(_two_torsion_failures(classes, powers))
+        for g, failing in zip(order4 + order2, failing_classes):
+            witness = failing[0] if failing else None
             chk.record(
                 witness is None,
                 "translation bundles agree and are 2-torsion",

@@ -48,7 +48,6 @@ from .errors import (
 from .matrices import (
     IntegerRows,
     Matrix,
-    compose_rows,
     is_signed_selection,
     smith_form,
     sparse_matvec_mod,
@@ -178,25 +177,17 @@ class TorsionBlock:
                 out.append(negated[j])
         return TorsionBlock(self.dens, out)
 
-    def orbit(self, rows: IntegerRows, steps: int) -> list[TorsionBlock]:
-        """This block and its first ``steps`` images under a realified integer matrix R.
+    def orbit(self, powers: Sequence[IntegerRows]) -> list[TorsionBlock]:
+        """This block and its images under the powers R, R^2, ... of a realified integer matrix.
 
-        When every row of R is a single entry +1 or -1, image s is a column
-        selection from this block and its negation by the rows of the power
-        R^s, composed from R's own rows. Otherwise the sparse kernel applies
-        R to each image in turn.
+        Image s is R^s applied to this block: a column selection from the
+        block and its negation when every row of R is a single entry +1 or
+        -1 (then so is every row of its powers), the sparse kernel otherwise.
+        The powers are composed once per actor (``matrices.power_rows``) and
+        serve every block the actor moves.
         """
-        orbit = [self]
-        if not is_signed_selection(rows):
-            for _ in range(steps):
-                orbit.append(orbit[-1].transform(rows))
-            return orbit
-        power = rows
-        for step in range(steps):
-            if step:
-                power = compose_rows(rows, power)
-            orbit.append(self._select(power))
-        return orbit
+        move = self._select if is_signed_selection(powers[0]) else self.transform
+        return [self, *map(move, powers)]
 
     def _same_items(self, other: TorsionBlock) -> list[int]:
         dens = self.dens

@@ -361,3 +361,31 @@ def test_element_and_group_products_share_blade_mul(monkeypatch):
     assert calls == [(0b0001, 0b1000)]
     GeneratorGroupElement(0b0110, 1).mul(GeneratorGroupElement(0b0011, 2), sig)
     assert calls[1:] == [(0b0110, 0b0011)]
+
+
+def test_group_products_and_readback_build_results_without_revalidating(monkeypatch):
+    sig = Signature(3, 1)
+    group = generator_group(sig)
+    checks = []
+    validate = GeneratorGroupElement.__post_init__
+
+    def counted(self):
+        checks.append((self.blade, self.i_power))
+        validate(self)
+
+    monkeypatch.setattr(GeneratorGroupElement, "__post_init__", counted)
+    pairs = [(g, h) for g in group for h in group]
+    products = [g.mul(h, sig) for g, h in pairs]
+    readback = [as_signed_blade(g.to_element(sig)) for g in group]
+    assert checks == []
+    for (g, h), product in zip(pairs, products):
+        sign, mask = blade_mul(g.blade, h.blade, sig)
+        built = GeneratorGroupElement(mask, (g.i_power + h.i_power + (0 if sign > 0 else 2)) % 4)
+        assert product == built and hash(product) == hash(built) and repr(product) == repr(built)
+    assert readback == list(group)
+    assert len(checks) == len(products)
+    monkeypatch.undo()
+    # The public constructor keeps its checks.
+    for blade, i_power in ((0, 4), (0, -1), (-1, 0)):
+        with pytest.raises(ValueError):
+            GeneratorGroupElement(blade, i_power)

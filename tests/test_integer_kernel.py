@@ -46,7 +46,7 @@ from spintorus import (
 from spintorus import action
 from spintorus.action import degenerate_pair, four_step, translation_block, two_torsion_pair
 from spintorus.errors import LatticeNotPreservedError
-from spintorus.matrices import is_signed_selection, sparse_matvec_mod
+from spintorus.matrices import is_signed_selection, power_rows, sparse_matvec_mod
 from spintorus.picard import bundle_systems_hold, two_torsion_bundle_scan
 from spintorus.scalars import as_gaussian
 from spintorus.torus import TorsionBlock, is_principal, torsion_block
@@ -364,7 +364,7 @@ def dense_two_torsion_pair(m, n) -> bool:
 
 
 @pytest.mark.parametrize("k, sig, shear", CASES, ids=CASE_IDS)
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_block_orbits_and_identities_match_the_dense_action_for_every_signed_blade(k, sig, shear, data):
     lattice, _, matrices = setting(k, sig, shear)
@@ -455,6 +455,54 @@ def test_the_fourth_image_is_compared_on_its_own():
     orbit = [base, first, second, base + second - first, base + off]
     assert four_step(orbit) == ([False, False, True, False], [True] * 4)
     assert four_step([*orbit[:4], base]) == ([True] * 4, [True] * 4)
+
+
+def test_two_torsion_fails_on_a_returning_orbit_that_2_does_not_kill():
+    # Over 4: base 0, image 1/4, second image 0. The orbit returns (g^2 p = p)
+    # and N = -M, but M = 1/4 is not killed by 2, so N = M fails.
+    dens = [4, 4, 2]
+    base = TorsionBlock(dens, [[0, 0, 0], [0, 2, 1]])
+    first = TorsionBlock(dens, [[1, 2, 1], [0, 0, 0]])
+    assert two_torsion_pair([base, first, base]) == [False, True, True]
+    # A single column over 4 whose second image is its base, and one over 3.
+    assert two_torsion_pair([TorsionBlock([4], [[0]]), TorsionBlock([4], [[1]]), TorsionBlock([4], [[0]])]) == [False]
+    assert two_torsion_pair([TorsionBlock([3], [[2]]), TorsionBlock([3], [[0]]), TorsionBlock([3], [[2]])]) == [False]
+
+
+def test_two_torsion_fails_when_the_second_image_is_taken_by_r():
+    # An order-4 actor fixes two-torsion points only up to g^2 = -1: the
+    # orbit through R^2 passes everywhere, the one that repeats R fails
+    # exactly on the points R moves.
+    lattice, _, matrices = setting(1, "definite", False)
+    table = table_for(1, "definite")
+    block = torsion_block(2, lattice)
+    for g, matrix in zip(generator_group(table.sig), matrices):
+        if element_order(g, table.sig) != 4:
+            continue
+        rows = matrix.realified_rows()
+        assert all(two_torsion_pair(block.orbit(power_rows(rows, 2))))
+        moved = block.orbit([rows])[1]
+        repeated = two_torsion_pair(block.orbit([rows, rows]))
+        assert repeated == [all(col[t] == base[t] for col, base in zip(moved.cols, block.cols)) for t in range(len(block))]
+        assert not all(repeated)
+
+
+def test_two_torsion_on_mixed_denominators_matches_the_literal_form():
+    # Every (base, image, second image) over denominators 1, 2, 3 and 4 in
+    # the first column, and the same triples in reverse in the second.
+    triples = [(d, xs) for d in (1, 2, 3, 4) for xs in itertools.product(range(d), repeat=3)]
+    dens = [d for d, _ in triples]
+    swapped = [xs for _, xs in reversed(triples)]
+    columns = [[xs for _, xs in triples], [tuple(x % d for x in xs) for (d, _), xs in zip(triples, swapped)]]
+    orbit = [TorsionBlock(dens, [[xs[i] for xs in col] for col in columns]) for i in range(3)]
+
+    def literal(x, y1, y2, d) -> bool:
+        m = (y1 - x) % d
+        return (y2 - y1) % d == m and 2 * m % d == 0
+
+    expected = [all(literal(*col[t], dens[t]) for col in columns) for t in range(len(dens))]
+    assert two_torsion_pair(orbit) == expected
+    assert 0 < sum(expected) < len(expected)
 
 
 # The reference for the selection kernel and the fused identities: every
