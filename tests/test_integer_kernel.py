@@ -470,8 +470,8 @@ def test_two_torsion_fails_on_a_returning_orbit_that_2_does_not_kill():
 
 
 def test_two_torsion_fails_when_the_second_image_is_taken_by_r():
-    # An order-4 actor fixes two-torsion points only up to g^2 = -1: the
-    # orbit through R^2 passes everywhere, the one that repeats R fails
+    # An order-4 actor squares to -1, which fixes every two-torsion point:
+    # the orbit through R^2 passes everywhere, and one that repeats R fails
     # exactly on the points R moves.
     lattice, _, matrices = setting(1, "definite", False)
     table = table_for(1, "definite")
