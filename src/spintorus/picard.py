@@ -194,12 +194,21 @@ def _bundle_orbit(classes: TorsionBlock, powers: list[IntegerRows], pol: Polariz
 
 
 def bundle_systems_hold(
-    g: GeneratorGroupElement, classes: TorsionBlock, table: RepresentationTable, pol: PolarizationData
+    g: GeneratorGroupElement,
+    classes: TorsionBlock,
+    table: RepresentationTable,
+    pol: PolarizationData,
+    powers: list[IntegerRows] | None = None,
 ) -> tuple[list[bool], TorsionBlock]:
-    """Per class of the block: whether ``bundle_system(g, class, ...).holds()``; and the block of L_M."""
+    """Per class of the block: whether ``bundle_system(g, class, ...).holds()``; and the block of L_M.
+
+    ``powers``: the actor's first four ``induced_powers``, when the caller has composed them.
+    """
     if element_order(g, table.sig) != 4:
         raise ValueError("the four-bundle system needs an order-4 actor")
-    orbit = _bundle_orbit(classes, induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 4), pol)
+    if powers is None:
+        powers = induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 4)
+    orbit = _bundle_orbit(classes, powers[:4], pol)
     steps_hold, closes = four_step(orbit)
     return [a and b for a, b in zip(steps_hold, closes)], orbit[1] - classes
 
@@ -209,10 +218,15 @@ def two_torsion_bundle_scan(
     classes: TorsionBlock,
     table: RepresentationTable,
     pol: PolarizationData,
+    powers: list[IntegerRows] | None = None,
 ) -> list[bool]:
-    """Per class of the block: both translation bundles agree and are 2-torsion."""
-    powers = induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 2)
-    return two_torsion_pair(_bundle_orbit(classes, powers, pol))
+    """Per class of the block: both translation bundles agree and are 2-torsion.
+
+    ``powers``: the actor's ``induced_powers``, at least two, when the caller has composed them.
+    """
+    if powers is None:
+        powers = induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 2)
+    return two_torsion_pair(_bundle_orbit(classes, powers[:2], pol))
 
 
 def two_torsion_bundle_check(

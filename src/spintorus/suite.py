@@ -51,14 +51,16 @@ from .endo import (
 )
 from .errors import EnumerationTooLargeError, NotIntegralError
 from .exprs import element_source
-from .matrices import IntegerRows, Matrix, power_rows
+from .matrices import Matrix, power_rows
 from .picard import (
     BundleClass,
     bundle_action,
     bundle_system,
+    bundle_systems_hold,
     bundle_to_point,
     induced_powers,
     point_to_bundle,
+    two_torsion_bundle_scan,
 )
 from .scalars import GaussianRational
 from .spinrep import (
@@ -282,9 +284,9 @@ def _two_torsion_limit(env: _Env, items: str) -> str | None:
     return None
 
 
-def _two_torsion_failures(block: TorsionBlock, powers: list[IntegerRows]) -> list[int]:
-    """The items of a block that fail N = M and 2M = 0 under an actor's powers R, R^2, ..."""
-    return [t for t, holds in enumerate(two_torsion_pair(block.orbit(powers[:2]))) if not holds]
+def _failing(verdicts: list[bool]) -> list[int]:
+    """The indices of the items whose verdict is False."""
+    return [t for t, holds in enumerate(verdicts) if not holds]
 
 
 # A check as ``_Checker.record`` takes it: verdict, expected, actual and inputs.
@@ -311,7 +313,7 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
     for g in order4:
         actor = g.to_element(sig)
         powers = power_rows(group_lattice_matrix(g, table, lattice).realified_rows(), 4)
-        failing_items.append(_two_torsion_failures(two_torsion, powers))
+        failing_items.append(_failing(two_torsion_pair(two_torsion.orbit(powers[:2]))))
         orbit = block.orbit(powers)
         for p, steps_hold, closes in zip(points, *four_step(orbit)):
             inputs = {"actor": actor, "point": p}
@@ -328,7 +330,7 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
     for g in order2:
         actor = g.to_element(sig)
         powers = power_rows(group_lattice_matrix(g, table, lattice).realified_rows(), 2)
-        failing_items.append(_two_torsion_failures(two_torsion, powers))
+        failing_items.append(_failing(two_torsion_pair(two_torsion.orbit(powers[:2]))))
         orbit = degenerate_block.orbit(powers)
         for p, holds in zip(degenerate_points, degenerate_pair(orbit)):
             yield (
@@ -743,22 +745,20 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
         # The induced powers are composed once and move both blocks of classes.
         powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 4)
         if classes is not None:
-            failing_classes.append(_two_torsion_failures(classes, powers))
-        orbit = bundle_block.orbit(powers)
-        for bundle, steps_hold, closes in zip(bundles, *four_step(orbit)):
+            failing_classes.append(_failing(two_torsion_bundle_scan(g, classes, table, pol, powers)))
+        held, first = bundle_systems_hold(g, bundle_block, table, pol, powers)
+        for bundle, holds in zip(bundles, held):
             chk.record(
-                steps_hold and closes,
+                holds,
                 "four-step bundle system and dual-square identity",
                 lambda: f"steps: {' | '.join(str(s) for s in bundle_system(g, bundle, table, pol).steps)}",
                 {"actor": actor, "bundle": bundle},
             )
-        histogram[g.label()] = sorted(set((orbit[1] - bundle_block).orders()))
+        histogram[g.label()] = sorted(set(first.orders()))
     chk.details = {"translation_bundle_orders": histogram}
 
     if classes is not None:
-        for g in order2:
-            powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 2)
-            failing_classes.append(_two_torsion_failures(classes, powers))
+        failing_classes += [_failing(two_torsion_bundle_scan(g, classes, table, pol)) for g in order2]
         for g, failing in zip(order4 + order2, failing_classes):
             witness = failing[0] if failing else None
             chk.record(

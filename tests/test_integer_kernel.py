@@ -47,7 +47,7 @@ from spintorus import action
 from spintorus.action import degenerate_pair, four_step, translation_block, two_torsion_pair
 from spintorus.errors import LatticeNotPreservedError
 from spintorus.matrices import is_signed_selection, power_rows, sparse_matvec_mod
-from spintorus.picard import bundle_systems_hold, two_torsion_bundle_scan
+from spintorus.picard import bundle_systems_hold, induced_powers, two_torsion_bundle_scan
 from spintorus.scalars import as_gaussian
 from spintorus.torus import TorsionBlock, is_principal, torsion_block
 
@@ -662,6 +662,31 @@ def test_translation_bundles_and_scans_on_blocks_match_one_class_at_a_time():
         if order >= 2:
             scan = two_torsion_bundle_scan(g, block, table, pol)
             assert scan == [two_torsion_bundle_check(g, c, table, pol) for c in classes]
+
+
+@pytest.mark.parametrize("shear", [False, True], ids=["default", "shear"])
+def test_bundle_scans_on_composed_powers_match_the_scans_that_compose_them(shear):
+    # The dual suite composes an order-4 actor's four induced powers once and
+    # passes them to both scans, which must read the first four and the first two.
+    lattice, pol, _ = setting(1, "definite", shear)
+    table = table_for(1, "definite")
+    classes = [BundleClass(1, [Fraction(a, 6), Fraction(b, 4), Fraction(c, 3), Fraction(d, 2)]) for a, b, c, d in
+               [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 2, 0), (5, 3, 1, 1), (3, 2, 0, 1)]]
+    block = TorsionBlock.of(classes, 4)
+    two_torsion = torsion_block(2, lattice)
+    orders = [element_order(g, table.sig) for g in generator_group(table.sig)]
+    assert orders.count(4) > 0
+    for g, order in zip(generator_group(table.sig), orders):
+        if order != 4:
+            continue
+        powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 4)
+        held, first = bundle_systems_hold(g, block, table, pol, powers)
+        expected_held, expected_first = bundle_systems_hold(g, block, table, pol)
+        assert held == expected_held and first.cols == expected_first.cols
+        for scanned in (block, two_torsion):
+            assert two_torsion_bundle_scan(g, scanned, table, pol, powers) == two_torsion_bundle_scan(
+                g, scanned, table, pol
+            )
 
 
 def test_a_block_of_no_points_gives_empty_results():
