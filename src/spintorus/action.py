@@ -91,8 +91,11 @@ def group_lattice_matrix(
     """Lattice-coordinates matrix of a signed blade, built once per lattice and reused.
 
     Signed blades are always integral, so only the lattice-preservation check
-    remains; this is the hot path for orbit scans. The result is memoized in
-    ``table.lattice_images`` per (blade, i_power, lattice).
+    remains; this is the hot path for orbit scans. A ladder table's image on
+    the default lattice carries its realified rows, so that check and the
+    rows cost no scan of its entries; conjugated images do not, and are
+    scanned. The result is memoized in ``table.lattice_images`` per
+    (blade, i_power, lattice).
     """
     key = (g.blade, g.i_power, lattice)
     matrix = table.lattice_images.get(key)

@@ -66,13 +66,17 @@ class Signature:
 
 
 def _reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of two ascending blades."""
+    """Sign from sorting the concatenation of two ascending blades.
+
+    Each generator j of b passes the generators of a above j, so the sign
+    is the parity of b against the suffix parities of a shifted by one.
+    """
     a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1 if swaps & 1 else 1
+    shift = 1
+    while a >> shift:
+        a ^= a >> shift
+        shift <<= 1
+    return -1 if (a & b).bit_count() & 1 else 1
 
 
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterator
 
 from ._version import __version__
@@ -221,9 +222,19 @@ class _Env:
         return TorsionBlock([2] * 100, [list(col) for col in zip(*(d[0::2] + d[1::2] for d in draws))])
 
 
-def _unit_fraction(rng: random.Random) -> Fraction:
-    denominator = rng.randint(1, 64)
-    return Fraction(rng.randint(0, denominator - 1), denominator)
+def _unit_numerators(rng: random.Random, count: int) -> tuple[int, list[int]]:
+    """``count`` values in [0, 1) over the lcm of their reduced denominators, in draw order.
+
+    Each value draws a denominator in 1..64, then a numerator below it.
+    """
+    parts = []
+    for _ in range(count):
+        den = rng.randint(1, 64)
+        num = rng.randint(0, den - 1)
+        common = gcd(num, den)
+        parts.append((num // common, den // common))
+    den = lcm(*[d for _, d in parts])
+    return den, [num * (den // d) for num, d in parts]
 
 
 def _signed_fraction(rng: random.Random) -> Fraction:
@@ -235,11 +246,10 @@ def _random_gaussian(rng: random.Random) -> GaussianRational:
 
 
 def _random_point(lattice: LatticeSpec, rng: random.Random) -> TorusPoint:
-    coords = [
-        GaussianRational(_unit_fraction(rng), _unit_fraction(rng))
-        for _ in range(lattice.dim)
-    ]
-    return TorusPoint(lattice, coords)
+    """A point whose coordinates each draw a real, then an imaginary part (see ``_unit_numerators``)."""
+    den, nums = _unit_numerators(rng, 2 * lattice.dim)
+    # The point stores the real parts first, then the imaginary parts.
+    return TorusPoint.from_numerators(lattice, den, nums[0::2] + nums[1::2])
 
 
 def _closure_sum(system: TranslationSystem) -> TorusPoint:
@@ -267,7 +277,8 @@ def _random_group_element(sig: Signature, rng: random.Random) -> GeneratorGroupE
 
 
 def _random_bundle(k: int, rng: random.Random) -> BundleClass:
-    return BundleClass(k, [_unit_fraction(rng) for _ in range(2 << k)])
+    """A class whose 2 * 2^k values are drawn in order (see ``_unit_numerators``)."""
+    return BundleClass.from_numerators(k, *_unit_numerators(rng, 2 << k))
 
 
 def _random_ambient(lattice: LatticeSpec, rng: random.Random) -> tuple[GaussianRational, ...]:

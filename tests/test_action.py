@@ -27,6 +27,8 @@ from spintorus import (
     lattice_matrix,
     parse_point,
     preserves_lattice,
+    parse_gaussian,
+    transport_table,
     translation_system,
     verify_two_torsion,
 )
@@ -151,6 +153,39 @@ def test_signed_blade_actors_reuse_the_memoized_lattice_matrix():
     # an actor that is not a signed blade is conjugated afresh and not memoized
     lattice_matrix(evaluate_element("e1 + e2", SIG), table, shear)
     assert len(table.lattice_images) == 1
+
+
+def _block_matrix(k: int, block: list[list[str]]) -> Matrix:
+    """A 2x2 matrix repeated down the diagonal of a 2^k x 2^k one."""
+    return Matrix.identity(1 << (k - 1)).kron(Matrix([[parse_gaussian(x) for x in row] for row in block]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_only_ladder_images_on_the_default_lattice_skip_the_integrality_scan(k):
+    sig = Signature(2 * k, 0)
+    ladder = build_generators(k)
+    transported = transport_table(_block_matrix(k, [["1", "i"], ["0", "1"]]), ladder)
+    default = LatticeSpec.default(k)
+    shear = LatticeSpec(k, _block_matrix(k, [["1", "i"], ["0", "1"]]))
+    index_two = LatticeSpec(k, _block_matrix(k, [["1", "1+i"], ["1", "0"]]))
+    refused = 0
+    for g in generator_group(sig):
+        assert group_lattice_matrix(g, ladder, default)._realified_rows is not None
+        assert transported.represent_group_element(g)._realified_rows is None
+        assert group_lattice_matrix(g, ladder, shear)._realified_rows is None
+        for table in (ladder, transported):
+            for lattice in (default, shear, index_two):
+                # The dense oracle: every entry of the conjugate lies in Z[i].
+                conjugate = lattice.inverse_basis @ table.represent_group_element(g) @ lattice.basis
+                kept = all(x.is_gaussian_integer() for row in conjugate.entries() for x in row)
+                assert preserves_lattice(g.to_element(sig), table, lattice) == kept
+                if kept:
+                    assert group_lattice_matrix(g, table, lattice) == conjugate
+                else:
+                    refused += 1
+                    with pytest.raises(LatticeNotPreservedError):
+                        group_lattice_matrix(g, table, lattice)
+    assert refused > 0
 
 
 def test_two_torsion_translations_square_to_zero(tables):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -88,6 +89,28 @@ def test_blade_mul_matches_bubble_sort_for_every_pair(n):
         for a in range(1 << n):
             for b in range(1 << n):
                 assert blade_mul(a, b, sig) == bubble_sort_blade_mul(a, b, sig), (sig, a, b)
+
+
+def _bit_loop_reorder_sign(a: int, b: int) -> int:
+    """The reference: for each generator of a, count the generators of b below it."""
+    a >>= 1
+    swaps = 0
+    while a:
+        swaps += (a & b).bit_count()
+        a >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def test_reorder_sign_matches_the_bit_loop():
+    # Every pair of blades for n <= 8 generators, then random pairs up to n = 16.
+    for a in range(1 << 8):
+        for b in range(1 << 8):
+            assert clifford._reorder_sign(a, b) == _bit_loop_reorder_sign(a, b), (a, b)
+    rng = random.Random(16)
+    for n in range(9, 17):
+        for _ in range(2000):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            assert clifford._reorder_sign(a, b) == _bit_loop_reorder_sign(a, b), (a, b)
 
 
 def test_reversion_sign_has_period_four():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +14,9 @@ from spintorus import (
     BundleSystem,
     CliffordElement,
     Failure,
+    GaussianRational,
     GeneratorGroupElement,
+    LatticeSpec,
     Matrix,
     Signature,
     SuiteConfig,
@@ -21,13 +25,14 @@ from spintorus import (
     element_source,
     emit_report,
     generator_group,
+    parse_gaussian,
     parse_point,
     report_document,
     report_from_document,
     run_suite,
     translation_system,
 )
-from spintorus import action, cli, clifford, torus
+from spintorus import action, cli, clifford, suite, torus
 from spintorus.cli import main
 from spintorus.torus import TorsionBlock
 
@@ -292,6 +297,41 @@ def test_closure_record_catches_a_reorder_sign_of_always_plus_one(monkeypatch, k
     monkeypatch.setattr(clifford, "_reorder_sign", lambda a, b: 1)
     result = _core_result(monkeypatch, k)
     assert _closure_failure(k) in result.failures
+
+
+def _unit_fraction(rng: random.Random) -> Fraction:
+    """The reference draw: a denominator in 1..64, then a numerator below it."""
+    denominator = rng.randint(1, 64)
+    return Fraction(rng.randint(0, denominator - 1), denominator)
+
+
+def _block_lattice(k: int, block: list[list[str]]) -> LatticeSpec:
+    """A 2x2 lattice basis repeated down the diagonal of a 2^k x 2^k one."""
+    return LatticeSpec(k, Matrix.identity(1 << (k - 1)).kron(Matrix([[parse_gaussian(x) for x in row] for row in block])))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sampled_points_and_classes_match_the_public_constructors(k):
+    lattices = (
+        LatticeSpec.default(k),
+        _block_lattice(k, [["1", "i"], ["0", "1"]]),
+        _block_lattice(k, [["1", "1+i"], ["1", "0"]]),
+    )
+    for lattice in lattices:
+        for seed in range(40):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                p = suite._random_point(lattice, rng)
+                q = TorusPoint(
+                    lattice,
+                    [GaussianRational(_unit_fraction(reference), _unit_fraction(reference)) for _ in range(lattice.dim)],
+                )
+                assert (type(p), p.den, p.nums) == (TorusPoint, q.den, q.nums)
+                assert p.owner is lattice
+                b = suite._random_bundle(k, rng)
+                c = BundleClass(k, [_unit_fraction(reference) for _ in range(2 << k)])
+                assert (type(b), b.den, b.nums, b.owner) == (BundleClass, c.den, c.nums, k)
+            assert rng.getstate() == reference.getstate()
 
 
 def test_indefinite_signatures_skip_torus_suites():
