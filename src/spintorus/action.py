@@ -13,17 +13,20 @@ g^2 p = p with 2M = 0: on the blocks the suites scan, one comparison of
 lists per coordinate column.
 
 The orbits are computed for a whole :class:`~spintorus.torus.TorsionBlock`
-of points at once. When every realified lattice row of the actor is a
-single +1 or -1 entry, as for every signed blade on the default lattice,
-image s selects columns of the block and of its negation by the rows of
-R^s: no arithmetic per step, and the negation is built once per block.
-Other actors apply the rows of R^s through the sparse kernel. A scan
-composes each actor's powers once and moves every block it checks with
-them. Each identity is one pass per coordinate column over the orbit,
-item by item modulo each point's own denominator, with a verdict per
-point; a single :class:`TranslationSystem` checks itself with the same
-functions on blocks of one, and ``verify_two_torsion`` on the block of
-every two-torsion point.
+of points at once, from the realified rows R of the actor's lattice
+matrix (``lattice_rows``). A ladder table's signed blade on the default
+lattice gives them from its signed permutation, with no dense matrix;
+other tables and lattices read them off the memoized, integrality-checked
+lattice matrix. When every row of R is a single +1 or -1 entry, image s
+selects columns of the block and of its negation by the rows of R^s: no
+arithmetic per step, and the negation is built once per block. Other
+actors apply the rows of R^s through the sparse kernel. A scan composes
+each actor's powers once and moves every block it checks with them. Each
+identity is one pass per coordinate column over the orbit, item by item
+modulo each point's own denominator, with a verdict per point; a single
+:class:`TranslationSystem` checks itself with the same functions on
+blocks of one, and ``verify_two_torsion`` on the block of every
+two-torsion point.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .clifford import CliffordElement, GeneratorGroupElement, as_signed_blade, element_order
 from .errors import LatticeNotPreservedError, NotIntegralError
-from .matrices import Matrix, power_rows
+from .matrices import IntegerRows, Matrix, SignedPermutation, power_rows
 from .spinrep import RepresentationTable
 from .torus import (
     DEFAULT_ENUMERATION_CAP,
@@ -85,24 +88,38 @@ def preserves_lattice(
     return True
 
 
+def _signed_permutation(
+    g: GeneratorGroupElement, table: RepresentationTable, lattice: LatticeSpec
+) -> SignedPermutation | None:
+    """A signed blade's lattice matrix where it is its signed permutation: a ladder table on the default lattice."""
+    return table.signed_permutation(g) if table.conjugator is None and lattice.is_default else None
+
+
 def group_lattice_matrix(
     g: GeneratorGroupElement, table: RepresentationTable, lattice: LatticeSpec
 ) -> Matrix:
     """Lattice-coordinates matrix of a signed blade, built once per lattice and reused.
 
     Signed blades are always integral, so only the lattice-preservation check
-    remains; this is the hot path for orbit scans. A ladder table's image on
-    the default lattice carries its realified rows, so that check and the
-    rows cost no scan of its entries; conjugated images do not, and are
-    scanned. The result is memoized in ``table.lattice_images`` per
-    (blade, i_power, lattice).
+    remains, and a ``_signed_permutation`` made dense needs none. The result
+    is memoized in ``table.lattice_images`` per (blade, i_power, lattice).
     """
     key = (g.blade, g.i_power, lattice)
     matrix = table.lattice_images.get(key)
     if matrix is None:
-        matrix = _lattice_coordinates(table.represent_group_element(g), lattice)
+        perm = _signed_permutation(g, table, lattice)
+        matrix = perm.dense() if perm is not None else _lattice_coordinates(table.represent_group_element(g), lattice)
         table.lattice_images[key] = matrix
     return matrix
+
+
+def lattice_rows(g: GeneratorGroupElement, table: RepresentationTable, lattice: LatticeSpec) -> IntegerRows:
+    """The realified rows of ``group_lattice_matrix(g, table, lattice)``: all that the orbit scans read.
+
+    A ladder table on the default lattice gives them from the signed permutation: no dense matrix, no memo entry.
+    """
+    perm = _signed_permutation(g, table, lattice)
+    return perm.realified_rows() if perm is not None else group_lattice_matrix(g, table, lattice).realified_rows()
 
 
 def apply_matrix(m: Matrix, p: TorusPoint) -> TorusPoint:
@@ -120,18 +137,6 @@ def apply_matrix(m: Matrix, p: TorusPoint) -> TorusPoint:
 def act(h: CliffordElement, p: TorusPoint, table: RepresentationTable) -> TorusPoint:
     """The action of an integral, lattice-preserving element on a point."""
     return apply_matrix(lattice_matrix(h, table, p.lattice), p)
-
-
-def translation_block(matrix: Matrix, block: TorsionBlock, steps: int = 4) -> list[TorsionBlock]:
-    """The orbits of a block of points under a lattice matrix: the block and its first ``steps`` images.
-
-    A signed permutation (every signed blade on the default lattice) moves
-    the block by column selection; other matrices use the sparse kernel
-    (see ``TorsionBlock.orbit``).
-    """
-    if matrix.rows != matrix.cols or 2 * matrix.rows != len(block.cols):
-        raise ValueError(f"a {matrix.rows}x{matrix.cols} matrix cannot act on {len(block.cols)} numerators")
-    return block.orbit(power_rows(matrix.realified_rows(), steps))
 
 
 # The identities below take the orbit of a block of points or of bundle
@@ -251,7 +256,7 @@ def translation_system(
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("translation systems need an actor of order at least 2")
-    blocks = translation_block(group_lattice_matrix(g, table, p.lattice), blocks_of_one(p)[0])
+    blocks = blocks_of_one(p)[0].orbit(power_rows(lattice_rows(g, table, p.lattice), 4))
     orbit = (p, *(TorusPoint.from_numerators(p.lattice, *block.item(0)) for block in blocks[1:]))
     return TranslationSystem(
         actor=g,
@@ -290,11 +295,11 @@ def verify_two_torsion(
     order = element_order(g, table.sig)
     if order < 2:
         raise ValueError("the scan needs an actor of order at least 2")
-    matrix = group_lattice_matrix(g, table, lattice)
+    rows = lattice_rows(g, table, lattice)
     block = torsion_block(2, lattice, cap=cap)
     failures = tuple(
         str(TorusPoint.from_numerators(lattice, *block.item(t)))
-        for t, ok in enumerate(two_torsion_pair(translation_block(matrix, block, steps=2)))
+        for t, ok in enumerate(two_torsion_pair(block.orbit(power_rows(rows, 2))))
         if not ok
     )
     return TwoTorsionReport(actor=g, checked=len(block), failures=failures)

@@ -13,6 +13,7 @@ routes are computed independently and compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .action import lattice_matrix, preserves_lattice
 from .clifford import (
@@ -97,6 +98,11 @@ def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
     return rank_of_rows(_flattening(_basis_images(table, lattice)))
 
 
+def _digits(n: int) -> str:
+    """``str(n)`` without the interpreter's limit on the digits of an int: the k = 6 index has 7,399."""
+    return str(Decimal(n))
+
+
 @dataclass(frozen=True)
 class SubringIndex:
     """Both routes to the index of the algebra image in the full endomorphism ring, and the image's rank."""
@@ -112,7 +118,7 @@ class SubringIndex:
 
     @property
     def index_str(self) -> str:
-        return "infinite" if self.index is None else str(self.index)
+        return "infinite" if self.index is None else _digits(self.index)
 
 
 def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIndex:

@@ -12,8 +12,7 @@ as one column and one phase exponent t (the entry is i^t) per row. The
 blade images of the spinor modules are kept in this form: products, the
 adjoint, the determinant, the realified rows and the flattened row cost
 O(n), and ``dense`` turns one into a :class:`Matrix` where a caller needs
-every entry, with its realified rows already in the matrix's cache, so
-its integrality check costs nothing.
+every entry.
 
 The integer routines are the Smith form and one sparse kernel: a matrix
 with integer entries kept as sparse rows, applied to a column-major block
@@ -224,12 +223,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_gaussian_integer(self) -> bool:
-        """Whether every entry lies in Z[i].
-
-        True at once when the realified rows are cached: ``realified_rows``
-        raises for any other matrix, and ``SignedPermutation.dense`` fills them.
-        """
-        return self._realified_rows is not None or all(x.is_gaussian_integer() for row in self._entries for x in row)
+        return all(x.is_gaussian_integer() for row in self._entries for x in row)
 
     def is_hermitian(self) -> bool:
         return self.is_square() and self == self.adjoint()
@@ -374,7 +368,7 @@ class SignedPermutation:
     entry. Every signed-blade image of the tensor ladder is one. Products,
     the adjoint (which is also the inverse), the determinant and the
     realified rows cost O(n) on the two tuples; ``dense`` gives the same
-    matrix as a :class:`Matrix`, which carries those realified rows.
+    matrix as a :class:`Matrix`.
     """
 
     __slots__ = ("cols", "phases")
@@ -486,16 +480,13 @@ class SignedPermutation:
         return {r * n + c: _UNIT_PARTS[t] for r, (c, t) in enumerate(zip(self.cols, self.phases))}
 
     def dense(self) -> Matrix:
-        """The same matrix as a :class:`Matrix`, carrying these realified rows in its cache."""
         n = len(self.cols)
         rows = []
         for c, t in zip(self.cols, self.phases):
             row = [_ZERO] * n
             row[c] = UNITS[t]
             rows.append(tuple(row))
-        m = Matrix._wrap(tuple(rows))
-        m._realified_rows = self.realified_rows()
-        return m
+        return Matrix._wrap(tuple(rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedPermutation):

@@ -11,17 +11,17 @@ is a group isomorphism from the torus to its dual, which is what
 and its integral inverse E^-T, applied as sparse integer rows to the
 numerators modulo their common denominator.
 
-An actor acts on classes through E^T R E^-T, for R its realified lattice
-matrix: ``bundle_action`` applies it to one class, and the bundle systems
-and the order-2 class scan apply its powers, composed once per actor
-(``induced_powers``), to a :class:`~spintorus.torus.TorsionBlock` of
-classes, which is never converted to points. On the default lattice
-those powers are signed permutations that select columns; otherwise the
-sparse kernel applies them, column by column modulo each class's own
-denominator. The orbits are checked with the identities of :mod:`spintorus.action`, which
-hold on bundle blocks as on point blocks because the duality is a group
-isomorphism. ``bundle_system`` builds the same steps through the points
-instead, as the reference.
+An actor acts on classes through E^T R E^-T, for R the realified rows of its
+lattice matrix: ``bundle_action`` applies it to one class, and the bundle
+systems and the order-2 class scan apply its powers, composed once per actor
+from ``action.lattice_rows`` (``induced_powers``), to a
+:class:`~spintorus.torus.TorsionBlock` of classes, which is never converted
+to points. On the default lattice those powers are signed permutations that
+select columns; otherwise the sparse kernel applies them, column by column
+modulo each class's own denominator. The orbits are checked with the
+identities of :mod:`spintorus.action`, which hold on bundle blocks as on
+point blocks because the duality is a group isomorphism. ``bundle_system``
+builds the same steps through the points instead, as the reference.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .action import four_step, group_lattice_matrix, lattice_matrix, translation_system, two_torsion_pair
+from .action import four_step, group_lattice_matrix, lattice_matrix, lattice_rows, translation_system, two_torsion_pair
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
 from .matrices import IntegerRows, Matrix, compose_rows, power_rows
@@ -106,9 +106,9 @@ def bundle_to_point(bundle: BundleClass, pol: PolarizationData) -> TorusPoint:
     return bundle.transform(pol.point_rows(), TorusPoint, pol.lattice)
 
 
-def _induced_rows(matrix: Matrix, pol: PolarizationData) -> IntegerRows:
-    """E^T R E^-T for the realified lattice matrix R: the action induced on bundle numerators."""
-    return compose_rows(pol.bundle_rows(), compose_rows(matrix.realified_rows(), pol.point_rows()))
+def _induced_rows(rows: IntegerRows, pol: PolarizationData) -> IntegerRows:
+    """E^T R E^-T for the realified lattice rows R: the action induced on bundle numerators."""
+    return compose_rows(pol.bundle_rows(), compose_rows(rows, pol.point_rows()))
 
 
 def bundle_action(
@@ -121,7 +121,7 @@ def bundle_action(
     _require_principal(pol)
     if bundle.k != pol.lattice.k:
         raise ValueError("bundle and polarization have different dimensions")
-    return bundle.transform(_induced_rows(lattice_matrix(h, table, pol.lattice), pol))
+    return bundle.transform(_induced_rows(lattice_matrix(h, table, pol.lattice).realified_rows(), pol))
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def bundle_system(
     )
 
 
-def induced_powers(matrix: Matrix, pol: PolarizationData, steps: int) -> list[IntegerRows]:
-    """The rows of E^T R^s E^-T for s = 1..steps, R the actor's realified lattice matrix.
+def induced_powers(rows: IntegerRows, pol: PolarizationData, steps: int) -> list[IntegerRows]:
+    """The rows of E^T R^s E^-T for s = 1..steps, R the realified rows of the actor's lattice matrix.
 
     The induced map E^T R E^-T is composed once, and its powers from it,
     so image s of a class is the class of g^s applied to the class's point.
@@ -183,14 +183,7 @@ def induced_powers(matrix: Matrix, pol: PolarizationData, steps: int) -> list[In
     images are column selections (``TorsionBlock.orbit``).
     """
     _require_principal(pol)
-    return power_rows(_induced_rows(matrix, pol), steps)
-
-
-def _bundle_orbit(classes: TorsionBlock, powers: list[IntegerRows], pol: PolarizationData) -> list[TorsionBlock]:
-    """The classes and their images under the powers the actor induces on the dual."""
-    if len(classes.cols) != 2 * pol.g:
-        raise ValueError("bundle and polarization have different dimensions")
-    return classes.orbit(powers)
+    return power_rows(_induced_rows(rows, pol), steps)
 
 
 def bundle_systems_hold(
@@ -207,8 +200,8 @@ def bundle_systems_hold(
     if element_order(g, table.sig) != 4:
         raise ValueError("the four-bundle system needs an order-4 actor")
     if powers is None:
-        powers = induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 4)
-    orbit = _bundle_orbit(classes, powers[:4], pol)
+        powers = induced_powers(lattice_rows(g, table, pol.lattice), pol, 4)
+    orbit = classes.orbit(powers[:4])
     steps_hold, closes = four_step(orbit)
     return [a and b for a, b in zip(steps_hold, closes)], orbit[1] - classes
 
@@ -225,8 +218,8 @@ def two_torsion_bundle_scan(
     ``powers``: the actor's ``induced_powers``, at least two, when the caller has composed them.
     """
     if powers is None:
-        powers = induced_powers(group_lattice_matrix(g, table, pol.lattice), pol, 2)
-    return two_torsion_pair(_bundle_orbit(classes, powers[:2], pol))
+        powers = induced_powers(lattice_rows(g, table, pol.lattice), pol, 2)
+    return two_torsion_pair(classes.orbit(powers[:2]))
 
 
 def two_torsion_bundle_check(
@@ -239,4 +232,4 @@ def two_torsion_bundle_check(
     """For order-2 bundles: both translation bundles agree and are 2-torsion (``matrix``: the actor's)."""
     if matrix is None:
         matrix = group_lattice_matrix(g, table, pol.lattice)
-    return two_torsion_pair(_bundle_orbit(blocks_of_one(bundle)[0], induced_powers(matrix, pol, 2), pol))[0]
+    return two_torsion_pair(blocks_of_one(bundle)[0].orbit(induced_powers(matrix.realified_rows(), pol, 2)))[0]

@@ -99,7 +99,8 @@ class RepresentationTable:
 
     Immutable after construction, apart from ``lattice_images``, the memo of
     signed-blade matrices in lattice coordinates, keyed by (blade, i_power,
-    lattice), that ``action.group_lattice_matrix`` fills on use.
+    lattice), that ``action.group_lattice_matrix`` fills on use; a ladder
+    table's scans on the default lattice (``action.lattice_rows``) skip it.
     """
 
     def __init__(

@@ -27,7 +27,7 @@ from .action import (
     act,
     degenerate_pair,
     four_step,
-    group_lattice_matrix,
+    lattice_rows,
     preserves_lattice,
     translation_system,
     two_torsion_pair,
@@ -43,6 +43,7 @@ from .clifford import (
     generator_group,
 )
 from .endo import (
+    _digits,
     automorphism_containment,
     decomposition_witness,
     determinant_routes_agree,
@@ -323,7 +324,7 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
     # Each actor moves the whole block at once.
     for g in order4:
         actor = g.to_element(sig)
-        powers = power_rows(group_lattice_matrix(g, table, lattice).realified_rows(), 4)
+        powers = power_rows(lattice_rows(g, table, lattice), 4)
         failing_items.append(_failing(two_torsion_pair(two_torsion.orbit(powers[:2]))))
         orbit = block.orbit(powers)
         for p, steps_hold, closes in zip(points, *four_step(orbit)):
@@ -340,7 +341,7 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
     degenerate_block = TorsionBlock.of(degenerate_points, 2 * lattice.dim)
     for g in order2:
         actor = g.to_element(sig)
-        powers = power_rows(group_lattice_matrix(g, table, lattice).realified_rows(), 2)
+        powers = power_rows(lattice_rows(g, table, lattice), 2)
         failing_items.append(_failing(two_torsion_pair(two_torsion.orbit(powers[:2]))))
         orbit = degenerate_block.orbit(powers)
         for p, holds in zip(degenerate_points, degenerate_pair(orbit)):
@@ -754,7 +755,7 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     for g in order4:
         actor = g.to_element(sig)
         # The induced powers are composed once and move both blocks of classes.
-        powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 4)
+        powers = induced_powers(lattice_rows(g, table, lattice), pol, 4)
         if classes is not None:
             failing_classes.append(_failing(two_torsion_bundle_scan(g, classes, table, pol, powers)))
         held, first = bundle_systems_hold(g, bundle_block, table, pol, powers)
@@ -816,7 +817,7 @@ def _run_endo_decomp(env: _Env, chk: _Checker) -> None:
     chk.record(
         audit.consistent,
         lambda: f"Smith product {audit.index_str}",
-        lambda: f"determinant norm {audit.determinant_norm}",
+        lambda: f"determinant norm {_digits(audit.determinant_norm)}",
     )
     if env.k == 1:
         chk.record(audit.index == 16, 16, audit.index_str)
@@ -828,7 +829,7 @@ def _run_endo_decomp(env: _Env, chk: _Checker) -> None:
     env.index_out[env.k] = {
         "smith_divisors": list(audit.smith_divisors),
         "index": audit.index_str,
-        "determinant_norm": str(audit.determinant_norm),
+        "determinant_norm": _digits(audit.determinant_norm),
         "consistent": audit.consistent,
     }
 

@@ -186,6 +186,8 @@ class TorsionBlock:
         The powers are composed once per actor (``matrices.power_rows``) and
         serve every block the actor moves.
         """
+        if len(powers[0]) != len(self.cols):
+            raise ValueError(f"{len(powers[0])} rows cannot act on {len(self.cols)} numerators")
         move = self._select if is_signed_selection(powers[0]) else self.transform
         return [self, *map(move, powers)]
 

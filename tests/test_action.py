@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,8 @@ from spintorus import (
     translation_system,
     verify_two_torsion,
 )
+from spintorus.action import lattice_rows
+from spintorus.matrices import realify, sparse_rows
 
 SIG = Signature(2, 0)
 LATTICE = LatticeSpec.default(1)
@@ -160,31 +163,34 @@ def _block_matrix(k: int, block: list[list[str]]) -> Matrix:
     return Matrix.identity(1 << (k - 1)).kron(Matrix([[parse_gaussian(x) for x in row] for row in block]))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_only_ladder_images_on_the_default_lattice_skip_the_integrality_scan(k):
-    sig = Signature(2 * k, 0)
-    ladder = build_generators(k)
-    transported = transport_table(_block_matrix(k, [["1", "i"], ["0", "1"]]), ladder)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lattice_rows_match_the_dense_realified_conjugate(k):
+    ladders = [build_generators(k, Signature(p, 2 * k - p)) for p in range(2 * k + 1)]
     default = LatticeSpec.default(k)
     shear = LatticeSpec(k, _block_matrix(k, [["1", "i"], ["0", "1"]]))
     index_two = LatticeSpec(k, _block_matrix(k, [["1", "1+i"], ["1", "0"]]))
     refused = 0
-    for g in generator_group(sig):
-        assert group_lattice_matrix(g, ladder, default)._realified_rows is not None
-        assert transported.represent_group_element(g)._realified_rows is None
-        assert group_lattice_matrix(g, ladder, shear)._realified_rows is None
-        for table in (ladder, transported):
-            for lattice in (default, shear, index_two):
-                # The dense oracle: every entry of the conjugate lies in Z[i].
-                conjugate = lattice.inverse_basis @ table.represent_group_element(g) @ lattice.basis
-                kept = all(x.is_gaussian_integer() for row in conjugate.entries() for x in row)
-                assert preserves_lattice(g.to_element(sig), table, lattice) == kept
-                if kept:
-                    assert group_lattice_matrix(g, table, lattice) == conjugate
-                else:
-                    refused += 1
-                    with pytest.raises(LatticeNotPreservedError):
-                        group_lattice_matrix(g, table, lattice)
+    for ladder in ladders:
+        transported = transport_table(_block_matrix(k, [["1", "i"], ["0", "1"]]), ladder)
+        for g, table, lattice in itertools.product(
+            generator_group(ladder.sig), (ladder, transported), (default, shear, index_two)
+        ):
+            # The dense oracle: the realified conjugate, which sparse_rows refuses when an entry leaves Z[i].
+            conjugate = lattice.inverse_basis @ table.represent_group_element(g) @ lattice.basis
+            try:
+                expected = sparse_rows(realify(conjugate))
+            except NotIntegralError:
+                refused += 1
+                with pytest.raises(LatticeNotPreservedError):
+                    lattice_rows(g, table, lattice)
+                assert not preserves_lattice(g.to_element(ladder.sig), table, lattice)
+                continue
+            assert lattice_rows(g, table, lattice) == expected, (ladder.sig, g, lattice)
+            # A ladder table's rows on the default lattice come from its signed permutation, unmemoized.
+            memoized = (g.blade, g.i_power, lattice) in table.lattice_images
+            assert memoized != (table is ladder and lattice is default)
+            assert group_lattice_matrix(g, table, lattice) == conjugate
+            assert preserves_lattice(g.to_element(ladder.sig), table, lattice)
     assert refused > 0
 
 

@@ -123,6 +123,25 @@ def test_subring_index_audit_at_rank_one(tables, lattices):
     assert audit.index_str == "16"
 
 
+def _chunked_digits(n: int) -> str:
+    """The decimal digits of n >= 0, rendered 1,000 at a time to stay under the interpreter's limit."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_indices_render_every_digit():
+    # The k = 6 index: str() refuses it, past the 4,300-digit limit.
+    index = 2**24576
+    audit = endo.SubringIndex(rank=1, smith_divisors=(index,), index=index, determinant_norm=index)
+    assert audit.index_str == endo._digits(index) == _chunked_digits(index)
+    assert len(audit.index_str) == 7399
+    for n in (0, 1, 16, -7, 2**64, 10**4299, -(10**4299) + 1):
+        assert endo._digits(n) == str(n)
+
+
 def test_subring_index_matches_sympy_smith_form(tables, lattices):
     snf = smith_normal_form(sympy.Matrix(realified_flattening(tables[1], lattices[1])))
     product = 1

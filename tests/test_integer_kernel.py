@@ -32,6 +32,7 @@ from spintorus import (
     SuiteConfig,
     TorusPoint,
     apply_matrix,
+    as_signed_blade,
     build_generators,
     bundle_system,
     bundle_to_point,
@@ -43,8 +44,8 @@ from spintorus import (
     torsion_points,
     two_torsion_bundle_check,
 )
-from spintorus import action
-from spintorus.action import degenerate_pair, four_step, translation_block, two_torsion_pair
+from spintorus import action, suite
+from spintorus.action import degenerate_pair, four_step, lattice_rows, two_torsion_pair
 from spintorus.errors import LatticeNotPreservedError
 from spintorus.matrices import is_signed_selection, power_rows, sparse_matvec_mod
 from spintorus.picard import bundle_systems_hold, induced_powers, two_torsion_bundle_scan
@@ -307,6 +308,38 @@ def test_endo_decomp_conjugates_each_signed_blade_once(monkeypatch):
         assert 0 < len(calls) <= distinct
 
 
+@pytest.mark.parametrize("suite_name, entry_points", [
+    ("clifford_action", ("act",)),
+    ("dual_picard", ("act", "bundle_action")),
+])
+def test_default_lattice_scans_memoize_only_the_actors_of_single_actions(monkeypatch, suite_name, entry_points):
+    # The orbit and two-torsion scans read a ladder table's rows from its signed
+    # permutations, so only the one-point actions leave dense lattice matrices behind.
+    tables, acted = [], set()
+    init = RepresentationTable.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    def recording(original):
+        def wrapper(h, target, table, *rest):
+            g = as_signed_blade(h)
+            if g is not None:
+                acted.add((id(table), g.blade, g.i_power))
+            return original(h, target, table, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(RepresentationTable, "__init__", recorded)
+    for name in entry_points:
+        monkeypatch.setattr(suite, name, recording(getattr(suite, name)))
+    report = run_suite(SuiteConfig(ks=(3,), suites=(suite_name,)))
+    assert report.all_passed()
+    memoized = {(id(table), blade, i_power) for table in tables for blade, i_power, _ in table.lattice_images}
+    assert acted and memoized == acted
+
+
 # Blocks of torsion points. A block holds each point over a denominator that
 # is a multiple of its order, so the drawn numerators need not be in lowest
 # terms, and the denominators mix freely, 1 included.
@@ -374,7 +407,7 @@ def test_block_orbits_and_identities_match_the_dense_action_for_every_signed_bla
     starts = [block_coords(block, t, lattice) for t in range(len(block))]
     for actor, matrix in zip(generator_group(table.sig), matrices):
         ambient = table.represent_group_element(actor)
-        orbit = translation_block(matrix, block)
+        orbit = block.orbit(power_rows(matrix.realified_rows(), 4))
         assert orbit[0] is block
         assert block.transform(matrix.realified_rows()).cols == orbit[1].cols
         m, n = orbit[1] - orbit[0], orbit[2] - orbit[1]
@@ -580,7 +613,7 @@ def test_selection_and_fused_identities_match_the_sparse_reference(k, p, name, d
     principal = is_principal(pol)
     for (g, matrix), block in itertools.product(chosen, (drawn, TorsionBlock.of([], width))):
         rows = matrix.realified_rows()
-        orbit = translation_block(matrix, block)
+        orbit = block.orbit(power_rows(rows, 4))
         reference = reference_orbit(rows, block, 4)
         assert [q.cols for q in orbit] == [q.cols for q in reference]
         m, n = reference[1] - reference[0], reference[2] - reference[1]
@@ -679,7 +712,7 @@ def test_bundle_scans_on_composed_powers_match_the_scans_that_compose_them(shear
     for g, order in zip(generator_group(table.sig), orders):
         if order != 4:
             continue
-        powers = induced_powers(group_lattice_matrix(g, table, lattice), pol, 4)
+        powers = induced_powers(lattice_rows(g, table, lattice), pol, 4)
         held, first = bundle_systems_hold(g, block, table, pol, powers)
         expected_held, expected_first = bundle_systems_hold(g, block, table, pol)
         assert held == expected_held and first.cols == expected_first.cols
@@ -696,7 +729,7 @@ def test_a_block_of_no_points_gives_empty_results():
     assert len(empty) == 0 and empty.cols == [[] for _ in range(8)]
     assert empty.orders() == [] and empty.is_zero() == [] and (-empty).cols == empty.cols
     assert empty.transform(pol.bundle_rows()).cols == empty.cols
-    orbit = translation_block(matrices[3], empty)
+    orbit = empty.orbit(power_rows(matrices[3].realified_rows(), 4))
     for q in orbit:
         assert len(q) == 0 and q.cols == empty.cols
     assert four_step(orbit) == ([], [])

@@ -18,11 +18,9 @@ from spintorus import (
     LatticeSpec,
     Matrix,
     NotIntegralError,
-    Signature,
     SignedPermutation,
     as_gaussian,
     build_generators,
-    generator_group,
     rank_of_rows,
     realify,
     smith_form,
@@ -223,26 +221,11 @@ def test_realified_rows_match_the_dense_realification(data):
         assert m.realified_rows() == expected
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_signed_blade_images_carry_the_realified_rows_of_their_entries(k):
-    for p in range(2 * k + 1):
-        sig = Signature(p, 2 * k - p)
-        table = build_generators(k, sig)
-        for g in generator_group(sig):
-            m = table.signed_permutation(g).dense()
-            assert m._realified_rows is not None
-            assert m.is_gaussian_integer()
-            fresh = Matrix(m.entries())
-            assert fresh._realified_rows is None
-            assert m.realified_rows() == sparse_rows(realify(m)) == fresh.realified_rows(), (sig, g)
-
-
 def test_a_matrix_that_fails_to_realify_still_fails_the_integrality_check():
     m = Matrix([[GaussianRational(Fraction(1, 2)), 0], [0, GaussianRational(0, 1)]])
     with pytest.raises(NotIntegralError):
         m.realified_rows()
     assert not m.is_gaussian_integer()
-    assert m._realified_rows is None
 
 
 def test_zero_matrix_needs_a_row_and_a_column():

@@ -215,8 +215,8 @@ def test_bundle_action_checks_the_polarization_then_the_rank_then_the_element(ta
         bundle_action(half, BundleClass.trivial(1), tables[1], polarizations[1])
 
 
-def _induced_the_wrong_way_round(matrix, pol):
-    return compose_rows(pol.point_rows(), compose_rows(matrix.realified_rows(), pol.bundle_rows()))
+def _induced_the_wrong_way_round(rows, pol):
+    return compose_rows(pol.point_rows(), compose_rows(rows, pol.bundle_rows()))
 
 
 def test_a_wrong_induced_map_fails_the_intertwining_records(monkeypatch):
