@@ -36,11 +36,11 @@ from .clifford import (
     CliffordElement,
     GeneratorGroupElement,
     Signature,
-    as_signed_blade,
     basis_blades,
     basis_elements,
     element_order,
     generator_group,
+    signed_terms,
 )
 from .endo import (
     _digits,
@@ -439,32 +439,34 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     # Closure, proved on generators: for each x in {e_1, ..., e_n, i} and each
     # h in the group, the Clifford product x*h must read back as a signed
     # blade equal to x.mul(h). Every signed blade is a word in the generators,
-    # so x*G inside G for each generator x gives G*G inside G. This proves
-    # closure under the CliffordElement product and `mul` with a generator on
-    # the left; it does not prove `mul` on composite left factors at k >= 3.
-    # Both sides share `blade_mul`, so the spinor matrices check it: for each
-    # e_j and each blade e_I, image(e_j.mul(e_I)) == image(e_j) @ image(e_I),
-    # as signed permutations. Phases are central and `mul` adds them, which
-    # the readback above checks, so this covers every h in the group. At
-    # k <= 2 all pairs are read back too.
+    # so x*G inside G for each generator x gives G*G inside G. A row is the 2^n
+    # elements i^t*e_I of one phase t: I -> x.blade ^ I is a bijection, so the
+    # terms of x*S_t, with S_t the sum of the row, are the products x*(i^t*e_I)
+    # and never meet. One product per generator and phase, read back by
+    # `signed_terms`, must be the blade -> phase map of x.mul over the row.
+    # This proves closure under the CliffordElement product and `mul` with a
+    # generator on the left; it does not prove `mul` on composite left factors
+    # at k >= 3. Both sides share `blade_mul`, so the spinor matrices check it:
+    # for each e_j and each blade e_I, image(e_j.mul(e_I)) == image(e_j) @
+    # image(e_I), as signed permutations. Phases are central and `mul` adds
+    # them, which the rows check, so this covers every h in the group. At
+    # k <= 2 the rows are read back for every left factor in the group.
+    rows = [group[t::4] for t in range(4)]
+    row_sums = [CliffordElement(sig, {h.blade: h.phase for h in row}) for row in rows]
     generators = [GeneratorGroupElement(1 << j, 0) for j in range(sig.n)]
     generators.append(GeneratorGroupElement(0, 1))
-    generator_elements = [x.to_element(sig) for x in generators]
+    left_factors = zip(group, elements) if env.k <= 2 else [(x, x.to_element(sig)) for x in generators]
     closure_ok = all(
-        as_signed_blade(x_element * element) == x.mul(h, sig)
-        for x, x_element in zip(generators, generator_elements)
-        for h, element in zip(group, elements)
+        signed_terms(x_element * row_sum) == {w.blade: w.i_power for w in (x.mul(h, sig) for h in row)}
+        for x, x_element in left_factors
+        for row, row_sum in zip(rows, row_sums)
     )
-    if env.k <= 2:
-        closure_ok = closure_ok and all(
-            as_signed_blade(g_element * h_element) == g.mul(h, sig)
-            for g, g_element in zip(group, elements)
-            for h, h_element in zip(group, elements)
-        )
     image = env.table.signed_permutation
-    blades = [GeneratorGroupElement(mask, 0) for mask in range(1 << sig.n)]
+    blades = rows[0]
     closure_ok = closure_ok and all(
-        image(x.mul(h, sig)) == image(x) @ image(h) for x in generators[:-1] for h in blades
+        image(x.mul(h, sig)) == x_image @ image(h)
+        for x, x_image in ((x, image(x)) for x in generators[:-1])
+        for h in blades
     )
     chk.record(closure_ok, "group closed under products", closure_ok)
     chk.record(inverse_ok, "every element has an inverse", inverse_ok)

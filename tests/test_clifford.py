@@ -27,6 +27,7 @@ from spintorus import (
     generator_group,
     grade_project,
     reversion_sign,
+    signed_terms,
     star,
 )
 from spintorus import clifford
@@ -220,6 +221,39 @@ def test_signed_blade_readback():
     # A signed blade is one term with a unit coefficient; nothing else reads back.
     for source in ("2*e1", "(1+i)*e1", "e1 + e2", "1/2*i*e1*e2", "0"):
         assert as_signed_blade(evaluate_element(source, SIG)) is None
+
+
+def test_signed_terms_read_every_unit_term():
+    for sig in (SIG, Signature(3, 1)):
+        for g in generator_group(sig):
+            assert signed_terms(g.to_element(sig)) == {g.blade: g.i_power}
+    assert signed_terms(evaluate_element("e1 - i*e2 - i*e1*e2", SIG)) == {0b01: 0, 0b10: 3, 0b11: 3}
+    # One coefficient off the unit circle makes the whole element unreadable.
+    for coeff in ("2", "(1+i)", "1/2"):
+        assert signed_terms(evaluate_element(f"e1 + {coeff}*e2", SIG)) is None
+        assert signed_terms(evaluate_element(f"{coeff}*e1", SIG)) is None
+    assert signed_terms(CliffordElement.zero(SIG)) == {}
+
+
+def _signatures(k: int) -> list[Signature]:
+    return [Signature(p, 2 * k - p) for p in range(2 * k + 1)]
+
+
+@pytest.mark.parametrize("sig", [sig for k in (1, 2, 3) for sig in _signatures(k)], ids=lambda s: f"{s.p},{s.q}")
+def test_row_readback_matches_the_per_pair_readback(sig):
+    # clifford_core multiplies each generator by the sum S_t of one phase row
+    # of the group and reads the product back as a blade -> phase map; the
+    # oracle is one product and one `as_signed_blade` per pair.
+    group = generator_group(sig)
+    generators = [GeneratorGroupElement(1 << j, 0) for j in range(sig.n)] + [GeneratorGroupElement(0, 1)]
+    for x in generators:
+        x_element = x.to_element(sig)
+        for t in range(4):
+            row = [h for h in group if h.i_power == t]
+            row_sum = CliffordElement(sig, {h.blade: h.phase for h in row})
+            pairs = [as_signed_blade(x_element * h.to_element(sig)) for h in row]
+            assert pairs == [x.mul(h, sig) for h in row]
+            assert signed_terms(x_element * row_sum) == {w.blade: w.i_power for w in pairs}
 
 
 def test_signature_validation():

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library and itself, and its exports resolve."""
+"""The package imports nothing outside the standard library and itself, its exports resolve,
+and only the clifford module reads the terms of an element."""
 
 from __future__ import annotations
 
@@ -39,3 +40,16 @@ def test_every_export_resolves():
     exec("from spintorus import *", namespace)
     assert len(set(spintorus.__all__)) == len(spintorus.__all__)
     assert [name for name in spintorus.__all__ if name not in namespace] == []
+
+
+def test_only_the_clifford_module_reads_element_terms():
+    # Other modules go through `terms()`, `coefficient()`, `signed_terms()` or
+    # `as_signed_blade()`, so the term dict stays private to `clifford.py`.
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "clifford.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    ]
+    assert readers == []

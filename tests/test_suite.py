@@ -299,6 +299,38 @@ def test_closure_record_catches_a_reorder_sign_of_always_plus_one(monkeypatch, k
     assert _closure_failure(k) in result.failures
 
 
+_mul = GeneratorGroupElement.mul
+
+
+def _mul_off_by_two_when(wrong):
+    """``mul`` with the phase off by 2 on the pairs (g, h) where ``wrong(g, h)`` holds."""
+
+    def mul(self, other, sig):
+        product = _mul(self, other, sig)
+        return GeneratorGroupElement(product.blade, (product.i_power + 2) % 4) if wrong(self, other) else product
+
+    return mul
+
+
+# Each mutant is wrong on few pairs: only on the t=3 row, only on one pair
+# of blades (e_1, e_{2,3}), or only on composite left factors, which just the
+# k <= 2 readback over every left factor reaches.
+CLOSURE_MUTANTS = {
+    "right-phase-3": (lambda g, h: h.i_power == 3, (1, 2, 3, 4)),
+    "e1-times-e23": (lambda g, h: (g.blade, h.blade) == (0b1, 0b110), (2, 3, 4)),
+    "composite-pairs": (lambda g, h: g.blade.bit_count() > 1 and h.blade.bit_count() > 1, (1, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "mutant, k", [(name, k) for name, (_, ks) in CLOSURE_MUTANTS.items() for k in ks]
+)
+def test_closure_record_catches_a_mul_wrong_on_few_pairs(monkeypatch, mutant, k):
+    monkeypatch.setattr(GeneratorGroupElement, "mul", _mul_off_by_two_when(CLOSURE_MUTANTS[mutant][0]))
+    result = _core_result(monkeypatch, k)
+    assert _closure_failure(k) in result.failures
+
+
 def _unit_fraction(rng: random.Random) -> Fraction:
     """The reference draw: a denominator in 1..64, then a numerator below it."""
     denominator = rng.randint(1, 64)
