@@ -22,12 +22,11 @@ start from the lowest set bit of the exponent and square no further than the
 highest one, so ``u**4`` costs two products.
 
 ``as_signed_blade`` reads a one-term element with a unit coefficient back as
-the signed blade ``i^t * e_I``; ``signed_terms`` reads every term of an
-element so, as ``blade -> t``. ``clifford_core`` proves the signed blades
-closed with it: for each generator x in {e_1, ..., e_n, i} and each phase t,
-one product x * S_t, with S_t the sum of the 4^k blades i^t * e_I, whose 4^k
-terms never meet, read back once against ``x.mul`` over the row: 4 * (2k+1)
-row products of 4^k terms each.
+the signed blade ``i^t * e_I``, and ``signed_terms`` reads each term of an
+element as ``blade -> t``. ``clifford_core`` proves the signed blades closed
+with 4 * (2k+1) row products of 4^k terms each: each generator x in
+{e_1, ..., e_n, i} times S_t, the sum of the 4^k blades i^t * e_I of one
+phase t. Their terms never meet, so one ``signed_terms`` reads back a row.
 """
 
 from __future__ import annotations

@@ -235,11 +235,9 @@ def test_signed_terms_read_every_unit_term():
     assert signed_terms(CliffordElement.zero(SIG)) == {}
 
 
-def _signatures(k: int) -> list[Signature]:
-    return [Signature(p, 2 * k - p) for p in range(2 * k + 1)]
-
-
-@pytest.mark.parametrize("sig", [sig for k in (1, 2, 3) for sig in _signatures(k)], ids=lambda s: f"{s.p},{s.q}")
+@pytest.mark.parametrize(
+    "sig", [Signature(p, 2 * k - p) for k in (1, 2, 3) for p in range(2 * k + 1)], ids=lambda s: f"{s.p},{s.q}"
+)
 def test_row_readback_matches_the_per_pair_readback(sig):
     # clifford_core multiplies each generator by the sum S_t of one phase row
     # of the group and reads the product back as a blade -> phase map; the

@@ -312,9 +312,9 @@ def _mul_off_by_two_when(wrong):
     return mul
 
 
-# Each mutant is wrong on few pairs: only on the t=3 row, only on one pair
-# of blades (e_1, e_{2,3}), or only on composite left factors, which just the
-# k <= 2 readback over every left factor reaches.
+# Each mutant is wrong on few pairs: only on the t=3 row, only on the blades
+# (e_1, e_{2,3}), or only on pairs of composite blades, which only the k <= 2
+# readback over every left factor reaches.
 CLOSURE_MUTANTS = {
     "right-phase-3": (lambda g, h: h.i_power == 3, (1, 2, 3, 4)),
     "e1-times-e23": (lambda g, h: (g.blade, h.blade) == (0b1, 0b110), (2, 3, 4)),
