@@ -19,7 +19,9 @@ with integer entries kept as sparse rows, applied to a column-major block
 of integer numerator vectors, each reduced modulo its own denominator.
 Sparse rows also compose, and rows that are each a single ±1 entry (the
 realified signed permutations) are recognised, so that a block can take
-their image by selecting columns instead.
+their image by selecting columns instead. ``inverse_rows`` inverts sparse
+integer rows by integer row operations alone, and returns None when the
+inverse is not integral.
 
 The determinant and the Smith form eliminate a matrix one connected
 component at a time, where the components join rows and columns through
@@ -584,6 +586,61 @@ def power_rows(rows: IntegerRows, steps: int) -> list[IntegerRows]:
 def is_signed_selection(rows: IntegerRows) -> bool:
     """Whether every row is a single entry +1 or -1, so that applying the rows selects signed columns."""
     return all(len(row) == 1 and row[0][1] in (1, -1) for row in rows)
+
+
+def inverse_rows(rows: IntegerRows, n: int) -> IntegerRows | None:
+    """The inverse of the n x n integer matrix ``rows`` as sparse rows, or None if it is not integral.
+
+    Integer row operations only (swap, negate, subtract an integer multiple
+    of another row) on the matrix beside the identity. Each column takes as
+    pivot its entry of least magnitude (the first, on ties) among the rows
+    not yet pivots, and division steps repeat until the rest of the column
+    is zero. The triangular result has determinant the product of the
+    pivots up to sign, so the matrix is unimodular, and its inverse
+    integral, exactly when every pivot is +1 or -1; back substitution then
+    turns the identity beside it into the inverse. Raises ValueError if the
+    matrix is singular or not n x n.
+    """
+    if len(rows) != n:
+        raise ValueError(f"{len(rows)} rows do not make an {n} x {n} matrix")
+    # Row r holds the matrix entries at columns 0..n-1 and the identity's at n..2n-1.
+    work = [{**dict(row), n + r: 1} for r, row in enumerate(rows)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if work[r].get(c)]
+            if not live:
+                raise ValueError("matrix is singular")
+            p = min(live, key=lambda r: abs(work[r][c]))
+            work[c], work[p] = work[p], work[c]
+            if len(live) == 1:
+                break
+            pivot_row, pivot = work[c], work[c][c]
+            for r in range(c + 1, n):
+                x = work[r].get(c)
+                if x:
+                    _subtract_row(work[r], x // pivot, pivot_row)
+    if any(work[c][c] not in (1, -1) for c in range(n)):
+        return None
+    for c in reversed(range(n)):
+        pivot_row = work[c]
+        if pivot_row[c] < 0:
+            for j in pivot_row:
+                pivot_row[j] = -pivot_row[j]
+        for r in range(c):
+            x = work[r].get(c)
+            if x:
+                _subtract_row(work[r], x, pivot_row)
+    return tuple(tuple(sorted((j - n, x) for j, x in row.items() if j >= n)) for row in work)
+
+
+def _subtract_row(row: dict[int, int], q: int, other: dict[int, int]) -> None:
+    """``row -= q * other`` in place on sparse integer rows, dropping the entries that become zero."""
+    for j, x in other.items():
+        y = row.get(j, 0) - q * x
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
 
 
 def _gaussian_integer_row(row: Iterable[int | Fraction | GaussianRational]) -> _GaussianIntegerRow:

@@ -34,7 +34,7 @@ from .action import four_step, group_lattice_matrix, lattice_matrix, lattice_row
 from .clifford import CliffordElement, GeneratorGroupElement, element_order
 from .errors import NotPrincipalError
 from .matrices import IntegerRows, Matrix, compose_rows, power_rows
-from .scalars import as_rational, format_rational
+from .scalars import as_rational, format_gaussian
 from .spinrep import RepresentationTable
 from .torus import (
     PolarizationData,
@@ -82,7 +82,8 @@ class BundleClass(_TorsionElement):
     is_trivial = _TorsionElement.is_zero
 
     def __str__(self) -> str:
-        return "[" + ", ".join(format_rational(x) for x in self.chars) + "]"
+        den = self.den
+        return "[" + ", ".join(format_gaussian(x, 0, den) for x in self.nums) + "]"
 
 
 def _require_principal(pol: PolarizationData) -> None:

@@ -7,6 +7,10 @@ holds an element of Q(i) as one canonical int triple ``(a, b, d)`` meaning
 for Gaussian integers (``d == 1``), which is every entry of the spinor
 matrices and every phase; no ``Fraction`` is made inside it. All arithmetic
 in this package runs over these two types; nothing is ever rounded.
+
+Values are rendered from int triples too: ``format_gaussian`` writes
+``(a + b*i)/d`` with each part in lowest terms by ``gcd``, so rendering a
+Gaussian rational, a torus point or a bundle class makes no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -33,9 +37,35 @@ def as_rational(x: int | Fraction) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render a rational as ``a/b``, or just ``a`` when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio(x.numerator, x.denominator)
+
+
+def format_gaussian(a: int, b: int, d: int) -> str:
+    """Render ``(a + b*i)/d``, for ``d >= 1``, as ``a/b``, ``c/di`` or ``a/b+c/di`` (sign-aware).
+
+    Each part is written in lowest terms, and ``i`` or ``-i`` stands for an
+    imaginary part of 1 or -1: the text ``format_rational`` gives each part.
+    """
+    if not b:
+        return _ratio(a, d)
+    prefix = ""
+    if a:
+        prefix = _ratio(a, d) + ("+" if b > 0 else "-")
+        b = abs(b)
+    if b == d:
+        return prefix + "i"
+    if b == -d:
+        # Only when a is 0: b was made positive otherwise.
+        return "-i"
+    return f"{prefix}{_ratio(b, d)}i"
+
+
+def _ratio(n: int, d: int) -> str:
+    """``n/d`` for ``d >= 1`` in lowest terms, or just the integer when that is its value."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _parts(x: int | Fraction) -> tuple[int, int]:
@@ -195,13 +225,8 @@ class GaussianRational:
         return f"GaussianRational({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        """Literal form: ``a/b``, ``c/di``, or ``a/b+c/di`` (sign-aware)."""
-        if not self._b:
-            return format_rational(self.re)
-        if not self._a:
-            return _imag_str(self.im)
-        sign = "+" if self._b > 0 else "-"
-        return f"{format_rational(self.re)}{sign}{_imag_str(abs(self.im))}"
+        """Literal form: ``a/b``, ``c/di``, or ``a/b+c/di`` (sign-aware); see ``format_gaussian``."""
+        return format_gaussian(self._a, self._b, self._d)
 
 
 def _binary_power(base: _T, exponent: int) -> _T:
@@ -221,14 +246,6 @@ def _binary_power(base: _T, exponent: int) -> _T:
             result = result * base
         exponent >>= 1
     return result
-
-
-def _imag_str(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{format_rational(b)}i"
 
 
 _new = object.__new__

@@ -15,8 +15,11 @@ point is stored as one denominator ``den`` (its order) and integer
 numerators in ``[0, den)`` on that realified basis: the real parts of the
 g coordinates, then their imaginary parts, in lowest terms. Equality of
 points is literal equality of these integers, and the Gaussian-rational
-coordinates are derived from them on demand. Lattice matrices (realified)
-and the duality forms act on the numerators as sparse integer rows. The
+coordinates are derived from them on demand; a point prints straight from
+them (``scalars.format_gaussian``). Lattice matrices (realified) and the
+duality forms act on the numerators as sparse integer rows: E^T is read
+off the polarization's form, and E^-T comes with the principal test from
+one integer elimination of E^T's rows (``matrices.inverse_rows``). The
 bundle classes of the dual torus are the same element type, with its group
 arithmetic written once here: its owner is the lattice for a point, k for
 a bundle class.
@@ -48,12 +51,13 @@ from .errors import (
 from .matrices import (
     IntegerRows,
     Matrix,
+    inverse_rows,
     is_signed_selection,
     smith_form,
     sparse_matvec_mod,
     sparse_rows,
 )
-from .scalars import GaussianRational, _reduced, as_gaussian
+from .scalars import GaussianRational, _reduced, as_gaussian, format_gaussian
 
 DEFAULT_ENUMERATION_CAP = 1 << 20
 
@@ -68,16 +72,21 @@ class LatticeSpec:
             raise ValueError("k must be at least 1")
         dim = 1 << k
         self.k = k
+        identity = Matrix.identity(dim)
         if basis is None:
-            basis = Matrix.identity(dim)
+            basis = identity
         if basis.shape() != (dim, dim):
             raise ValueError(f"lattice basis must be {dim}x{dim}")
         self.basis = basis
-        try:
-            self.inverse_basis = basis.inv()
-        except ValueError as exc:
-            raise ValueError("lattice basis must be invertible") from exc
-        self._default = basis == Matrix.identity(dim)
+        self._default = basis == identity
+        if self._default:
+            # The identity is its own inverse.
+            self.inverse_basis = identity
+        else:
+            try:
+                self.inverse_basis = basis.inv()
+            except ValueError as exc:
+                raise ValueError("lattice basis must be invertible") from exc
         # Hashing walks every basis entry; lattices key the per-table matrix memo.
         self._hash = hash((k, basis))
 
@@ -367,7 +376,8 @@ class TorusPoint(_TorsionElement):
         return self.transform((Matrix.identity(self.owner.dim) * c).realified_rows())
 
     def __str__(self) -> str:
-        return ", ".join(str(x) for x in self.coords)
+        den, nums, g = self.den, self.nums, self.owner.dim
+        return ", ".join(format_gaussian(nums[j], nums[j + g], den) for j in range(g))
 
 
 def torsion_count(n: int, k: int) -> int:
@@ -442,6 +452,11 @@ class PolarizationData:
     The form is complex linear in its first argument. Its imaginary part E,
     evaluated on the realified lattice basis (u_1..u_g, i*u_1..i*u_g), is the
     alternating form whose elementary divisors give the polarization type.
+    The duality maps use E^T (``bundle_rows``) and E^-T (``point_rows``) as
+    sparse integer rows. E^-T and the principal test (``is_principal``)
+    come from one integer elimination of E^T's rows, run once and kept;
+    ``inverse_transpose_form``, dense Gauss-Jordan over Q(i), is the
+    reference they are tested against.
     """
 
     __slots__ = (
@@ -449,7 +464,6 @@ class PolarizationData:
         "lattice",
         "real_basis",
         "imag_gram",
-        "_inverse_transpose",
         "_principal",
         "_bundle_rows",
         "_point_rows",
@@ -471,7 +485,6 @@ class PolarizationData:
         c = Matrix._wrap(tuple(zip(*columns)))
         gram = c.transpose() @ hermitian @ c.conjugate()
         self.imag_gram = tuple(tuple(x.im for x in row) for row in gram.entries())
-        self._inverse_transpose: Matrix | None = None
         self._principal: bool | None = None
         self._bundle_rows: IntegerRows | None = None
         self._point_rows: IntegerRows | None = None
@@ -493,12 +506,8 @@ class PolarizationData:
         return [[x.numerator for x in row] for row in self.imag_gram]
 
     def inverse_transpose_form(self) -> Matrix:
-        """Exact inverse of E^T, cached; used by the duality solver."""
-        if self._inverse_transpose is None:
-            e_int = self.integer_form()
-            transposed = [[e_int[b][a] for b in range(len(e_int))] for a in range(len(e_int))]
-            self._inverse_transpose = Matrix(transposed).inv()
-        return self._inverse_transpose
+        """Exact inverse of E^T by dense Gauss-Jordan over Q(i): the reference for ``point_rows``."""
+        return Matrix(list(zip(*self.integer_form()))).inv()
 
     def bundle_rows(self) -> IntegerRows:
         """E^T as sparse integer rows, taking a point's numerators to a bundle's; cached."""
@@ -509,13 +518,16 @@ class PolarizationData:
     def point_rows(self) -> IntegerRows:
         """E^-T as sparse integer rows, taking a bundle's numerators to a point's; cached.
 
-        Raises NotIntegralError if E^-T leaves the integers, as it does
-        exactly when the polarization is not principal.
+        One integer elimination of ``bundle_rows`` (``matrices.inverse_rows``)
+        gives it. Raises NotIntegralError if E^-T leaves the integers, as it
+        does exactly when the polarization is not principal, and ValueError
+        if E is singular.
         """
         if self._point_rows is None:
-            # E is real, so its inverse transpose is real too.
-            inverse = self.inverse_transpose_form()
-            self._point_rows = sparse_rows([x.re for x in row] for row in inverse.entries())
+            inverse = inverse_rows(self.bundle_rows(), 2 * self.g)
+            if inverse is None:
+                raise NotIntegralError("the imaginary-part form is not unimodular on the lattice")
+            self._point_rows = inverse
         return self._point_rows
 
     def __repr__(self) -> str:
@@ -576,6 +588,17 @@ def polarization_type(pol: PolarizationData) -> tuple[int, ...]:
 
 
 def is_principal(pol: PolarizationData) -> bool:
+    """Whether E is integral with an integral inverse, read off the elimination that ``point_rows`` keeps; cached.
+
+    An integral alternating E has det E = (d_1 * ... * d_g)^2, so E is
+    unimodular exactly when every elementary divisor is 1: this is the test
+    ``polarization_type`` would give, without a Smith form. A singular or
+    non-integral E is not principal.
+    """
     if pol._principal is None:
-        pol._principal = pol.is_integral() and all(d == 1 for d in polarization_type(pol))
+        try:
+            pol.point_rows()
+            pol._principal = True
+        except (NotIntegralError, ValueError):
+            pol._principal = False
     return pol._principal

@@ -31,6 +31,8 @@ from spintorus.matrices import (
     _det,
     _divisor_chain,
     _smith_diagonal,
+    compose_rows,
+    inverse_rows,
     rank_of_sparse_rows,
     sparse_rows,
 )
@@ -483,3 +485,94 @@ def test_signed_permutations_need_a_permutation_and_one_phase_per_row():
         SignedPermutation.from_matrix(Matrix([[0, 1], [0, 1]]))
     with pytest.raises(ValueError):
         SignedPermutation.from_matrix(Matrix([[1, 0]]))
+
+
+def dense_inverse_rows(rows: list[list[int]]) -> tuple | None:
+    """The reference for ``inverse_rows``: ``Matrix.inv`` over Q(i), as sparse rows when integral, else None."""
+    inverse = Matrix(rows).inv()
+    if not inverse.is_gaussian_integer():
+        return None
+    return sparse_rows([x.re for x in row] for row in inverse.entries())
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Small square integer matrices: mostly zeros, so singular and non-unimodular ones both turn up."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5])
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """The identity moved by random elementary row operations: add a multiple of a row, swap two, negate one."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        r, s = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and r != s:
+            q = draw(st.integers(-3, 3))
+            rows[r] = [x + q * y for x, y in zip(rows[r], rows[s])]
+        elif kind == "swap":
+            rows[r], rows[s] = rows[s], rows[r]
+        else:
+            rows[r] = [-x for x in rows[r]]
+    return rows
+
+
+@st.composite
+def singular_int_matrices(draw):
+    """Square integer matrices with one row an integer combination of the others (or zero)."""
+    rows = draw(square_int_matrices())
+    n = len(rows)
+    weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    r = draw(st.integers(0, n - 1))
+    rows[r] = [sum(w * rows[t][c] for t, w in enumerate(weights) if t != r) for c in range(n)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square_int_matrices(), unimodular_matrices()))
+def test_inverse_rows_match_the_dense_inverse(rows):
+    n = len(rows)
+    try:
+        expected = dense_inverse_rows(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse_rows(sparse_rows(rows), n)
+        return
+    assert inverse_rows(sparse_rows(rows), n) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_matrices())
+def test_inverse_rows_invert_every_unimodular_matrix(rows):
+    n = len(rows)
+    inverse = inverse_rows(sparse_rows(rows), n)
+    assert inverse is not None
+    assert inverse == dense_inverse_rows(rows)
+    identity = tuple(((r, 1),) for r in range(n))
+    assert compose_rows(sparse_rows(rows), inverse) == identity
+    assert compose_rows(inverse, sparse_rows(rows)) == identity
+
+
+@settings(max_examples=100, deadline=None)
+@given(singular_int_matrices())
+def test_inverse_rows_reject_singular_matrices(rows):
+    with pytest.raises(ValueError):
+        Matrix(rows).inv()
+    with pytest.raises(ValueError, match="singular"):
+        inverse_rows(sparse_rows(rows), len(rows))
+
+
+def test_inverse_rows_examples():
+    # det 2: invertible over Q, not over Z.
+    assert inverse_rows(sparse_rows([[1, 1], [-1, 1]]), 2) is None
+    # Column pivots of magnitude 2 and 3 that reduce to a unit: det = 1.
+    assert inverse_rows(sparse_rows([[2, 3], [1, 2]]), 2) == (((0, 2), (1, -3)), ((0, -1), (1, 2)))
+    assert inverse_rows(sparse_rows([[0, -1], [1, 0]]), 2) == (((1, 1),), ((0, -1),))
+    with pytest.raises(ValueError, match="singular"):
+        inverse_rows(sparse_rows([[2, 4], [1, 2]]), 2)
+    with pytest.raises(ValueError):
+        inverse_rows(sparse_rows([[1, 0]]), 2)
