@@ -156,9 +156,9 @@ def test_rendering_makes_no_fraction(monkeypatch):
     assert point._cache is None
 
 
+# The lattices above ("shear-k1" is the README lattice itself), then other forms.
 PRINCIPAL_CASES = {
     **{name: (lambda make=make: PolarizationData.default(make())) for name, make in LATTICES.items()},
-    "readme": lambda: PolarizationData.default(LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))),
     "index-2": lambda: PolarizationData.default(LatticeSpec(1, Matrix([[1, GaussianRational(1, 1)], [1, 0]]))),
     # i times a real skew matrix is Hermitian; its E is integral and unimodular, though H is indefinite.
     "skew-imaginary": lambda: PolarizationData(
