@@ -223,11 +223,8 @@ def transport_table(f: Matrix, table: RepresentationTable) -> RepresentationTabl
     are built only when asked for.
     """
     conjugator = f if table.conjugator is None else f @ table.conjugator
-    return RepresentationTable(
-        table.sig,
-        [g.dense() for g in table.ladder_gamma],
-        description=f"{table.description}, transported",
-        conjugator=conjugator,
+    return RepresentationTable._of(
+        table.sig, table.ladder_gamma, description=f"{table.description}, transported", conjugator=conjugator
     )
 
 

@@ -17,6 +17,7 @@ rational lists like ``[0, 0, 1/2, 0]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,7 +25,7 @@ from typing import Union
 from .clifford import CliffordElement, Signature
 from .errors import ArityMismatchError, IndexOutOfRangeError, ParseError
 from .picard import BundleClass
-from .scalars import GaussianRational, format_rational
+from .scalars import GaussianRational, _reduced, format_rational
 from .torus import LatticeSpec, TorusPoint
 
 
@@ -161,8 +162,8 @@ class _ElementParser:
                 denominator = self.expect("int")
                 if denominator.value == 0:
                     raise ParseError("zero denominator", denominator.pos)
-                return Literal(GaussianRational(Fraction(numerator, denominator.value)))
-            return Literal(GaussianRational(Fraction(numerator)))
+                return Literal(_reduced(numerator, 0, denominator.value))
+            return Literal(_reduced(numerator, 0, 1))
         if token.kind == "i":
             self.advance()
             return Literal(GaussianRational(0, 1))
@@ -268,6 +269,11 @@ def _parse_uint(src: str, pos: int, base: int) -> tuple[int, int]:
 
 def parse_rational(src: str, base_offset: int = 0) -> Fraction:
     """Parse a plain rational literal like ``3``, ``-1/2``."""
+    return Fraction(*_parse_ratio(src, base_offset))
+
+
+def _parse_ratio(src: str, base_offset: int) -> tuple[int, int]:
+    """``parse_rational`` as ints: the numerator and positive denominator, as written."""
     text = src.strip()
     shift = base_offset + src.index(text) if text else base_offset
     if not text:
@@ -281,7 +287,7 @@ def parse_rational(src: str, base_offset: int = 0) -> Fraction:
             raise ParseError("zero denominator", shift + pos - 1)
     if pos != len(text):
         raise ParseError(f"unexpected {text[pos]!r} in rational literal", shift + pos)
-    return Fraction(sign * numerator, denominator)
+    return sign * numerator, denominator
 
 
 def parse_gaussian(src: str, base_offset: int = 0) -> GaussianRational:
@@ -291,13 +297,14 @@ def parse_gaussian(src: str, base_offset: int = 0) -> GaussianRational:
         raise ParseError("empty coordinate", base_offset)
     shift = base_offset + src.index(text)
 
-    real: Fraction | None = None
-    imag: Fraction | None = None
+    # Each part as (numerator, positive denominator), as written.
+    real: tuple[int, int] | None = None
+    imag: tuple[int, int] | None = None
     pos = 0
     while pos < len(text):
         sign, pos = _parse_sign(text, pos)
         if pos < len(text) and text[pos] == "i":
-            part = Fraction(1)
+            numerator, denominator = 1, 1
             pos += 1
             is_imag = True
         else:
@@ -307,21 +314,21 @@ def parse_gaussian(src: str, base_offset: int = 0) -> GaussianRational:
                 denominator, pos = _parse_uint(text, pos + 1, shift)
                 if denominator == 0:
                     raise ParseError("zero denominator", shift + pos - 1)
-            part = Fraction(numerator, denominator)
             is_imag = pos < len(text) and text[pos] == "i"
             if is_imag:
                 pos += 1
         if is_imag:
             if imag is not None:
                 raise ParseError("two imaginary parts in one coordinate", shift + pos - 1)
-            imag = sign * part
+            imag = sign * numerator, denominator
         else:
             if real is not None:
                 raise ParseError("two real parts in one coordinate", shift + pos - 1)
-            real = sign * part
+            real = sign * numerator, denominator
         if pos < len(text) and text[pos] not in "+-":
             raise ParseError(f"unexpected {text[pos]!r} in coordinate", shift + pos)
-    return GaussianRational(real or Fraction(0), imag or Fraction(0))
+    (a, q), (b, s) = real or (0, 1), imag or (0, 1)
+    return _reduced(a * s, b * q, q * s)
 
 
 def parse_point(src: str, k: int, lattice: LatticeSpec | None = None) -> TorusPoint:
@@ -354,7 +361,7 @@ def parse_bundle(src: str, k: int | None = None) -> BundleClass:
     offset = src.index("[") + 1
     chars = []
     for piece in pieces:
-        chars.append(parse_rational(piece, offset))
+        chars.append(_parse_ratio(piece, offset))
         offset += len(piece) + 1
     if k is None:
         size = len(chars)
@@ -367,7 +374,8 @@ def parse_bundle(src: str, k: int | None = None) -> BundleClass:
         raise ArityMismatchError(
             f"expected {2 << k} components for k={k}, got {len(chars)}"
         )
-    return BundleClass(k, chars)
+    den = math.lcm(*[d for _, d in chars])
+    return BundleClass.from_numerators(k, den, [n * (den // d) % den for n, d in chars])
 
 
 def point_source(p: TorusPoint) -> str:

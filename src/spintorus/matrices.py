@@ -433,6 +433,19 @@ class SignedPermutation:
             tuple([(t + op[c]) & 3 for c, t in zip(self.cols, self.phases)]),
         )
 
+    def kron(self, other: SignedPermutation) -> SignedPermutation:
+        """The Kronecker product: row ``ra * m + rb`` holds ``i^(t_a + t_b)`` in column ``cols_a[ra] * m + cols_b[rb]``.
+
+        m is the size of ``other``; the result is the signed permutation of
+        ``Matrix.kron`` on the two dense matrices.
+        """
+        m = len(other.cols)
+        oc, op = other.cols, other.phases
+        return SignedPermutation._wrap(
+            tuple([ca * m + cb for ca in self.cols for cb in oc]),
+            tuple([(ta + tb) & 3 for ta in self.phases for tb in op]),
+        )
+
     def phased(self, t: int) -> SignedPermutation:
         """This matrix times the scalar ``i^t``."""
         t &= 3

@@ -26,6 +26,7 @@ builds the same steps through the points instead, as the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,7 +60,8 @@ class BundleClass(_TorsionElement):
         values = [as_rational(x) for x in chars]
         if len(values) != 2 << k:
             raise ValueError(f"expected {2 << k} components for k={k}, got {len(values)}")
-        super().__init__(k, values)
+        den = math.lcm(*[x.denominator for x in values])
+        super().__init__(k, den, [x.numerator * (den // x.denominator) for x in values])
 
     @property
     def k(self) -> int:
@@ -230,7 +232,15 @@ def two_torsion_bundle_check(
     pol: PolarizationData,
     matrix: Matrix | None = None,
 ) -> bool:
-    """For order-2 bundles: both translation bundles agree and are 2-torsion (``matrix``: the actor's)."""
+    """For order-2 bundles: both translation bundles agree and are 2-torsion (``matrix``: the actor's).
+
+    The actor's induced powers are composed on its first class and kept in
+    ``pol.induced_memo``, keyed by its realified lattice rows.
+    """
     if matrix is None:
         matrix = group_lattice_matrix(g, table, pol.lattice)
-    return two_torsion_pair(blocks_of_one(bundle)[0].orbit(induced_powers(matrix.realified_rows(), pol, 2)))[0]
+    rows = matrix.realified_rows()
+    powers = pol.induced_memo.get(rows)
+    if powers is None:
+        powers = pol.induced_memo[rows] = induced_powers(rows, pol, 2)
+    return two_torsion_pair(blocks_of_one(bundle)[0].orbit(powers))[0]

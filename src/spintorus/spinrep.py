@@ -11,13 +11,16 @@ and any generator that squares to -1 is multiplied by ``i``. All entries
 stay in Z[i], which is what lets these matrices act on Gaussian lattices
 later on.
 
-Each generator, and so each blade image ``e_I`` (the product of its
-generators), is a signed permutation: one entry in {1, i, -1, -i} per row
-and per column. The table stores every blade image in that form (see
-``matrices.SignedPermutation``) and builds a dense matrix only for a caller
-that needs one. The Clifford relations, the isomorphism rank, the
-star-versus-adjoint check and the images of signed blades ``i^t e_I`` are
-all computed on the signed permutations.
+Each unit, and so each generator and each blade image ``e_I`` (the product
+of its generators), is a signed permutation: one entry in {1, i, -1, -i} per
+row and per column (see ``matrices.SignedPermutation``). The ladder is built
+in that form, as Kronecker products of the units' signed permutations
+(``SignedPermutation.kron``), and the table stores every blade image so.
+The dense generator matrices ``gamma`` are made from the signed
+permutations, and other dense images only for a caller that needs one. The
+Clifford relations, the isomorphism rank, the star-versus-adjoint check and
+the images of signed blades ``i^t e_I`` are all computed on the signed
+permutations.
 """
 
 from __future__ import annotations
@@ -32,18 +35,6 @@ from .scalars import UNITS, GaussianRational
 
 if TYPE_CHECKING:
     from .torus import LatticeSpec
-
-PAULI_X = Matrix([[0, 1], [1, 0]])
-PAULI_Y = Matrix([[0, GaussianRational(0, -1)], [GaussianRational(0, 1), 0]])
-PAULI_Z = Matrix([[1, 0], [0, -1]])
-
-
-def _tensor_chain(factors: Sequence[Matrix]) -> Matrix:
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.kron(f)
-    return out
-
 
 def clifford_relation_failure(
     sig: Signature, gamma: Sequence[SignedPermutation]
@@ -88,6 +79,9 @@ class RepresentationTable:
     unit entries, has the wrong shape, or breaks a Clifford relation, so a
     table in hand is always a valid representation. The blade images are
     kept as signed permutations, each the product of its generators.
+    ``build_generators`` and ``endo.transport_table`` hand their signed
+    permutations to the private constructor ``_of``, which runs the same
+    checks without the dense round trip.
 
     With a ``conjugator`` f (unimodular over Z[i], else NonUnimodularError),
     the table is the ladder moved to another basis: its images are
@@ -110,34 +104,53 @@ class RepresentationTable:
         description: str = "",
         conjugator: Matrix | None = None,
     ) -> None:
-        self.sig = sig
-        self.k = sig.k
-        self.dim = 1 << sig.k
-        self.description = description or "tensor ladder over X/Y/Z"
         if len(gamma) != sig.n:
             raise ValueError(f"expected {sig.n} generator matrices, got {len(gamma)}")
+        dim = 1 << sig.k
         ladder = []
         for index, m in enumerate(gamma, start=1):
-            if m.shape() != (self.dim, self.dim):
+            if m.shape() != (dim, dim):
                 raise ValueError("generator matrix has the wrong shape")
             try:
                 ladder.append(SignedPermutation.from_matrix(m))
             except ValueError as exc:
                 raise ValueError(f"generator {index} is not a signed permutation: {exc}") from None
-        self.ladder_gamma = tuple(ladder)
-        broken = clifford_relation_failure(sig, self.ladder_gamma)
+        self._init(sig, tuple(ladder), description, conjugator)
+
+    @classmethod
+    def _of(
+        cls, sig: Signature, ladder: tuple[SignedPermutation, ...], description: str = "", conjugator: Matrix | None = None
+    ) -> RepresentationTable:
+        """The table on ``sig.n`` ladder generators already given as signed permutations of size 2^k.
+
+        The Clifford relations and the conjugator are checked as in the
+        public constructor.
+        """
+        table = cls.__new__(cls)
+        table._init(sig, ladder, description, conjugator)
+        return table
+
+    def _init(
+        self, sig: Signature, ladder: tuple[SignedPermutation, ...], description: str, conjugator: Matrix | None
+    ) -> None:
+        self.sig = sig
+        self.k = sig.k
+        self.dim = 1 << sig.k
+        self.description = description or "tensor ladder over X/Y/Z"
+        self.ladder_gamma = ladder
+        broken = clifford_relation_failure(sig, ladder)
         if broken is not None:
             raise ValueError(f"Clifford relation fails for generators {broken[0]}, {broken[1]}")
         blades = [SignedPermutation.identity(self.dim)]
         for mask in range(1, 1 << sig.n):
             low = mask & -mask
-            blades.append(self.ladder_gamma[low.bit_length() - 1] @ blades[mask ^ low])
+            blades.append(ladder[low.bit_length() - 1] @ blades[mask ^ low])
         self._blades = tuple(blades)
         if conjugator is not None and conjugator.shape() != (self.dim, self.dim):
             raise ValueError("conjugator has the wrong shape")
         self.conjugator = conjugator
         self._conjugator_inverse = None if conjugator is None else unimodular_inverse(conjugator)
-        self.gamma = tuple(gamma) if conjugator is None else tuple(self._conjugate(m) for m in gamma)
+        self.gamma = tuple(self._conjugate(g.dense()) for g in ladder)
         self.lattice_images: dict[tuple[int, int, LatticeSpec], Matrix] = {}
 
     def _conjugate(self, m: Matrix) -> Matrix:
@@ -190,18 +203,17 @@ def build_generators(k: int, sig: Signature | None = None) -> RepresentationTabl
     sig = sig or Signature(2 * k, 0)
     if sig.k != k:
         raise SignatureMismatchError(f"signature {sig} does not match k={k}")
-    identity2 = Matrix.identity(2)
-    gamma: list[Matrix] = []
-    for j in range(1, k + 1):
-        prefix = [PAULI_Z] * (j - 1)
-        suffix = [identity2] * (k - j)
-        gamma.append(_tensor_chain(prefix + [PAULI_X] + suffix))
-        gamma.append(_tensor_chain(prefix + [PAULI_Y] + suffix))
-    unit_i = GaussianRational(0, 1)
-    for index in range(sig.n):
-        if sig.square_sign(index + 1) < 0:
-            gamma[index] = gamma[index] * unit_i
-    return RepresentationTable(sig, gamma)
+    # The units as (cols, phases): X, Y, and Z for the prefix.
+    units = (SignedPermutation((1, 0), (0, 0)), SignedPermutation((1, 0), (3, 1)))
+    z = SignedPermutation((0, 1), (0, 2))
+    prefix = SignedPermutation.identity(1)
+    gamma: list[SignedPermutation] = []
+    for j in range(k):
+        suffix = SignedPermutation.identity(1 << (k - 1 - j))
+        gamma += [prefix.kron(unit).kron(suffix) for unit in units]
+        prefix = prefix.kron(z)
+    ladder = tuple(g.phased(1) if sig.square_sign(a) < 0 else g for a, g in enumerate(gamma, start=1))
+    return RepresentationTable._of(sig, ladder)
 
 
 @dataclass(frozen=True)

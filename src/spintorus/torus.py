@@ -257,11 +257,12 @@ class _TorsionElement:
 
     __slots__ = ("owner", "den", "nums", "_cache")
 
-    def __init__(self, owner: Any, values: Sequence[Fraction]) -> None:
-        """The realified values mod 1, in lowest terms: some value carries each prime power of the lcm."""
-        den = math.lcm(*[x.denominator for x in values])
-        self.owner, self.den = owner, den
-        self.nums = tuple(x.numerator * (den // x.denominator) % den for x in values)
+    def __init__(self, owner: Any, den: int, nums: Sequence[int]) -> None:
+        """The realified values ``nums / den`` mod 1, for any ints over ``den >= 1``, in lowest terms."""
+        nums = [x % den for x in nums]
+        common = math.gcd(den, *nums)
+        self.owner, self.den = owner, den // common
+        self.nums = tuple(nums) if common == 1 else tuple([x // common for x in nums])
         self._cache: Any = None
 
     @classmethod
@@ -344,7 +345,9 @@ class TorusPoint(_TorsionElement):
         values = [as_gaussian(x) for x in coords]
         if len(values) != lattice.dim:
             raise ValueError(f"expected {lattice.dim} coordinates, got {len(values)}")
-        super().__init__(lattice, [x.re for x in values] + [x.im for x in values])
+        # Each value is (a + b*i)/d as its canonical triple; d divides the lcm.
+        den = math.lcm(*[x._d for x in values])
+        super().__init__(lattice, den, [x._a * (den // x._d) for x in values] + [x._b * (den // x._d) for x in values])
 
     @property
     def lattice(self) -> LatticeSpec:
@@ -446,27 +449,81 @@ def hermitian_value(
     return acc
 
 
+def _imaginary_part(hermitian: Matrix, columns: Sequence[Sequence[GaussianRational]]) -> tuple[int, list[list[int]]]:
+    """Im h(c_a, c_b) for every pair of columns, as ``(den, nums)``: ``nums[a][b] / den`` in lowest terms.
+
+    H and the columns are scaled to Gaussian integers by the lcm of their
+    denominators, and each pairing is summed over the nonzero ``(a, b, d)``
+    triples of its two columns: first H * conj(c_b), then its pairing with
+    c_a, with Im((x + yi)(u + vi)) = xv + yu. The work is one product per
+    pair of nonzero entries that meet, not one per entry of a dense Gram.
+    """
+
+    def scaled(vectors: Sequence[Sequence[GaussianRational]]) -> tuple[int, list[list[tuple[int, int, int]]]]:
+        """The lcm d of the denominators, and each vector's nonzero entries as (index, re, im) times d."""
+        d = math.lcm(*[x._d for vec in vectors for x in vec])
+        return d, [[(r, x._a * (d // x._d), x._b * (d // x._d)) for r, x in enumerate(vec) if x] for vec in vectors]
+
+    dh, h_cols = scaled(list(zip(*hermitian.entries())))
+    dc, cols = scaled(columns)
+    # Entry r of H * conj(c_b), scaled by dh * dc, as images[r][b] = (re, im):
+    # (p + qi)(x - yi) = (px + qy) + (qx - py)i.
+    images: dict[int, dict[int, tuple[int, int]]] = {}
+    for b, col in enumerate(cols):
+        for s, x, y in col:
+            for r, p, q in h_cols[s]:
+                at = images.setdefault(r, {})
+                u, v = at.get(b, (0, 0))
+                at[b] = (u + p * x + q * y, v + q * x - p * y)
+    # Row a of E sums Im(c_a[r] * images[r][b]) over the r where both are nonzero.
+    nums = []
+    for col in cols:
+        row = [0] * len(cols)
+        for r, x, y in col:
+            for b, (u, v) in images.get(r, {}).items():
+                row[b] += x * v + y * u
+        nums.append(row)
+    den = dh * dc * dc
+    common = math.gcd(den, *[n for row in nums for n in row])
+    if common != 1:
+        den //= common
+        nums = [[n // common for n in row] for row in nums]
+    return den, nums
+
+
 class PolarizationData:
     """A Hermitian form on the spinor space and its imaginary part on the lattice.
 
     The form is complex linear in its first argument. Its imaginary part E,
     evaluated on the realified lattice basis (u_1..u_g, i*u_1..i*u_g), is the
     alternating form whose elementary divisors give the polarization type.
-    The duality maps use E^T (``bundle_rows``) and E^-T (``point_rows``) as
-    sparse integer rows. E^-T and the principal test (``is_principal``)
-    come from one integer elimination of E^T's rows, run once and kept;
-    ``inverse_transpose_form``, dense Gauss-Jordan over Q(i), is the
-    reference they are tested against.
+    E is Im h(c_a, c_b) for every pair of the 2g basis columns, summed on
+    integers and kept as integer numerators over one common denominator in
+    lowest terms (``_imaginary_part``); ``is_integral``, ``integer_form``,
+    ``bundle_rows`` and ``riemann_check`` read those integers, and
+    ``imag_gram`` is the same form as ``Fraction``s, built from them on
+    first read and kept. The duality maps use E^T (``bundle_rows``) and
+    E^-T (``point_rows``) as sparse integer rows. E^-T and the principal
+    test (``is_principal``) come from one integer elimination of E^T's rows,
+    run once and kept; ``inverse_transpose_form``, dense Gauss-Jordan over
+    Q(i), is the reference they are tested against.
+
+    ``induced_memo`` keeps, per actor's realified lattice rows R, the
+    powers of E^T R E^-T that ``picard.two_torsion_bundle_check`` composes,
+    so each actor's are composed once for every class it checks.
     """
 
     __slots__ = (
         "hermitian",
         "lattice",
         "real_basis",
-        "imag_gram",
+        "_form_den",
+        "_form_nums",
+        "_imag_gram",
         "_principal",
         "_bundle_rows",
         "_point_rows",
+        "induced_memo",
     )
 
     def __init__(self, hermitian: Matrix, lattice: LatticeSpec) -> None:
@@ -480,14 +537,12 @@ class PolarizationData:
         columns = [lattice.basis.column(c) for c in range(lattice.dim)]
         columns += [tuple(unit_i * x for x in col) for col in columns[: lattice.dim]]
         self.real_basis = tuple(columns)
-        # Im h(c_a, c_b) for all pairs of basis vectors, as Im(C^T * H * conj(C))
-        # with C the basis side by side: ``hermitian_value``'s Gram matrix.
-        c = Matrix._wrap(tuple(zip(*columns)))
-        gram = c.transpose() @ hermitian @ c.conjugate()
-        self.imag_gram = tuple(tuple(x.im for x in row) for row in gram.entries())
+        self._form_den, self._form_nums = _imaginary_part(hermitian, self.real_basis)
+        self._imag_gram: tuple[tuple[Fraction, ...], ...] | None = None
         self._principal: bool | None = None
         self._bundle_rows: IntegerRows | None = None
         self._point_rows: IntegerRows | None = None
+        self.induced_memo: dict[IntegerRows, list[IntegerRows]] = {}
 
     @classmethod
     def default(cls, lattice: LatticeSpec) -> PolarizationData:
@@ -497,13 +552,21 @@ class PolarizationData:
     def g(self) -> int:
         return self.lattice.dim
 
+    @property
+    def imag_gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """E as ``Fraction``s, row a holding Im h(c_a, c_b) for every b; built on first read and kept."""
+        if self._imag_gram is None:
+            den = self._form_den
+            self._imag_gram = tuple(tuple(Fraction(n, den) for n in row) for row in self._form_nums)
+        return self._imag_gram
+
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.imag_gram for x in row)
+        return self._form_den == 1
 
     def integer_form(self) -> list[list[int]]:
         if not self.is_integral():
             raise NotIntegralError("the imaginary-part form is not integer valued on the lattice")
-        return [[x.numerator for x in row] for row in self.imag_gram]
+        return [list(row) for row in self._form_nums]
 
     def inverse_transpose_form(self) -> Matrix:
         """Exact inverse of E^T by dense Gauss-Jordan over Q(i): the reference for ``point_rows``."""
@@ -557,7 +620,7 @@ def riemann_check(pol: PolarizationData) -> RiemannReport:
     """
     integral = pol.is_integral()
 
-    e, g = pol.imag_gram, pol.g
+    e, g = pol._form_nums, pol.g
     turn = [(a + g, 1) for a in range(g)] + [(a, -1) for a in range(g)]
     compatible = all(
         e[ta][tb] * (sa * sb) == e[a][b] for a, (ta, sa) in enumerate(turn) for b, (tb, sb) in enumerate(turn)

@@ -285,7 +285,8 @@ def test_endo_decomp_conjugates_each_signed_blade_once(monkeypatch):
     calls = []
     tables = []
     conjugate = action._lattice_coordinates
-    init = RepresentationTable.__init__
+    # Both constructors, the public one and ``_of``, fill a table in through ``_init``.
+    init = RepresentationTable._init
 
     def counted(ambient, lattice):
         calls.append(lattice)
@@ -296,7 +297,7 @@ def test_endo_decomp_conjugates_each_signed_blade_once(monkeypatch):
         tables.append(self)
 
     monkeypatch.setattr(action, "_lattice_coordinates", counted)
-    monkeypatch.setattr(RepresentationTable, "__init__", recorded)
+    monkeypatch.setattr(RepresentationTable, "_init", recorded)
     shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
     for lattice in (None, shear):
         calls.clear()
@@ -316,7 +317,8 @@ def test_default_lattice_scans_memoize_only_the_actors_of_single_actions(monkeyp
     # The orbit and two-torsion scans read a ladder table's rows from its signed
     # permutations, so only the one-point actions leave dense lattice matrices behind.
     tables, acted = [], set()
-    init = RepresentationTable.__init__
+    # Both constructors, the public one and ``_of``, fill a table in through ``_init``.
+    init = RepresentationTable._init
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -331,7 +333,7 @@ def test_default_lattice_scans_memoize_only_the_actors_of_single_actions(monkeyp
 
         return wrapper
 
-    monkeypatch.setattr(RepresentationTable, "__init__", recorded)
+    monkeypatch.setattr(RepresentationTable, "_init", recorded)
     for name in entry_points:
         monkeypatch.setattr(suite, name, recording(getattr(suite, name)))
     report = run_suite(SuiteConfig(ks=(3,), suites=(suite_name,)))

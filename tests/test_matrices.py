@@ -424,9 +424,11 @@ def test_signed_permutation_draws_include_permutations_that_are_not_xor():
 def test_signed_permutations_match_the_dense_oracle(data):
     a = data.draw(signed_permutations())
     b = data.draw(signed_permutations(a.size))
+    c = data.draw(signed_permutations())
     t = data.draw(st.integers(min_value=-5, max_value=5))
     dense = a.dense()
     assert (a @ b).dense() == dense @ b.dense()
+    assert a.kron(c).dense() == dense.kron(c.dense())
     assert a.phased(t).dense() == dense * UNITS[t % 4]
     assert a.adjoint().dense() == dense.adjoint()
     assert a @ a.adjoint() == SignedPermutation.identity(a.size)

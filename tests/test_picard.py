@@ -180,6 +180,28 @@ def test_two_torsion_bundles_are_fixed_up_to_order_two(tables, polarizations):
             assert two_torsion_bundle_check(g, bundle, tables[1], pol)
 
 
+@pytest.mark.parametrize("lattice", [LATTICE, LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))],
+                         ids=["default", "shear"])
+def test_two_torsion_bundle_check_composes_once_per_actor(tables, lattice, monkeypatch):
+    pol = PolarizationData.default(lattice)
+    classes = [BundleClass(1, cs) for cs in product((Fraction(0), Fraction(1, 2)), repeat=4)]
+    actors = [g for g in generator_group(SIG) if element_order(g, SIG) >= 2]
+    composed = []
+
+    def counting(outer, inner):
+        composed.append(outer)
+        return compose_rows(outer, inner)
+
+    monkeypatch.setattr(picard, "compose_rows", counting)
+    checked = {g: [two_torsion_bundle_check(g, bundle, tables[1], pol) for bundle in classes] for g in actors}
+    # E^T (R E^-T): two products per actor, on its first class only.
+    assert len(composed) == 2 * len(actors)
+    monkeypatch.undo()
+    block = TorsionBlock.of(classes, 4)
+    for g in actors:
+        assert checked[g] == picard.two_torsion_bundle_scan(g, block, tables[1], pol)
+
+
 def test_bundle_scans_reject_classes_of_another_rank(tables, polarizations):
     actor = GeneratorGroupElement(0b11, 0)
     with pytest.raises(ValueError):

@@ -6,8 +6,11 @@ Fraction-based formatting that rendering used before, kept below as the
 oracle. The duality's E^-T and the principal test come from one integer
 elimination (``matrices.inverse_rows``), checked against the dense inverse
 and the elementary divisors, so a query reaches neither the dense
-``Matrix.inv`` nor the Smith form: the guard test makes both raise and
-runs the queries.
+``Matrix.inv`` nor the Smith form. The set-up stays on integers too: the
+spinor ladder is built as signed permutations, and E is summed as integer
+numerators, and the parsers read literals as ints. The guard test makes
+the dense routes raise, counts every ``Fraction`` made, and runs the
+set-up and the queries.
 """
 
 from __future__ import annotations
@@ -26,8 +29,14 @@ from spintorus import (
     Matrix,
     NotIntegralError,
     PolarizationData,
+    SignedPermutation,
     TorusPoint,
+    build_generators,
     is_principal,
+    parse_bundle,
+    parse_gaussian,
+    parse_point,
+    parse_rational,
     polarization_type,
 )
 from spintorus import endo, matrices, torus
@@ -135,6 +144,27 @@ def test_bundle_classes_render_as_their_fraction_values(k, data):
     assert str(bundle) == "[" + ", ".join(_oracle_rational(x) for x in bundle.chars) + "]"
 
 
+@st.composite
+def ratios(draw):
+    """A rational literal as a user may write it (any sign or size, not reduced) and its Fraction."""
+    n, d = draw(st.integers(min_value=-40, max_value=40)), draw(denominators)
+    return (str(n) if d == 1 and draw(st.booleans()) else f"{n}/{d}"), Fraction(n, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(ratios(), min_size=4, max_size=4), st.lists(ratios(), min_size=2, max_size=2))
+def test_literals_parse_on_ints_as_their_fraction_values(parts, imaginary):
+    texts, values = zip(*parts)
+    assert [parse_rational(t) for t in texts] == list(values)
+    bundle = parse_bundle("[" + ", ".join(texts) + "]")
+    assert bundle.chars == tuple(x % 1 for x in values)
+    assert bundle == BundleClass(1, values)
+    coords = [(f"{t}{'' if u.startswith('-') else '+'}{u}i", x, y) for (t, x), (u, y) in zip(parts, imaginary)]
+    assert [parse_gaussian(text) for text, _, _ in coords] == [GaussianRational(x, y) for _, x, y in coords]
+    point = parse_point(", ".join(text for text, _, _ in coords), 1)
+    assert point.coords == tuple(GaussianRational(x % 1, y % 1) for _, x, y in coords)
+
+
 def test_rendering_makes_no_fraction(monkeypatch):
     lattice = LatticeSpec.default(2)
     point = TorusPoint.from_numerators(lattice, 12, [1, 0, 6, 11, 4, 3, 0, 9])
@@ -196,7 +226,7 @@ def test_a_zero_or_non_integral_form_is_not_principal():
 
 
 def _forbidden(*args, **kwargs):
-    raise AssertionError("the query path reached a dense inverse or a Smith form")
+    raise AssertionError("the query path reached a dense inverse, a Smith form or a dense product")
 
 
 QUERIES = {
@@ -208,9 +238,27 @@ QUERIES = {
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_queries_reach_no_dense_inverse_and_no_smith_form(k, monkeypatch, capsys):
+    """Nor a dense product or Kronecker product, nor a dense scan into a signed permutation, nor a Fraction.
+
+    The set-up (the ladder table and the default polarization) and the
+    queries run with those raising and with every Fraction counted.
+    """
     monkeypatch.setattr(Matrix, "inv", _forbidden)
     for module in (matrices, torus, endo):
         monkeypatch.setattr(module, "smith_form", _forbidden)
+    monkeypatch.setattr(Matrix, "kron", _forbidden)
+    monkeypatch.setattr(Matrix, "__matmul__", _forbidden)
+    monkeypatch.setattr(SignedPermutation, "from_matrix", _forbidden)
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert build_generators(k).ladder_gamma
+    assert PolarizationData.default(LatticeSpec.default(k)).is_integral()
     point, bundle = QUERIES[k]
     ks = ["--k", str(k)]
     for argv in (
@@ -223,6 +271,7 @@ def test_queries_reach_no_dense_inverse_and_no_smith_form(k, monkeypatch, capsys
         assert main(argv) == 0, argv
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out, argv
+    assert made == []
 
 
 def test_dual_queries_on_an_index_two_lattice_still_refuse(tmp_path, capsys):

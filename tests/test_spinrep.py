@@ -235,11 +235,54 @@ def test_unitary_and_rank_reports_match_the_dense_oracle(table):
 def test_tables_reject_generators_that_are_not_signed_permutations():
     # The transported generators have two entries in a row.
     sheared = transport_table(Matrix([[1, I], [0, 1]]), build_generators(1))
-    with pytest.raises(ValueError, match="generator 1 is not a signed permutation"):
+    with pytest.raises(ValueError) as caught:
         RepresentationTable(Signature(2, 0), sheared.gamma)
+    assert str(caught.value) == "generator 1 is not a signed permutation: row 0 has 2 nonzero entries, not one"
     halved = Matrix([[0, GaussianRational(Fraction(1, 2))], [2, 0]])
-    with pytest.raises(ValueError, match="generator 1 is not a signed permutation"):
+    with pytest.raises(ValueError) as caught:
         RepresentationTable(Signature(2, 0), [halved, Matrix([[0, -I], [I, 0]])])
+    assert str(caught.value) == "generator 1 is not a signed permutation: entry (0, 1) is 1/2, not a unit of Z[i]"
+
+
+PAULI_X = Matrix([[0, 1], [1, 0]])
+PAULI_Y = Matrix([[0, -I], [I, 0]])
+PAULI_Z = Matrix([[1, 0], [0, -1]])
+
+
+def _kron_ladder(k: int, sig: Signature) -> list[Matrix]:
+    """The oracle generators: dense ``Matrix.kron`` chains of the Pauli matrices, times i where they square to -1."""
+    gamma = []
+    for j in range(1, k + 1):
+        for unit in (PAULI_X, PAULI_Y):
+            out = Matrix.identity(1)
+            for factor in [PAULI_Z] * (j - 1) + [unit] + [Matrix.identity(2)] * (k - j):
+                out = out.kron(factor)
+            gamma.append(out)
+    return [g * I if sig.square_sign(a) < 0 else g for a, g in enumerate(gamma, start=1)]
+
+
+# (2k, 0), (2k - 1, 1) and (k, k); at k = 1 the last two are one signature.
+LADDER_SIGNATURES = sorted({(k, p, q) for k in (1, 2, 3, 4) for p, q in ((2 * k, 0), (2 * k - 1, 1), (k, k))})
+
+
+@pytest.mark.parametrize("k, p, q", LADDER_SIGNATURES, ids=lambda v: str(v))
+def test_signed_permutation_ladder_matches_the_dense_kron_chain(k, p, q):
+    sig = Signature(p, q)
+    table = build_generators(k, sig)
+    oracle = _kron_ladder(k, sig)
+    assert [g.dense() for g in table.ladder_gamma] == oracle
+    assert list(table.gamma) == oracle
+    for mask in range(1 << sig.n):
+        expected = Matrix.identity(table.dim)
+        for a in range(sig.n):
+            if mask >> a & 1:
+                expected = expected @ oracle[a]
+        assert table.blade_permutation(mask).dense() == expected, mask
+    # The public constructor, from the dense oracle, builds the same table.
+    public = RepresentationTable(sig, oracle)
+    assert public.ladder_gamma == table.ladder_gamma
+    assert public.gamma == table.gamma
+    assert all(public.blade_permutation(mask) == table.blade_permutation(mask) for mask in range(1 << sig.n))
 
 
 def test_transporting_twice_composes_the_conjugators():

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spintorus import (
@@ -24,7 +25,7 @@ from spintorus import (
     torsion_count,
     torsion_points,
 )
-from spintorus.torus import blocks_of_one
+from spintorus.torus import _imaginary_part, blocks_of_one
 
 LATTICE = LatticeSpec.default(1)
 
@@ -191,15 +192,71 @@ def test_imag_gram_is_the_imaginary_part_of_every_pairing(lattice, form):
     assert riemann_check(pol).complex_compatible
 
 
+# Mostly Gaussian integers and zeros, so that E is often integral and sparse.
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 1, 1, 2, 3])
+)
+gaussians = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, small_rationals, small_rationals))
+
+
+@st.composite
+def hermitian_and_basis(draw, g):
+    """A random Hermitian g x g form and a random invertible g x g basis, both over Q(i)."""
+    upper = {(r, c): draw(gaussians) for r in range(g) for c in range(r + 1, g)}
+    h = Matrix([
+        [GaussianRational(draw(small_rationals)) if r == c else upper[r, c] if r < c else upper[c, r].conjugate()
+         for c in range(g)]
+        for r in range(g)
+    ])
+    basis = Matrix([[draw(gaussians) for _ in range(g)] for _ in range(g)])
+    assume(basis.det())
+    return h, basis
+
+
+def _realified_columns(basis):
+    """The columns (u_1..u_g, i*u_1..i*u_g) that ``PolarizationData`` pairs."""
+    columns = [basis.column(c) for c in range(basis.rows)]
+    return columns + [tuple(I_UNIT * x for x in col) for col in columns]
+
+
+@pytest.mark.parametrize("g", [1, 2, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_form_matches_the_fraction_pairings(g, data):
+    h, basis = data.draw(hermitian_and_basis(g))
+    columns = _realified_columns(basis)
+    expected = tuple(tuple(hermitian_value(h, v, w).im for w in columns) for v in columns)
+    den, nums = _imaginary_part(h, columns)
+    assert den >= 1 and math.gcd(den, *[n for row in nums for n in row]) == 1
+    assert tuple(tuple(Fraction(n, den) for n in row) for row in nums) == expected
+    if g == 1:
+        # A lattice has dimension 2^k >= 2: size 1 reaches the summation alone.
+        return
+    pol = PolarizationData(h, LatticeSpec(g.bit_length() - 1, basis))
+    assert pol.imag_gram == expected
+    assert all(type(x) is Fraction for row in pol.imag_gram for x in row)
+    integral = all(x.denominator == 1 for row in expected for x in row)
+    assert pol.is_integral() == integral
+    if integral:
+        assert pol.integer_form() == [[x.numerator for x in row] for row in expected]
+    else:
+        with pytest.raises(NotIntegralError):
+            pol.integer_form()
+        with pytest.raises(NotIntegralError):
+            pol.bundle_rows()
+
+
 def test_complex_compatibility_is_read_off_the_form():
     # The i*u half reordered to (i*u_2, i*u_1): E is still the imaginary part of
     # every pairing, but i no longer sends basis vector a to basis vector a + g.
     # On the default lattice that reordering is a symmetry of E; here it is not.
+    # E is summed on the reordered basis as the constructor sums it on its own.
     pol = PolarizationData.default(GRAM_LATTICES[3])
     u1, u2, iu1, iu2 = pol.real_basis
     basis = (u1, u2, iu2, iu1)
     pol.real_basis = basis
-    pol.imag_gram = tuple(tuple(hermitian_value(pol.hermitian, v, w).im for w in basis) for v in basis)
+    pol._form_den, pol._form_nums = _imaginary_part(pol.hermitian, basis)
+    assert pol.imag_gram == tuple(tuple(hermitian_value(pol.hermitian, v, w).im for w in basis) for v in basis)
     report = riemann_check(pol)
     assert report.integral and report.positive
     assert not report.complex_compatible
