@@ -192,19 +192,19 @@ def test_imag_gram_is_the_imaginary_part_of_every_pairing(lattice, form):
     assert riemann_check(pol).complex_compatible
 
 
-# Mostly Gaussian integers and zeros, so that E is often integral and sparse.
-small_rationals = st.builds(
-    Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 1, 1, 2, 3])
-)
-gaussians = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, small_rationals, small_rationals))
-
-
 @st.composite
 def hermitian_and_basis(draw, g):
-    """A random Hermitian g x g form and a random invertible g x g basis, both over Q(i)."""
+    """A random Hermitian g x g form and a random invertible g x g basis, both over Q(i).
+
+    Half the draws have Gaussian-integer entries only, so that E is integral;
+    zeros are frequent, so that columns are sparse.
+    """
+    denominators = draw(st.sampled_from([(1,), (1, 1, 2, 3)]))
+    parts = st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from(denominators))
+    gaussians = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, parts, parts))
     upper = {(r, c): draw(gaussians) for r in range(g) for c in range(r + 1, g)}
     h = Matrix([
-        [GaussianRational(draw(small_rationals)) if r == c else upper[r, c] if r < c else upper[c, r].conjugate()
+        [GaussianRational(draw(parts)) if r == c else upper[r, c] if r < c else upper[c, r].conjugate()
          for c in range(g)]
         for r in range(g)
     ])
