@@ -10,6 +10,7 @@ No floats appear anywhere, so every comparison in the package is exact.
 from fractions import Fraction
 
 from spintorus import GaussianRational, Matrix, smith_form
+from spintorus.matrices import sparse_rows
 
 a = GaussianRational(Fraction(3, 4), Fraction(-1, 2))
 b = GaussianRational(Fraction(1, 3), Fraction(2, 3))
@@ -32,4 +33,4 @@ print(f"  det J = {quarter.det()}, J^-1 = {quarter.inv()!r}")
 print()
 print("Integer matrices reduce to their elementary divisors:")
 m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-print(f"  smith_form({m}) = {smith_form(m)}")
+print(f"  smith_form({m}) = {smith_form(sparse_rows(m), len(m[0]))}")

@@ -1,31 +1,34 @@
 """The endomorphism audit: rank, subring index, and decomposition witnesses.
 
 Every integral, lattice-preserving element induces an analytic matrix
-(complex, in lattice coordinates). One integer flattening of the images of
-the 2*4^k integral basis elements (each image's real parts, then its
-imaginary parts) serves both the rank and the index: its rank is the rank
-of the algebra image, and its Smith divisors give the index of that image
-as a subgroup of the full endomorphism ring. The Gaussian norm of the
-complex flattening determinant must agree with that index, so the two
-routes are computed independently and compared.
+(complex, in lattice coordinates). One sparse integer flattening of the
+images of the 2*4^k integral basis elements (each image's real parts, then
+its imaginary parts, read off the scans' ``action.lattice_rows``) serves
+both the rank and the index: its rank is the rank of the algebra image, and
+its Smith divisors give the index of that image as a subgroup of the full
+endomorphism ring. The Gaussian norm of the complex flattening determinant
+must agree with that index, so the two routes are computed independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from math import prod
 
-from .action import lattice_matrix, preserves_lattice
+from .action import lattice_matrix, lattice_rows, preserves_lattice
 from .clifford import (
     CliffordElement,
     GeneratorGroupElement,
     as_signed_blade,
-    basis_elements,
+    basis_blades,
     element_order,
     generator_group,
 )
 from .errors import NotIntegralError, WitnessFailedError
-from .matrices import Matrix, SignedPermutation, rank_of_rows, realify, smith_form
+from .matrices import (
+    IntegerRows, Matrix, SignedPermutation, det_of_sparse_rows, rank_of_sparse_rows, realify, smith_form
+)
 from .scalars import GaussianRational, as_gaussian
 from .spinrep import RepresentationTable
 from .torus import LatticeSpec, TorusPoint
@@ -72,17 +75,19 @@ def determinant_routes_agree(g: GeneratorGroupElement, table: RepresentationTabl
     return _monomial_determinants(table.signed_permutation(g)) == dense
 
 
-def _basis_images(table: RepresentationTable, lattice: LatticeSpec) -> list[Matrix]:
-    """Images of e_I then i*e_I (blades ascending) in lattice coordinates."""
-    return [lattice_matrix(u, table, lattice) for u in basis_elements(table.sig)]
+def _flattening(table: RepresentationTable, lattice: LatticeSpec) -> IntegerRows:
+    """One sparse integer row per image of e_I, then of i*e_I (blades ascending).
 
-
-def _flattening(images: list[Matrix]) -> list[list[int]]:
-    """One integer row per image: its entries' real parts, then their imaginary parts."""
+    A row holds the image's entries in row-major order, their real parts and
+    then their imaginary parts. Entry (r, c) is R[r][c] - i*R[r][c+n] for the
+    first n realified rows R of ``action.lattice_rows``.
+    """
+    n = table.dim
     rows = []
-    for m in images:
-        flat = m.flatten()
-        rows.append([x._a for x in flat] + [x._b for x in flat])
+    for g in basis_blades(table.sig):
+        top = tuple(enumerate(lattice_rows(g, table, lattice)[:n]))
+        re = [(r * n + j, x) for r, row in top for j, x in row if j < n]
+        rows.append(tuple(re + [(n * n + r * n + j - n, -x) for r, row in top for j, x in row if j >= n]))
     return rows
 
 
@@ -92,10 +97,10 @@ def endo_rank(table: RepresentationTable, lattice: LatticeSpec) -> int:
     The realified matrix of an image is an injective linear function of its
     real and imaginary parts, so the realified images span a lattice of the
     same rank as the flattening, which has half as many columns. The
-    elimination is the one ``subring_index`` runs for its own ``rank``,
-    without that audit's Smith form and determinant.
+    elimination (``rank_of_sparse_rows``) is the one ``subring_index`` runs
+    for its own ``rank``, without that audit's Smith form and determinant.
     """
-    return rank_of_rows(_flattening(_basis_images(table, lattice)))
+    return rank_of_sparse_rows({j: (x, 0) for j, x in row} for row in _flattening(table, lattice))
 
 
 def _digits(n: int) -> str:
@@ -126,31 +131,28 @@ def subring_index(table: RepresentationTable, lattice: LatticeSpec) -> SubringIn
 
     Route one takes the product of the Smith divisors of the flattening,
     whose columns are the standard integer basis of the full matrix ring.
-    Route two takes the Gaussian norm of the complex flattening determinant.
-    The rank (see ``endo_rank``) comes from a separate elimination of the
-    same flattening.
+    Route two takes the Gaussian norm of the complex flattening
+    determinant: the e_I rows, with entry j read as row[j] + i*row[j + n^2],
+    eliminated as sparse rows (``det_of_sparse_rows``). The rank (see
+    ``endo_rank``) comes from a separate elimination of the same rows.
     """
-    images = _basis_images(table, lattice)
-    flattening = _flattening(images)
-    divisors = smith_form(flattening)
-    index = None
-    if all(divisors):
-        index = 1
-        for d in divisors:
-            index *= d
+    flattening = _flattening(table, lattice)
+    square = table.dim * table.dim
+    divisors = smith_form(flattening, 2 * square)
+    index = prod(divisors) if all(divisors) else None
 
-    # The e_I images alone: the i*e_I rows are i times these over C.
-    complex_det = Matrix([m.flatten() for m in images[: len(images) // 2]]).det()
-    norm = complex_det.norm()
+    # The e_I rows alone: the i*e_I rows are i times these over C.
+    complex_rows = []
+    for row in flattening[: len(flattening) // 2]:
+        parts = dict(row)
+        columns = {j % square for j in parts}
+        complex_rows.append({j: GaussianRational(parts.get(j, 0), parts.get(j + square, 0)) for j in columns})
+    norm = det_of_sparse_rows(complex_rows, square).norm()
     if norm.denominator != 1:
         raise NotIntegralError("flattening determinant is not integral")
 
-    return SubringIndex(
-        rank=rank_of_rows(flattening),
-        smith_divisors=divisors,
-        index=index,
-        determinant_norm=norm.numerator,
-    )
+    rank = rank_of_sparse_rows({j: (x, 0) for j, x in row} for row in flattening)
+    return SubringIndex(rank=rank, smith_divisors=divisors, index=index, determinant_norm=norm.numerator)
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,19 @@ adjoint, the determinant, the realified rows and the flattened row cost
 O(n), and ``dense`` turns one into a :class:`Matrix` where a caller needs
 every entry.
 
-The integer routines are the Smith form and one sparse kernel: a matrix
-with integer entries kept as sparse rows, applied to a column-major block
-of integer numerator vectors, each reduced modulo its own denominator.
-Sparse rows also compose, and rows that are each a single ±1 entry (the
-realified signed permutations) are recognised, so that a block can take
-their image by selecting columns instead. ``inverse_rows`` inverts sparse
-integer rows by integer row operations alone, and returns None when the
-inverse is not integral.
+The integer routines take a matrix with integer entries kept as sparse
+rows. One sparse kernel applies them to a column-major block of integer
+numerator vectors, each reduced modulo its own denominator. Sparse rows
+also compose, and rows that are each a single ±1 entry (the realified
+signed permutations) are recognised, so that a block can take their image
+by selecting columns instead. ``inverse_rows`` inverts sparse integer rows
+by integer row operations alone (None when the inverse is not integral).
 
-The determinant and the Smith form eliminate a matrix one connected
-component at a time, where the components join rows and columns through
-nonzero entries: the flattenings of the endomorphism audit are block
-diagonal up to a permutation.
+The Smith form and the determinant (``det_of_sparse_rows``, which
+``Matrix.det`` hands its nonzero entries) read sparse rows and eliminate
+one connected component at a time, where the components join rows and
+columns through nonzero entries: the flattening of the endomorphism audit
+is block diagonal up to a permutation.
 
 Everything here is deterministic: elimination always picks the first
 nonzero pivot in row/column order, and the Smith reduction always picks
@@ -37,7 +37,6 @@ ranks and divisors reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -104,17 +103,11 @@ class Matrix:
         r, c = key
         return self._entries[r][c]
 
-    def row(self, r: int) -> tuple[GaussianRational, ...]:
-        return self._entries[r]
-
     def column(self, c: int) -> tuple[GaussianRational, ...]:
         return tuple(row[c] for row in self._entries)
 
     def entries(self) -> tuple[tuple[GaussianRational, ...], ...]:
         return self._entries
-
-    def flatten(self) -> tuple[GaussianRational, ...]:
-        return tuple(x for row in self._entries for x in row)
 
     def __add__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
@@ -231,25 +224,8 @@ class Matrix:
         return self.is_square() and self == self.adjoint()
 
     def det(self) -> GaussianRational:
-        """The exact determinant, by elimination on each connected component (see ``_components``).
-
-        The determinant is 0 if some component is not square, and else the
-        product of the components' determinants times the sign of the
-        permutation that takes each component's rows to its columns.
-        """
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        entries = self._entries
-        parts = _components(entries, self.cols)
-        if any(len(rows) != len(cols) for rows, cols in parts):
-            return _ZERO
-        perm = [0] * self.rows
-        result = ONE
-        for rows, cols in parts:
-            result = result * _det([[entries[r][c] for c in cols] for r in rows])
-            for r, c in zip(rows, cols):
-                perm[r] = c
-        return result if _permutation_sign(perm) > 0 else -result
+        """The exact determinant: ``det_of_sparse_rows`` of the nonzero entries."""
+        return det_of_sparse_rows([{c: x for c, x in enumerate(row) if x} for row in self._entries], self.cols)
 
     def inv(self) -> Matrix:
         if not self.is_square():
@@ -304,11 +280,12 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return -1 if (len(perm) - cycles) & 1 else 1
 
 
-def _components(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list[int], list[int]]]:
+def _components(rows: Sequence[Iterable[int]], ncols: int) -> list[tuple[list[int], list[int]]]:
     """The connected components of the incidence of rows and columns through nonzero entries.
 
-    A union-find over the rows and columns joins each row with the columns
-    of its nonzero entries. Each component is ``(rows, cols)``, both
+    Each row is given by the columns of its nonzero entries, such as the
+    keys of a sparse row. A union-find over the rows and columns joins each
+    row with those columns. Each component is ``(rows, cols)``, both
     ascending, in the order of their first row; a zero row is a component
     without columns, and the zero columns come last, each a component
     without rows. Permuting rows and columns by components makes the
@@ -324,8 +301,8 @@ def _components(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list
 
     for r, row in enumerate(rows):
         root = find(r)
-        for c in compress(range(nr, nr + ncols), row):
-            other = find(c)
+        for c in row:
+            other = find(nr + c)
             if other != root:
                 parent[other] = root
     parts: dict[int, tuple[list[int], list[int]]] = {}
@@ -334,6 +311,28 @@ def _components(rows: Sequence[Sequence[object]], ncols: int) -> list[tuple[list
     for c in range(ncols):
         parts.setdefault(find(nr + c), ([], []))[1].append(c)
     return list(parts.values())
+
+
+def det_of_sparse_rows(rows: Sequence[dict[int, GaussianRational]], n: int) -> GaussianRational:
+    """The exact determinant of an n x n matrix given as sparse rows (column -> nonzero entry).
+
+    Elimination runs on each connected component (see ``_components``). The
+    determinant is 0 if some component is not square, and else the product
+    of the components' determinants times the sign of the permutation that
+    takes each component's rows to its columns.
+    """
+    if len(rows) != n:
+        raise ValueError("determinant of a non-square matrix")
+    parts = _components(rows, n)
+    if any(len(part_rows) != len(cols) for part_rows, cols in parts):
+        return _ZERO
+    perm = [0] * n
+    result = ONE
+    for part_rows, cols in parts:
+        result = result * _det([[rows[r].get(c, _ZERO) for c in cols] for r in part_rows])
+        for r, c in zip(part_rows, cols):
+            perm[r] = c
+    return result if _permutation_sign(perm) > 0 else -result
 
 
 def _det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
@@ -735,8 +734,8 @@ def rank_of_sparse_rows(rows: Iterable[_GaussianIntegerRow]) -> int:
     return len(basis)
 
 
-def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Elementary divisors of an integer matrix.
+def smith_form(rows: IntegerRows, ncols: int) -> tuple[int, ...]:
+    """Elementary divisors of the integer matrix given as sparse rows with ``ncols`` columns.
 
     Returns the full diagonal of the Smith normal form: nonnegative integers
     d_1 | d_2 | ... with zeros trailing, of length min(rows, cols).
@@ -748,16 +747,14 @@ def smith_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     entries, which keep the matrix equivalent. The divisors are unique, so
     this is the Smith form whatever the pivots and components were.
     """
-    a = [list(map(int, row)) for row in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+    a = [dict(row) for row in rows]
     divisors = [
         d
-        for part_rows, cols in _components(a, nc)
+        for part_rows, cols in _components(a, ncols)
         if part_rows and cols
-        for d in _smith_diagonal([[a[r][c] for c in cols] for r in part_rows])
+        for d in _smith_diagonal([[a[r].get(c, 0) for c in cols] for r in part_rows])
     ]
-    return _divisor_chain(divisors, min(nr, nc))
+    return _divisor_chain(divisors, min(len(a), ncols))
 
 
 def _divisor_chain(diagonal: list[int], limit: int) -> tuple[int, ...]:

@@ -76,12 +76,12 @@ class RepresentationTable:
 
     The generators must be signed permutations (``SignedPermutation``): the
     constructor raises ValueError for a generator that is not monomial with
-    unit entries, has the wrong shape, or breaks a Clifford relation, so a
-    table in hand is always a valid representation. The blade images are
-    kept as signed permutations, each the product of its generators.
-    ``build_generators`` and ``endo.transport_table`` hand their signed
-    permutations to the private constructor ``_of``, which runs the same
-    checks without the dense round trip.
+    unit entries, has the wrong shape, or breaks a Clifford relation. The
+    blade images are kept as signed permutations, each the product of its
+    generators. ``build_generators`` and ``endo.transport_table`` hand
+    their signed permutations to the private constructor ``_of``, which
+    skips the dense round trip and the relations: their ladders satisfy
+    them already, and ``spinor_rep`` checks them in its report.
 
     With a ``conjugator`` f (unimodular over Z[i], else NonUnimodularError),
     the table is the ladder moved to another basis: its images are
@@ -115,6 +115,9 @@ class RepresentationTable:
                 ladder.append(SignedPermutation.from_matrix(m))
             except ValueError as exc:
                 raise ValueError(f"generator {index} is not a signed permutation: {exc}") from None
+        broken = clifford_relation_failure(sig, ladder)
+        if broken is not None:
+            raise ValueError(f"Clifford relation fails for generators {broken[0]}, {broken[1]}")
         self._init(sig, tuple(ladder), description, conjugator)
 
     @classmethod
@@ -123,8 +126,8 @@ class RepresentationTable:
     ) -> RepresentationTable:
         """The table on ``sig.n`` ladder generators already given as signed permutations of size 2^k.
 
-        The Clifford relations and the conjugator are checked as in the
-        public constructor.
+        The conjugator is checked as in the public constructor, the Clifford
+        relations are not: the callers pass ``build_generators``' ladder or a table's own.
         """
         table = cls.__new__(cls)
         table._init(sig, ladder, description, conjugator)
@@ -138,9 +141,6 @@ class RepresentationTable:
         self.dim = 1 << sig.k
         self.description = description or "tensor ladder over X/Y/Z"
         self.ladder_gamma = ladder
-        broken = clifford_relation_failure(sig, ladder)
-        if broken is not None:
-            raise ValueError(f"Clifford relation fails for generators {broken[0]}, {broken[1]}")
         blades = [SignedPermutation.identity(self.dim)]
         for mask in range(1, 1 << sig.n):
             low = mask & -mask

@@ -637,8 +637,8 @@ def riemann_check(pol: PolarizationData) -> RiemannReport:
 
 
 def polarization_type(pol: PolarizationData) -> tuple[int, ...]:
-    """Elementary divisors (d_1 | ... | d_g) of the alternating lattice form."""
-    divisors = smith_form(pol.integer_form())
+    """Elementary divisors (d_1 | ... | d_g) of the alternating lattice form, read from E^T (``bundle_rows``)."""
+    divisors = smith_form(pol.bundle_rows(), 2 * pol.g)
     paired = []
     for idx in range(0, len(divisors), 2):
         first, second = divisors[idx], divisors[idx + 1]

@@ -15,6 +15,7 @@ from spintorus import (
     CliffordElement,
     GaussianRational,
     GeneratorGroupElement,
+    LatticeNotPreservedError,
     LatticeSpec,
     Matrix,
     NonUnimodularError,
@@ -23,6 +24,7 @@ from spintorus import (
     WitnessFailedError,
     automorphism_containment,
     basis_elements,
+    build_generators,
     decomposition_witness,
     element_order,
     endo_rank,
@@ -107,6 +109,59 @@ def test_endo_rank_matches_sympy_rank_of_the_realified_flattening(tables, lattic
         for lattice in (lattices[k], shear_lattice(k)):
             expected = sympy.Matrix(realified_flattening(tables[k], lattice)).rank()
             assert endo_rank(tables[k], lattice) == expected == 1 << (2 * k + 1)
+
+
+def index_two_lattice(k):
+    """The index-2 sublattice basis [[1, 1+i], [1, 0]] repeated down the diagonal."""
+    return LatticeSpec(k, Matrix.identity(1 << (k - 1)).kron(Matrix([[1, GaussianRational(1, 1)], [1, 0]])))
+
+
+def dense_flattening(table, lattice):
+    """The oracle: each basis image's entries in row-major order, real parts then imaginary parts."""
+    rows = []
+    for u in basis_elements(table.sig):
+        entries = [x for row in lattice_matrix(u, table, lattice).entries() for x in row]
+        rows.append([x.re for x in entries] + [x.im for x in entries])
+    return rows
+
+
+FLATTENING_LATTICES = {"default": LatticeSpec.default, "shear": shear_lattice, "index-2": index_two_lattice}
+
+
+@pytest.mark.parametrize(
+    "k, name", [(k, "default") for k in (1, 2, 3)] + [(k, name) for k in (1, 2) for name in ("shear", "index-2")]
+)
+def test_the_sparse_flattening_matches_the_dense_oracle(k, name):
+    lattice = FLATTENING_LATTICES[name](k)
+    ladder = build_generators(k)
+    for table in (ladder, transport_table(shear(k), ladder)):
+        # The sparse flattening first, on a table whose lattice memo the oracle has not filled.
+        try:
+            rows = endo._flattening(table, lattice)
+        except LatticeNotPreservedError:
+            with pytest.raises(LatticeNotPreservedError):
+                dense_flattening(table, lattice)
+            continue
+        width = 2 * table.dim**2
+        assert all(list(row) == sorted(row) and all(x for _, x in row) for row in rows)
+        assert [[dict(row).get(j, 0) for j in range(width)] for row in rows] == dense_flattening(table, lattice)
+
+
+def _no_dense_matrix(*args):
+    raise AssertionError("a dense Matrix was built")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_audit_on_the_default_lattice_builds_no_dense_matrix(k, monkeypatch):
+    table, lattice = build_generators(k), LatticeSpec.default(k)
+    monkeypatch.setattr(Matrix, "__init__", _no_dense_matrix)
+    monkeypatch.setattr(Matrix, "_wrap", classmethod(_no_dense_matrix))
+    audit = subring_index(table, lattice)
+    rank = endo_rank(table, lattice)
+    monkeypatch.undo()
+    assert rank == audit.rank == 1 << (2 * k + 1)
+    assert audit.consistent
+    assert table.lattice_images == {}
 
 
 def test_endomorphism_ranks(tables, lattices):
@@ -195,7 +250,7 @@ def test_decomposition_witness_on_a_custom_basis(tables):
 def test_the_custom_lattice_witness_takes_only_the_rank(tables, monkeypatch):
     # The witness needs the rank of the flattening, not the index audit's Smith form.
     calls = []
-    monkeypatch.setattr(endo, "smith_form", lambda rows: calls.append(rows))
+    monkeypatch.setattr(endo, "smith_form", lambda rows, ncols: calls.append(rows))
     for k in (1, 2):
         assert decomposition_witness(tables[k], shear_lattice(k)).basis_map is None
     assert calls == []

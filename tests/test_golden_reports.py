@@ -8,9 +8,11 @@ on blocks of points. Two more pin the algebra suites, whose Clifford
 products, signed-blade group and spinor images the torus suites do not
 reach: ``spintorus verify --k 3 --suite clifford_core,spinor_rep,endo_decomp
 --format json`` and ``spintorus verify --k 2 --signature 3,1 --suite
-clifford_core,spinor_rep --format json`` in an indefinite signature. A
-refactor that keeps every verdict, check count and failure text keeps these
-bytes.
+clifford_core,spinor_rep --format json`` in an indefinite signature. One
+more, ``spintorus verify --k 4 --suite endo_decomp --format json``, pins
+the endomorphism audit one k further: all 512 Smith divisors, the index and
+the determinant norm. A refactor that keeps every verdict, check count and
+failure text keeps these bytes.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ ALGEBRA_SUITES = ("clifford_core", "spinor_rep", "endo_decomp")
             "verify_k2_sig31_algebra.json",
             SuiteConfig(ks=(2,), signature=(3, 1), suites=ALGEBRA_SUITES[:2]),
         ),
+        ("verify_k4_endo.json", SuiteConfig(ks=(4,), suites=("endo_decomp",))),
     ],
-    ids=["default", "shear", "k2-torus", "k3-algebra", "k2-sig31-algebra"],
+    ids=["default", "shear", "k2-torus", "k3-algebra", "k2-sig31-algebra", "k4-endo"],
 )
 def test_report_matches_the_golden_file(name, config):
     report = run_suite(config)

@@ -25,13 +25,14 @@ from spintorus import (
     realify,
     smith_form,
 )
-from spintorus.endo import _basis_images, _flattening
+from spintorus.endo import _flattening
 from spintorus.matrices import (
     _components,
     _det,
     _divisor_chain,
     _smith_diagonal,
     compose_rows,
+    det_of_sparse_rows,
     inverse_rows,
     rank_of_sparse_rows,
     sparse_rows,
@@ -244,10 +245,15 @@ int_matrices = st.lists(
 )
 
 
+def smith(rows):
+    """``smith_form`` of a dense integer matrix, through its sparse rows."""
+    return smith_form(sparse_rows(rows), len(rows[0]))
+
+
 @settings(max_examples=60)
 @given(int_matrices)
 def test_smith_divisors_match_sympy_and_chain(rows):
-    divisors = smith_form(rows)
+    divisors = smith(rows)
     snf = smith_normal_form(sympy.Matrix(rows))
     expected = [abs(snf[t, t]) for t in range(3)]
     assert list(divisors) == expected
@@ -273,7 +279,7 @@ def low_rank_matrices(draw):
 @settings(max_examples=60)
 @given(low_rank_matrices())
 def test_smith_divisors_of_rank_deficient_and_non_square_matrices(rows):
-    divisors = smith_form(rows)
+    divisors = smith(rows)
     snf = smith_normal_form(sympy.Matrix(rows))
     limit = min(len(rows), len(rows[0]))
     assert list(divisors) == [abs(snf[t, t]) for t in range(limit)]
@@ -283,13 +289,18 @@ def test_smith_divisors_of_rank_deficient_and_non_square_matrices(rows):
 
 
 def test_smith_examples():
-    assert smith_form([[2, 4], [6, 8]]) == (2, 4)
-    assert smith_form([[1, 0], [0, 1]]) == (1, 1)
-    assert smith_form([[0, 0], [0, 0]]) == (0, 0)
-    assert smith_form([[2, 0, 0], [0, 3, 0]]) == (1, 6)
-    assert smith_form([[4, 0], [0, 6], [0, 0]]) == (2, 12)
-    assert smith_form([[0, 0, 0], [0, 0, 5]]) == (5, 0)
-    assert smith_form([[6, 0, 0], [0, 0, 0], [0, 0, 4]]) == (2, 12, 0)
+    assert smith([[2, 4], [6, 8]]) == (2, 4)
+    assert smith([[1, 0], [0, 1]]) == (1, 1)
+    assert smith([[0, 0], [0, 0]]) == (0, 0)
+    assert smith([[2, 0, 0], [0, 3, 0]]) == (1, 6)
+    assert smith([[4, 0], [0, 6], [0, 0]]) == (2, 12)
+    assert smith([[0, 0, 0], [0, 0, 5]]) == (5, 0)
+    assert smith([[6, 0, 0], [0, 0, 0], [0, 0, 4]]) == (2, 12, 0)
+    # Sparse rows name only their nonzero entries; ncols counts the zero columns too.
+    assert smith_form([(), ((2, 5),)], 3) == (5, 0)
+    assert smith_form([((0, 2), (1, 4)), ((0, 6), (1, 8))], 2) == (2, 4)
+    assert smith_form([((0, 3),)], 1) == (3,)
+    assert smith_form([], 4) == ()
 
 
 @st.composite
@@ -326,10 +337,15 @@ def shuffled_block_matrices(draw, entries, square=False):
     return [[rows[r][c] for c in col_order] for r in row_order]
 
 
+def columns(rows):
+    """Each row's nonzero columns: what ``_components`` reads of a sparse row."""
+    return [[c for c, x in enumerate(row) if x] for row in rows]
+
+
 @settings(max_examples=60, deadline=None)
 @given(shuffled_block_matrices(st.integers(-6, 6)))
 def test_components_partition_rows_and_columns_along_nonzero_entries(rows):
-    parts = _components(rows, len(rows[0]))
+    parts = _components(columns(rows), len(rows[0]))
     assert sorted(r for part_rows, _ in parts for r in part_rows) == list(range(len(rows)))
     assert sorted(c for _, cols in parts for c in cols) == list(range(len(rows[0])))
     part_of_row = {r: i for i, (part_rows, _) in enumerate(parts) for r in part_rows}
@@ -346,7 +362,7 @@ NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 @given(shuffled_block_matrices(st.integers(-6, 6)))
 def test_smith_form_on_components_matches_the_whole_matrix_and_sympy(rows):
     limit = min(len(rows), len(rows[0]))
-    divisors = smith_form(rows)
+    divisors = smith(rows)
     assert divisors == _divisor_chain(_smith_diagonal([list(row) for row in rows]), limit)
     snf = smith_normal_form(sympy.Matrix(rows))
     assert list(divisors) == [abs(snf[t, t]) for t in range(limit)]
@@ -359,8 +375,8 @@ def test_smith_form_on_components_matches_the_whole_matrix_and_sympy(rows):
 @given(shuffled_block_matrices(st.one_of(gaussian_integers, small_gaussians), square=True))
 def test_determinant_on_components_matches_the_whole_matrix_and_sympy(rows):
     m = Matrix(rows)
-    det = m.det()
-    assert det == _det(m.entries())
+    det = det_of_sparse_rows([{c: x for c, x in enumerate(row) if x} for row in m.entries()], len(rows))
+    assert det == m.det() == _det(m.entries())
     assert QQ_I.from_sympy(to_sympy_scalar(det)) == to_domain(m.entries()).det()
 
 
@@ -371,18 +387,23 @@ def test_determinant_on_components_carries_the_sign_of_the_permutation():
     for r in range(n):
         rows[r][{0: 1, 1: 0}.get(r, r)] = r + 1
     rows[2][2] = GaussianRational(0, 1)
-    assert len(_components(rows, n)) == n
-    assert Matrix(rows).det() == GaussianRational(0, -math.prod(r + 1 for r in range(n) if r != 2))
+    assert len(_components(columns(rows), n)) == n
+    sparse = [{c: as_gaussian(x) for c, x in enumerate(row) if x} for row in rows]
+    assert det_of_sparse_rows(sparse, n) == GaussianRational(0, -math.prod(r + 1 for r in range(n) if r != 2))
+    assert Matrix(rows).det() == det_of_sparse_rows(sparse, n)
     # Rows 0 and 1 meet only column 0, and row 2 meets columns 1 and 2: components 2 x 1 and 1 x 2.
     rows[0][:3], rows[1][:3], rows[2][:3] = [1, 0, 0], [2, 0, 0], [0, 1, 1]
-    assert len(_components(rows, n)) == n - 1
-    assert Matrix(rows).det() == GaussianRational()
+    assert len(_components(columns(rows), n)) == n - 1
+    sparse = [{c: as_gaussian(x) for c, x in enumerate(row) if x} for row in rows]
+    assert det_of_sparse_rows(sparse, n) == Matrix(rows).det() == GaussianRational()
+    with pytest.raises(ValueError):
+        det_of_sparse_rows(sparse[1:], n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_the_endomorphism_flattening_splits_into_components_of_2_to_the_k_rows(k):
-    rows = _flattening(_basis_images(build_generators(k), LatticeSpec.default(k)))
-    parts = _components(rows, len(rows[0]))
+    rows = _flattening(build_generators(k), LatticeSpec.default(k))
+    parts = _components([dict(row) for row in rows], 2 * 4**k)
     assert sorted((len(part_rows), len(cols)) for part_rows, cols in parts) == [(2**k, 2**k)] * 2 ** (k + 1)
 
 
@@ -436,7 +457,7 @@ def test_signed_permutations_match_the_dense_oracle(data):
     assert a.realified_rows() == dense.realified_rows() == sparse_rows(realify(dense))
     assert a.realified_det() == Matrix(realify(dense)).det()
     assert a.flattened() == {
-        index: (x.re, x.im) for index, x in enumerate(dense.flatten()) if x
+        index: (x.re, x.im) for index, x in enumerate(x for row in dense.entries() for x in row) if x
     }
     assert SignedPermutation.from_matrix(dense) == a
     assert hash(SignedPermutation.from_matrix(dense)) == hash(a)
@@ -446,7 +467,7 @@ def test_signed_permutations_match_the_dense_oracle(data):
 @given(st.lists(signed_permutations(3), min_size=1, max_size=12))
 def test_rank_of_flattened_signed_permutations_matches_rank_of_rows(family):
     assert rank_of_sparse_rows(p.flattened() for p in family) == rank_of_rows(
-        p.dense().flatten() for p in family
+        [x for row in p.dense().entries() for x in row] for p in family
     )
 
 

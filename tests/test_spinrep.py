@@ -56,6 +56,9 @@ def test_tables_reject_generators_that_break_a_relation():
     x = Matrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="generators 1, 2"):
         RepresentationTable(Signature(2, 0), [x, x])
+    # The private constructor takes its callers' ladders as given; spinor_rep reports the relations.
+    ladder = (build_generators(1).ladder_gamma[0],) * 2
+    assert RepresentationTable._of(Signature(2, 0), ladder).ladder_gamma == ladder
 
 
 def test_blade_images_have_gaussian_integer_entries(tables):
@@ -109,7 +112,7 @@ def test_rank_one_flattening_matches_sympy(tables):
     rows = []
     for mask in range(4):
         flat = []
-        for entry in table.blade_image(mask).flatten():
+        for entry in (x for row in table.blade_image(mask).entries() for x in row):
             flat.append(sympy.Rational(entry.re) + sympy.I * sympy.Rational(entry.im))
         rows.append(flat)
     assert sympy.Matrix(rows).rank() == 4
@@ -228,7 +231,7 @@ def test_unitary_and_rank_reports_match_the_dense_oracle(table):
         != _dense_represent(table, g.to_element(table.sig)).adjoint()
     )
     assert verify_unitary(table).failures == expected
-    flattened = (_dense_blade(table, mask).flatten() for mask in range(1 << table.sig.n))
+    flattened = ([x for row in _dense_blade(table, mask).entries() for x in row] for mask in range(1 << table.sig.n))
     assert verify_algebra_iso(table).spanning_rank == rank_of_rows(flattened)
 
 

@@ -18,6 +18,7 @@ from spintorus import (
     GeneratorGroupElement,
     LatticeSpec,
     Matrix,
+    RepresentationTable,
     Signature,
     SuiteConfig,
     TorusPoint,
@@ -429,6 +430,22 @@ def test_the_torsion_record_fails_when_sums_do_not_kill_the_points(monkeypatch):
     assert result.checks == 121
     assert [f.inputs for f in result.failures] == [{"k": "1", "n": "2"}, {"k": "1", "n": "3"}]
     assert all(f.expected == "every point killed by n" for f in result.failures)
+
+
+def test_the_relations_record_fails_on_a_ladder_that_breaks_them(monkeypatch):
+    # gamma_1 times i squares to -1 where q(e_1) = +1; the private constructor takes the ladder as given.
+    def broken_generators(k, sig=None):
+        table = build_generators(k, sig)
+        ladder = table.ladder_gamma
+        return RepresentationTable._of(table.sig, (ladder[0].phased(1),) + ladder[1:])
+
+    config = SuiteConfig(ks=(1,), suites=("spinor_rep",))
+    checks = run_suite(config).suites[0].checks
+    monkeypatch.setattr(suite, "build_generators", broken_generators)
+    result = run_suite(config).suites[0]
+    monkeypatch.undo()
+    assert result.checks == checks
+    assert Failure(inputs={"k": "1"}, expected="Clifford relations", actual="False") in result.failures
 
 
 def test_cli_build_summary(capsys):
