@@ -108,6 +108,7 @@ class SuiteResult:
     checks: int
     failures: list[Failure]
     ms: float | None = None
+    # Set only when re-reading a report before 0.2.0, which skipped suites at indefinite signatures.
     skipped: bool = False
     reason: str = ""
     details: dict | None = None
@@ -211,7 +212,7 @@ class _Env:
     @cached_property
     def two_torsion(self) -> TorsionBlock:
         """The two-torsion block every scan at this k reads: all points, or 100 seeded ones and a warning."""
-        why = _two_torsion_limit(self, "points")
+        why = _two_torsion_limit(self)
         if why is None:
             return torsion_block(2, self.lattice, cap=self.config.cap)
         # Each coordinate draws its real, then its imaginary numerator over 2.
@@ -286,13 +287,13 @@ def _random_ambient(lattice: LatticeSpec, rng: random.Random) -> tuple[GaussianR
     return tuple(_random_gaussian(rng) for _ in range(lattice.dim))
 
 
-def _two_torsion_limit(env: _Env, items: str) -> str | None:
-    """Why not every two-torsion point (or order-2 class, as many) is scanned; None if all are."""
+def _two_torsion_limit(env: _Env) -> str | None:
+    """Why not every two-torsion point is scanned; None if all are."""
     if env.k > 2:
         return "runs at k <= 2"
     count = torsion_count(2, env.k)
     if count > env.config.cap:
-        return f"would take {count} {items}, over the enumeration cap {env.config.cap}"
+        return f"would take {count} points, over the enumeration cap {env.config.cap}"
     return None
 
 
@@ -352,7 +353,7 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
                 {"actor": actor, "point": p},
             )
 
-    scope = "all" if _two_torsion_limit(env, "points") is None else "sampled"
+    scope = "all" if _two_torsion_limit(env) is None else "sampled"
     for g, failing in zip(order4 + order2, failing_items):
         yield (
             not failing,
@@ -365,20 +366,24 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
 
 @dataclass(frozen=True)
 class _Suite:
-    """A verification suite: its runner, the statements it checks, and the signatures it runs at."""
+    """A verification suite: its runner and the statements it checks.
+
+    Every suite runs at every signature: over C each nondegenerate q gives
+    the same algebra, and the signed blades act by the same signed
+    permutations, so the torus, its lattice and H do not depend on (p, q).
+    """
 
     run: Callable[[_Env, _Checker], None]
     statements: tuple[str, ...]
-    needs_positive_definite: bool
 
 
 # Every suite, in report order; ``_suite`` registers each runner below.
 _SUITES: dict[str, _Suite] = {}
 
 
-def _suite(name: str, *statements: str, needs_positive_definite: bool = False) -> Callable:
+def _suite(name: str, *statements: str) -> Callable:
     def register(run: Callable[[_Env, _Checker], None]) -> Callable[[_Env, _Checker], None]:
-        _SUITES[name] = _Suite(run, statements, needs_positive_definite)
+        _SUITES[name] = _Suite(run, statements)
         return run
 
     return register
@@ -564,7 +569,6 @@ def _run_spinor_rep(env: _Env, chk: _Checker) -> None:
     "H is positive definite",
     "the polarization type is (1, ..., 1)",
     "the n-torsion subgroup has n^(2g) points",
-    needs_positive_definite=True,
 )
 def _run_spinor_torus(env: _Env, chk: _Checker) -> None:
     lattice = env.lattice
@@ -641,7 +645,6 @@ def _run_spinor_torus(env: _Env, chk: _Checker) -> None:
     "2p + M + N = 0 on the torus",
     "order-2 actors satisfy N = -M",
     "on two-torsion points N = M and 2M = 0",
-    needs_positive_definite=True,
 )
 def _run_clifford_action(env: _Env, chk: _Checker) -> None:
     sig = env.sig
@@ -704,7 +707,6 @@ def _run_clifford_action(env: _Env, chk: _Checker) -> None:
     "the four translation bundles step through L_M, L_M x L_N, L_N, O",
     "(L dual)^2 = L_M x L_N",
     "order-2 classes give L_N = L_M with L_M 2-torsion",
-    needs_positive_definite=True,
 )
 def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     sig = env.sig
@@ -749,17 +751,15 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     per_actor = CLASSES_PER_K if env.k <= 2 else max(1, CLASSES_PER_K // 12)
     bundles = [_random_bundle(env.k, rng) for _ in range(per_actor)]
     bundle_block = TorsionBlock.of(bundles, 2 << env.k)
-    why = _two_torsion_limit(env, "classes")
-    # Every class of order <= 2: the numerators over 2 of the two-torsion points, in their order.
-    classes = env.two_torsion if why is None else None
+    # The classes of order <= 2 are the numerators over 2 of the block the point scans read.
+    classes = env.two_torsion
     # Per actor of order4 + order2, in that order: the order-2 classes that fail.
     failing_classes = []
     for g in order4:
         actor = g.to_element(sig)
         # The induced powers are composed once and move both blocks of classes.
         powers = induced_powers(lattice_rows(g, table, lattice), pol, 4)
-        if classes is not None:
-            failing_classes.append(_failing(two_torsion_bundle_scan(g, classes, table, pol, powers)))
+        failing_classes.append(_failing(two_torsion_bundle_scan(g, classes, table, pol, powers)))
         held, first = bundle_systems_hold(g, bundle_block, table, pol, powers)
         for bundle, holds in zip(bundles, held):
             chk.record(
@@ -771,18 +771,15 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
         histogram[g.label()] = sorted(set(first.orders()))
     chk.details = {"translation_bundle_orders": histogram}
 
-    if classes is not None:
-        failing_classes += [_failing(two_torsion_bundle_scan(g, classes, table, pol)) for g in order2]
-        for g, failing in zip(order4 + order2, failing_classes):
-            witness = failing[0] if failing else None
-            chk.record(
-                witness is None,
-                "translation bundles agree and are 2-torsion",
-                lambda: f"failing class: {BundleClass.from_numerators(env.k, *classes.item(witness))}",
-                {"actor": g.to_element(sig), "classes": len(classes)},
-            )
-    else:
-        env.warnings.append(f"k={env.k}: the exhaustive order-2 bundle scan {why}")
+    failing_classes += [_failing(two_torsion_bundle_scan(g, classes, table, pol)) for g in order2]
+    for g, failing in zip(order4 + order2, failing_classes):
+        witness = failing[0] if failing else None
+        chk.record(
+            witness is None,
+            "translation bundles agree and are 2-torsion",
+            lambda: f"failing class: {BundleClass.from_numerators(env.k, *classes.item(witness))}",
+            {"actor": g.to_element(sig), "classes": len(classes)},
+        )
 
 
 @_suite(
@@ -792,7 +789,6 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
     "the Smith-divisor product of the image lattice equals the flattening determinant norm",
     "the scalar i acts as i * Id, an order-4 automorphism splitting the torus into 2^k curves of j-invariant 1728",
     "every signed blade acts as an invertible lattice self-map",
-    needs_positive_definite=True,
 )
 def _run_endo_decomp(env: _Env, chk: _Checker) -> None:
     sig = env.sig
@@ -937,10 +933,6 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
             if name not in config.suites:
                 continue
             chk = _Checker(f"{name}:k={k}", k)
-            if suite.needs_positive_definite and not sig.is_positive_definite():
-                reason = "needs a positive-definite signature"
-                results.append(SuiteResult(chk.name, True, 0, [], skipped=True, reason=reason))
-                continue
             started = time.perf_counter()
             suite.run(env, chk)
             result = chk.result(suite.statements)

@@ -21,6 +21,7 @@ from spintorus import (
     basis_elements,
     build_generators,
     evaluate_element,
+    generator_group,
     rank_of_rows,
     transport_table,
     star,
@@ -286,6 +287,23 @@ def test_signed_permutation_ladder_matches_the_dense_kron_chain(k, p, q):
     assert public.ladder_gamma == table.ladder_gamma
     assert public.gamma == table.gamma
     assert all(public.blade_permutation(mask) == table.blade_permutation(mask) for mask in range(1 << sig.n))
+
+
+def _signed_blade_images(k: int, p: int, q: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    sig = Signature(p, q)
+    table = build_generators(k, sig)
+    return {(perm.cols, perm.phases) for perm in map(table.signed_permutation, generator_group(sig))}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_signature_gives_the_same_signed_blade_images(k):
+    # Over C every nondegenerate q gives one algebra: the 4^(k+1) signed
+    # blades act by the same signed permutations at every (p, q), so the
+    # torus suites see the same actors at every signature.
+    definite = _signed_blade_images(k, 2 * k, 0)
+    assert len(definite) == 4 ** (k + 1)
+    for q in range(1, 2 * k + 1):
+        assert _signed_blade_images(k, 2 * k - q, q) == definite, (2 * k - q, q)
 
 
 def test_transporting_twice_composes_the_conjugators():

@@ -367,17 +367,29 @@ def test_sampled_points_and_classes_match_the_public_constructors(k):
             assert rng.getstate() == reference.getstate()
 
 
-def test_indefinite_signatures_skip_torus_suites():
-    report = run_suite(SuiteConfig(ks=(1,), signature=(1, 1)))
+TORUS_AND_ENDO = ("spinor_torus", "clifford_action", "dual_picard", "endo_decomp")
+
+
+@pytest.mark.parametrize(
+    ("k", "signature"),
+    [(1, (1, 1)), (1, (0, 2)), (2, (3, 1)), (2, (2, 2)), (2, (1, 3)), (2, (0, 4))],
+    ids=["k1-sig11", "k1-sig02", "k2-sig31", "k2-sig22", "k2-sig13", "k2-sig04"],
+)
+def test_every_suite_runs_at_an_indefinite_signature(k, signature):
+    # The signed blades act by the same signed permutations at every
+    # signature, so the torus and endomorphism suites run and check as many
+    # statements as at (2k, 0).
+    report = run_suite(SuiteConfig(ks=(k,), signature=signature))
     assert report.all_passed()
-    by_name = {s.name.split(":")[0]: s for s in report.suites}
-    assert not by_name["clifford_core"].skipped
-    assert not by_name["spinor_rep"].skipped
-    for name in ("spinor_torus", "clifford_action", "dual_picard", "endo_decomp"):
-        assert by_name[name].skipped
-        assert by_name[name].reason == "needs a positive-definite signature"
+    assert [s.name for s in report.suites] == [f"{name}:k={k}" for name in ALL_SUITES]
+    assert not any(s.skipped for s in report.suites)
+    definite = run_suite(SuiteConfig(ks=(k,), suites=TORUS_AND_ENDO))
+    counts = {s.name: s.checks for s in report.suites if s.name.split(":")[0] in TORUS_AND_ENDO}
+    assert counts == {s.name: s.checks for s in definite.suites}
+    assert report.index["index"] == definite.index["index"]
+    if k == 1:
+        assert report.index["index"] == "16"
     assert any("adjoint compatibility" in w for w in report.warnings)
-    assert report.index is None
 
 
 def test_suite_selection_runs_a_subset():
@@ -470,14 +482,80 @@ def test_cli_verify_text_and_exit_codes(capsys):
 
 
 def test_cli_verify_honours_a_cap_below_the_two_torsion_count(capsys):
-    # k=1 has 16 two-torsion points and 16 order-2 classes: both point scans
-    # (clifford_action, and endo_decomp's transported one) fall back to the
-    # seeded sample under one warning, and the class scan is skipped.
+    # k=1 has 16 two-torsion points, whose numerators over 2 are the 16
+    # order-2 classes: the point scans (clifford_action, and endo_decomp's
+    # transported one) and the class scan all read the seeded sample, under
+    # one warning.
     assert main(["verify", "--k", "1", "--cap", "4"]) == 0
     out = capsys.readouterr().out
     assert "result: PASS" in out
     assert out.count("the exhaustive scan would take 16 points, over the enumeration cap 4") == 1
-    assert "the exhaustive order-2 bundle scan would take 16 classes, over the enumeration cap 4" in out
+    assert "order-2 bundle scan" not in out
+    # One class-scan record per actor, as many as without the cap.
+    assert "[PASS] dual_picard:k=1          checks=930 " in out
+
+
+# A 0.1.0 report at an indefinite signature, in the layout that version wrote:
+# the torus suites skipped there, with checks 0, a reason and no statements.
+PRE_0_2_REPORT = """{
+  "meta": {
+    "k": [
+      1
+    ],
+    "signature": [
+      "1,1"
+    ],
+    "lattice": "default",
+    "seed": 1729,
+    "version": "0.1.0",
+    "cap": 1048576,
+    "points_per_k": 100,
+    "classes_per_k": 100,
+    "suites": [
+      "clifford_core",
+      "spinor_torus"
+    ],
+    "strict": false,
+    "representation": "tensor ladder over X/Y/Z"
+  },
+  "suites": [
+    {
+      "name": "clifford_core:k=1",
+      "passed": true,
+      "checks": 129,
+      "failures": [],
+      "ms": null,
+      "statements": [
+        "(uv)w = u(vw)"
+      ]
+    },
+    {
+      "name": "spinor_torus:k=1",
+      "passed": true,
+      "checks": 0,
+      "failures": [],
+      "ms": null,
+      "skipped": true,
+      "reason": "needs a positive-definite signature"
+    }
+  ],
+  "index": null,
+  "warnings": []
+}
+"""
+
+
+def test_cli_report_reads_a_pre_0_2_report_with_a_skipped_suite(capsys, tmp_path):
+    saved = tmp_path / "old.json"
+    saved.write_text(PRE_0_2_REPORT)
+    assert main(["report", "--json", str(saved), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == saved.read_bytes()
+
+    assert main(["report", "--json", str(saved)]) == 0
+    out = capsys.readouterr().out
+    assert "[SKIP] spinor_torus:k=1         needs a positive-definite signature" in out
+    assert "[PASS] clifford_core:k=1" in out
+    assert "result: PASS (2 suites, 129 checks)" in out
 
 
 def test_cli_verify_json_output(capsys, tmp_path):
