@@ -7,10 +7,12 @@ N moves that image to the second. The full orbit is then
 
     p -> p + M -> p + M + N -> p + N -> p
 
-and ``2p + M + N = 0`` on the torus. Order-2 actors degenerate to N = -M,
-and on two-torsion points both collapse to N = M with 2M = 0, which is
-g^2 p = p with 2M = 0: on the blocks the suites scan, one comparison of
-lists per coordinate column.
+and ``2p + M + N = 0`` on the torus. The closure is g^2 p = -p, and given
+it the pattern is g^3 p = -(g p) and g^4 p = p: three comparisons of lists
+per coordinate column. Order-2 actors degenerate to N = -M, and on
+two-torsion points both collapse to N = M with 2M = 0, which is g^2 p = p
+with 2M = 0: on the blocks the suites scan, one comparison of lists per
+coordinate column.
 
 The orbits are computed for a whole :class:`~spintorus.torus.TorsionBlock`
 of points at once, from the realified rows R of the actor's lattice
@@ -18,12 +20,13 @@ matrix (``lattice_rows``). A ladder table's signed blade on the default
 lattice gives them from its signed permutation, with no dense matrix;
 other tables and lattices read them off the memoized, integrality-checked
 lattice matrix. When every row of R is a single +1 or -1 entry, image s
-selects columns of the block and of its negation by the rows of R^s: no
-arithmetic per step, and the negation is built once per block. Other
-actors apply the rows of R^s through the sparse kernel. A scan composes
-each actor's powers once and moves every block it checks with them. Each
-identity is one pass per coordinate column over the orbit, item by item
-modulo each point's own denominator, with a verdict per point; a single
+selects columns of the block and of its negation by the rows of R^s, and
+the image's negation with them: no arithmetic per step, and the negation
+is built once per block. Other actors apply the rows of R^s through the
+sparse kernel. A scan composes each actor's powers once and moves every
+block it checks with them. Each identity compares whole coordinate
+columns of the orbit first; only a column that fails is compared item by
+item, modulo each point's own denominator, with a verdict per point; a single
 :class:`TranslationSystem` checks itself with the same functions on
 blocks of one, and ``verify_two_torsion`` on the block of every
 two-torsion point.
@@ -177,15 +180,26 @@ def four_step(orbit: Sequence[TorsionBlock]) -> tuple[list[bool], list[bool]]:
     base; the first two hold by the definition of M and N, so the third
     and fourth are compared. The closure: 2 * base + M + N, which is
     base + g^2 base, is zero.
+
+    Given the closure g^2 base = -base, the pattern reads g^3 base =
+    -(g base) and g^4 base = base. So a column whose second image equals
+    the negated base closes for every item, and if its third image also
+    equals the negated first and its fourth the base, the pattern holds
+    for every item: three list comparisons, against the negations that a
+    column selection builds with its image (``TorsionBlock._select``).
+    Only a column that fails one of them is compared item by item.
     """
     dens, columns = _columns(orbit)
     steps_hold, closes = [True] * len(dens), [True] * len(dens)
-    for base, first, second, third, fourth in columns:
-        _clear_false(steps_hold, [
+    fixed, zeros = [True] * len(dens), [0] * len(dens)
+    negations = zip((-orbit[0]).cols, (-orbit[1]).cols)
+    for (base, first, second, third, fourth), (neg_base, neg_first) in zip(columns, negations):
+        closed = second == neg_base
+        _clear_nonzero(closes, zeros if closed else [(x + y2) % d for x, y2, d in zip(base, second, dens)])
+        _clear_false(steps_hold, fixed if closed and third == neg_first and fourth == base else [
             y3 == (x + y2 - y1) % d and y4 == x
             for x, y1, y2, y3, y4, d in zip(base, first, second, third, fourth, dens)
         ])
-        _clear_nonzero(closes, [(x + y2) % d for x, y2, d in zip(base, second, dens)])
     return steps_hold, closes
 
 
@@ -212,7 +226,7 @@ def two_torsion_pair(orbit: Sequence[TorsionBlock]) -> list[bool]:
     dens, columns = _columns(orbit[:3])
     ok = [True] * len(dens)
     fixed = [True] * len(dens)
-    doubles = any(2 % d for d in dens)
+    doubles = max(dens, default=0) > 2
     for base, first, second in columns:
         _clear_false(ok, fixed if second == base else [y2 == x for x, y2 in zip(base, second)])
         if doubles:

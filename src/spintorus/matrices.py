@@ -17,7 +17,8 @@ every entry.
 The integer routines take a matrix with integer entries kept as sparse
 rows. One sparse kernel applies them to a column-major block of integer
 numerator vectors, each reduced modulo its own denominator. Sparse rows
-also compose, and rows that are each a single ±1 entry (the realified
+also compose (a row of one entry picks a row of the inner factor), and
+rows that are each a single ±1 entry (the realified
 signed permutations) are recognised, so that a block can take their image
 by selecting columns instead. ``inverse_rows`` inverts sparse integer rows
 by integer row operations alone (None when the inverse is not integral).
@@ -576,9 +577,20 @@ def sparse_matvec_mod(
 
 
 def compose_rows(outer: IntegerRows, inner: IntegerRows) -> IntegerRows:
-    """The sparse rows of the integer product ``outer @ inner``, each sorted by column."""
+    """The sparse rows of the integer product ``outer @ inner``, each sorted by column.
+
+    ``inner``'s rows must be sorted by column, as ``sparse_rows``,
+    ``realified_rows`` and this function give them. An outer row with a
+    single entry c at column j is then ``inner[j]`` times c, picked as in
+    ``sparse_matvec_mod``: a power of a signed permutation's rows costs
+    O(n).
+    """
     out = []
     for row in outer:
+        if len(row) == 1:
+            ((j, c),) = row
+            out.append(inner[j] if c == 1 else tuple([(i, c * x) for i, x in inner[j]]))
+            continue
         acc: dict[int, int] = {}
         for j, c in row:
             for i, x in inner[j]:
@@ -588,7 +600,10 @@ def compose_rows(outer: IntegerRows, inner: IntegerRows) -> IntegerRows:
 
 
 def power_rows(rows: IntegerRows, steps: int) -> list[IntegerRows]:
-    """The sparse rows of R, R^2, ..., R^steps, each composed from the one before."""
+    """The sparse rows of R, R^2, ..., R^steps, each composed from the one before.
+
+    Each power of a signed permutation's rows costs O(n) (``compose_rows``).
+    """
     powers = [rows]
     for _ in range(steps - 1):
         powers.append(compose_rows(rows, powers[-1]))

@@ -135,7 +135,8 @@ class TorsionBlock:
     denominator is ever needed. Blocks combine only with blocks over the same
     denominators, and then two items agree exactly when their numerators do.
     A block is never changed after it is built, so blocks share their column
-    lists, and the negation is built once and kept.
+    lists, and the negation is built once and kept; an image taken by column
+    selection comes with its negation.
     """
 
     __slots__ = ("dens", "cols", "_negation")
@@ -170,30 +171,35 @@ class TorsionBlock:
         return TorsionBlock(self.dens, sparse_matvec_mod(rows, self.cols, self.dens))
 
     def _select(self, rows: IntegerRows) -> TorsionBlock:
-        """The image under rows that are each a single entry +1 or -1 (see ``is_signed_selection``).
+        """The image, with its negation, under rows that are each one entry +1 or -1 (``is_signed_selection``).
 
-        Row r taking column j with +1 is column j of this block, with -1
-        column j of its negation: no arithmetic once the negation is built.
+        Row r taking column j with +1 is column j of this block, and column j
+        of its negation goes into the image's negation; with -1 the other way
+        round. So the negation of this block is built once, and the image and
+        its negation cost no arithmetic: each is the other's ``-``.
         """
-        cols, negated = self.cols, None
-        out = []
+        cols, negated = self.cols, (-self).cols
+        image, negation = [], []
         for ((j, c),) in rows:
             if c == 1:
-                out.append(cols[j])
+                image.append(cols[j])
+                negation.append(negated[j])
             else:
-                if negated is None:
-                    negated = (-self).cols
-                out.append(negated[j])
-        return TorsionBlock(self.dens, out)
+                image.append(negated[j])
+                negation.append(cols[j])
+        out = TorsionBlock(self.dens, image)
+        out._negation = TorsionBlock(self.dens, negation)
+        out._negation._negation = out
+        return out
 
     def orbit(self, powers: Sequence[IntegerRows]) -> list[TorsionBlock]:
         """This block and its images under the powers R, R^2, ... of a realified integer matrix.
 
         Image s is R^s applied to this block: a column selection from the
-        block and its negation when every row of R is a single entry +1 or
-        -1 (then so is every row of its powers), the sparse kernel otherwise.
-        The powers are composed once per actor (``matrices.power_rows``) and
-        serve every block the actor moves.
+        block and its negation, which also gives the image's negation, when
+        every row of R is a single entry +1 or -1 (then so is every row of its
+        powers); the sparse kernel otherwise. The powers are composed once per
+        actor (``matrices.power_rows``) and serve every block the actor moves.
         """
         if len(powers[0]) != len(self.cols):
             raise ValueError(f"{len(powers[0])} rows cannot act on {len(self.cols)} numerators")

@@ -33,8 +33,9 @@ from spintorus import (
     translation_system,
     verify_two_torsion,
 )
-from spintorus.action import lattice_rows
+from spintorus.action import four_step, lattice_rows
 from spintorus.matrices import realify, sparse_rows
+from spintorus.torus import TorsionBlock
 
 SIG = Signature(2, 0)
 LATTICE = LatticeSpec.default(1)
@@ -213,3 +214,46 @@ def test_two_torsion_definition_unwinds(tables):
     n = system.second_translation
     assert n == m
     assert (m + m).is_zero()
+
+
+@st.composite
+def forged_orbits(draw) -> list[TorsionBlock]:
+    """Five blocks built column by column, not from an actor.
+
+    A "closed" column has second = -base, third = -first and fourth = base
+    before its third or fourth entries are perturbed on chosen items; an
+    "open" column draws every image freely, so its closure mostly fails.
+    """
+    dens = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=8))
+    n = len(dens)
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        base, first, second, third, fourth = (
+            [draw(st.integers(0, d - 1)) for d in dens] for _ in range(5)
+        )
+        mode = draw(st.sampled_from(["closed", "third", "fourth", "open"]))
+        if mode != "open":
+            second = [-x % d for x, d in zip(base, dens)]
+            third = [-y % d for y, d in zip(first, dens)]
+            fourth = list(base)
+        if mode in ("third", "fourth"):
+            perturbed = third if mode == "third" else fourth
+            for t in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+                if dens[t] > 1:
+                    perturbed[t] = (perturbed[t] + draw(st.integers(1, dens[t] - 1))) % dens[t]
+        columns.append((base, first, second, third, fourth))
+    return [TorsionBlock(dens, [column[i] for column in columns]) for i in range(5)]
+
+
+@settings(max_examples=200)
+@given(forged_orbits())
+def test_four_step_on_forged_orbits_matches_the_item_by_item_formulas(orbit):
+    # The formulas item by item: y3 = x + y2 - y1 and y4 = x (the pattern), x + y2 = 0 (the closure).
+    dens = orbit[0].dens
+    columns = list(zip(*(q.cols for q in orbit)))
+    steps_hold = [
+        all(y3[t] == (x[t] + y2[t] - y1[t]) % d and y4[t] == x[t] for x, y1, y2, y3, y4 in columns)
+        for t, d in enumerate(dens)
+    ]
+    closes = [all((x[t] + y2[t]) % d == 0 for x, _, y2, _, _ in columns) for t, d in enumerate(dens)]
+    assert four_step(orbit) == (steps_hold, closes)

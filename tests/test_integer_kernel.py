@@ -47,7 +47,7 @@ from spintorus import (
 from spintorus import action, suite
 from spintorus.action import degenerate_pair, four_step, lattice_rows, two_torsion_pair
 from spintorus.errors import LatticeNotPreservedError
-from spintorus.matrices import is_signed_selection, power_rows, sparse_matvec_mod
+from spintorus.matrices import is_signed_selection, power_rows, realify, sparse_matvec_mod, sparse_rows
 from spintorus.picard import bundle_systems_hold, induced_powers, two_torsion_bundle_scan
 from spintorus.scalars import as_gaussian
 from spintorus.torus import TorsionBlock, is_principal, torsion_block
@@ -522,6 +522,20 @@ def test_two_torsion_fails_when_the_second_image_is_taken_by_r():
         assert not all(repeated)
 
 
+def test_two_torsion_compares_2m_only_when_a_denominator_exceeds_2():
+    # Every second image is its base (g^2 p = p). Over 1 and 2, 2M = 0 holds
+    # for every M; over 4 it fails for M = 1/4 and holds for M = 1/2.
+    dens = [1, 2, 4, 4, 2]
+    base = TorsionBlock(dens, [[0, 1, 3, 0, 0]])
+    first = TorsionBlock(dens, [[0, 0, 0, 2, 1]])
+    assert two_torsion_pair([base, first, base]) == [True, True, False, True, True]
+    small = [1, 2, 2]
+    low = TorsionBlock(small, [[0, 0, 1]])
+    assert two_torsion_pair([low, TorsionBlock(small, [[0, 1, 0]]), low]) == [True] * 3
+    empty = TorsionBlock([], [[]])
+    assert two_torsion_pair([empty, empty, empty]) == []
+
+
 def test_two_torsion_on_mixed_denominators_matches_the_literal_form():
     # Every (base, image, second image) over denominators 1, 2, 3 and 4 in
     # the first column, and the same triples in reverse in the second.
@@ -638,6 +652,36 @@ def test_selection_and_fused_identities_match_the_sparse_reference(k, p, name, d
             held, first = bundle_systems_hold(g, block, table, pol)
             assert held == [a and b for a, b in zip(four, closes)]
             assert first.cols == lm.cols
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_selected_images_carry_their_negation(k):
+    # Every actor of order 2 or 4 on the default lattice moves blocks by selection,
+    # and each image's negation comes with it: the negation built from scratch, and
+    # whose own negation is the image itself.
+    _, lattice, _, actors = differential_setting(k, 2 * k, "default")
+    assert len(actors) == 4 ** (k + 1) - 1
+    width = 2 * lattice.dim
+    dens = [1, 2, 3, 4, 5, 7, 12]
+    block = TorsionBlock(dens, [[(3 * t + 5 * j + 1) % d for t, d in enumerate(dens)] for j in range(width)])
+    for _, matrix in actors:
+        rows = matrix.realified_rows()
+        assert is_signed_selection(rows)
+        for image in block.orbit(power_rows(rows, 4))[1:]:
+            negation = -image
+            assert negation.cols == [[-x % d for x, d in zip(col, dens)] for col in image.cols]
+            assert -negation is image
+
+
+@pytest.mark.parametrize("k, name", [(1, "default"), (2, "default"), (1, "shear"), (2, "shear")])
+def test_power_rows_match_the_dense_realified_powers(k, name):
+    _, _, _, actors = differential_setting(k, 2 * k, name)
+    for _, matrix in actors:
+        powers = power_rows(matrix.realified_rows(), 4)
+        dense = matrix
+        for rows in powers:
+            assert rows == sparse_rows(realify(dense))
+            dense = dense @ matrix
 
 
 def test_the_differential_cases_reach_both_kernels():

@@ -580,6 +580,39 @@ def test_inverse_rows_invert_every_unimodular_matrix(rows):
     assert compose_rows(inverse, sparse_rows(rows)) == identity
 
 
+def generic_compose(outer, inner):
+    """The product accumulated entry by entry for every outer row, sorted by column: the reference."""
+    out = []
+    for row in outer:
+        acc: dict[int, int] = {}
+        for j, c in row:
+            for i, x in inner[j]:
+                acc[i] = acc.get(i, 0) + c * x
+        out.append(tuple(sorted((i, x) for i, x in acc.items() if x)))
+    return tuple(out)
+
+
+@st.composite
+def row_products(draw):
+    """Integer inner rows, and outer rows mixing single ±1 entries, single entries like 3, longer rows and zero rows."""
+    n = draw(st.integers(2, 6))
+    inner = sparse_rows(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    column = st.integers(0, n - 1)
+    single = st.tuples(column, st.sampled_from([1, -1, 3, -2])).map(lambda entry: (entry,))
+    longer = st.lists(st.tuples(column, st.integers(-3, 3).filter(bool)), min_size=2, max_size=n, unique_by=lambda e: e[0])
+    outer = draw(st.lists(st.one_of(single, longer.map(lambda es: tuple(sorted(es))), st.just(())), min_size=1, max_size=8))
+    return tuple(outer), inner
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_products())
+def test_compose_rows_picks_single_entry_rows_as_the_generic_product_does(product):
+    outer, inner = product
+    composed = compose_rows(outer, inner)
+    assert composed == generic_compose(outer, inner)
+    assert all(isinstance(row, tuple) for row in composed)
+
+
 @settings(max_examples=100, deadline=None)
 @given(singular_int_matrices())
 def test_inverse_rows_reject_singular_matrices(rows):
