@@ -141,8 +141,17 @@ def _render(value: object) -> str:
     return str(value)
 
 
+# A column of verdicts over the items of a scan, the text every check in it
+# expects, and the actual value of item t as a function of t.
+_Column = tuple[list[bool], object, Callable[[int], object]]
+
+
 class _Checker:
-    """The checks of one suite at one k, named by its label ``suite:k=K``."""
+    """The checks of one suite at one k, named by its label ``suite:k=K``.
+
+    A scan's verdict columns are counted in one step when all hold
+    (``record_columns``); only failing checks render anything.
+    """
 
     def __init__(self, name: str, k: int) -> None:
         self.name = name
@@ -166,6 +175,27 @@ class _Checker:
                     actual=_render(actual),
                 )
             )
+
+    def record_columns(self, inputs: Callable[[int], dict], *columns: _Column) -> None:
+        """Count one check per item of every column in one step, and ``record`` only the failing ones.
+
+        The columns hold verdicts over the same items. A failing check is
+        recorded with ``actual(t)`` and ``inputs(t)`` of its item t, item by
+        item and column by column within an item, so the count and the
+        failures are those of one ``record`` call per item and column.
+        """
+        verdicts = [column[0] for column in columns]
+        if len({len(v) for v in verdicts}) > 1:
+            raise ValueError("verdict columns over different items")
+        if all(map(all, verdicts)):
+            self.checks += sum(map(len, verdicts))
+            return
+        for t, oks in enumerate(zip(*verdicts)):
+            for ok, (_, expected, actual) in zip(oks, columns):
+                if ok:
+                    self.checks += 1
+                else:
+                    self.record(False, expected, lambda: actual(t), inputs(t))
 
     def result(self, statements: tuple[str, ...]) -> SuiteResult:
         return SuiteResult(
@@ -302,18 +332,19 @@ def _failing(verdicts: list[bool]) -> list[int]:
     return [t for t, holds in enumerate(verdicts) if not holds]
 
 
-# A check as ``_Checker.record`` takes it: verdict, expected, actual and inputs.
-_Record = tuple[bool, object, object, dict]
+# The arguments of ``_Checker.record_columns``: the inputs of item t, then verdict columns over the same items.
+_Columns = tuple[Callable[[int], dict], _Column] | tuple[Callable[[int], dict], _Column, _Column]
 
 
-def _scan_translation_systems(env: _Env, table: RepresentationTable, points: list[TorusPoint]) -> Iterator[_Record]:
-    """The orbit checks of every actor on ``points``, and its scan of ``env.two_torsion``, one record at a time.
+def _scan_translation_systems(env: _Env, table: RepresentationTable, points: list[TorusPoint]) -> Iterator[_Columns]:
+    """The orbit checks of every actor on ``points``, and its scan of ``env.two_torsion``, as verdict columns.
 
-    A failing record renders its text from the one-point translation system
+    Per order-4 actor, the four-step and closure columns over ``points``;
+    per order-2 actor, the N = -M column over the first ten points; last,
+    one column over all actors, order-4 first, for their two-torsion scans.
+    A failing check renders its text from the one-point translation system
     only when a checker records it. LatticeNotPreservedError propagates.
-    Each actor's powers are composed once and move both of its blocks; its
-    two-torsion verdicts wait, as failing indices, for the records that
-    follow every orbit record.
+    Each actor's powers are composed once and move both of its blocks.
     """
     sig = env.sig
     lattice = env.lattice
@@ -327,16 +358,16 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
         actor = g.to_element(sig)
         powers = power_rows(lattice_rows(g, table, lattice), 4)
         failing_items.append(_failing(two_torsion_pair(two_torsion.orbit(powers[:2]))))
-        orbit = block.orbit(powers)
-        for p, steps_hold, closes in zip(points, *four_step(orbit)):
-            inputs = {"actor": actor, "point": p}
-            yield (
+        steps_hold, closes = four_step(block.orbit(powers))
+        yield (
+            lambda t: {"actor": actor, "point": points[t]},
+            (
                 steps_hold,
                 "orbit matches p, p+M, p+M+N, p+N, p",
-                lambda: " | ".join(str(q) for q in translation_system(g, p, table).orbit),
-                inputs,
-            )
-            yield closes, "2p + M + N = 0", lambda: _closure_sum(translation_system(g, p, table)), inputs
+                lambda t: " | ".join(str(q) for q in translation_system(g, points[t], table).orbit),
+            ),
+            (closes, "2p + M + N = 0", lambda t: _closure_sum(translation_system(g, points[t], table))),
+        )
 
     degenerate_points = points[:10]
     degenerate_block = TorsionBlock.of(degenerate_points, 2 * lattice.dim)
@@ -344,24 +375,26 @@ def _scan_translation_systems(env: _Env, table: RepresentationTable, points: lis
         actor = g.to_element(sig)
         powers = power_rows(lattice_rows(g, table, lattice), 2)
         failing_items.append(_failing(two_torsion_pair(two_torsion.orbit(powers[:2]))))
-        orbit = degenerate_block.orbit(powers)
-        for p, holds in zip(degenerate_points, degenerate_pair(orbit)):
-            yield (
-                holds,
+        yield (
+            lambda t: {"actor": actor, "point": degenerate_points[t]},
+            (
+                degenerate_pair(degenerate_block.orbit(powers)),
                 "N = -M and the orbit closes after two steps",
-                lambda: translation_system(g, p, table).second_translation,
-                {"actor": actor, "point": p},
-            )
+                lambda t: translation_system(g, degenerate_points[t], table).second_translation,
+            ),
+        )
 
     scope = "all" if _two_torsion_limit(env) is None else "sampled"
-    for g, failing in zip(order4 + order2, failing_items):
-        yield (
-            not failing,
+    actors = order4 + order2
+    yield (
+        lambda t: {"actor": actors[t].to_element(sig), "checked": len(two_torsion)},
+        (
+            [not failing for failing in failing_items],
             f"N = M and 2M = 0 on {scope} two-torsion points",
-            lambda: "failing points: "
-            + ", ".join(str(TorusPoint.from_numerators(lattice, *two_torsion.item(t))) for t in failing),
-            {"actor": g.to_element(sig), "checked": len(two_torsion)},
-        )
+            lambda t: "failing points: "
+            + ", ".join(str(TorusPoint.from_numerators(lattice, *two_torsion.item(i))) for i in failing_items[t]),
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -631,10 +664,7 @@ def _run_spinor_torus(env: _Env, chk: _Checker) -> None:
                 chk.record(True, "EnumerationTooLargeError", "raised", {"n": n})
             continue
         block = torsion_block(n, lattice, cap=env.config.cap)
-        multiple = block
-        for _ in range(n - 1):
-            multiple = multiple + block
-        killed = all(multiple.is_zero())
+        killed = all((block * n).is_zero())
         chk.record(len(block) == expected, expected, len(block), {"n": n})
         chk.record(killed, "every point killed by n", killed, {"n": n})
 
@@ -696,8 +726,8 @@ def _run_clifford_action(env: _Env, chk: _Checker) -> None:
             "i or -i; the four-step translation statement covers plain blades, and "
             "the phased actors are verified to satisfy it identically"
         )
-    for record in _scan_translation_systems(env, table, points):
-        chk.record(*record)
+    for inputs, *columns in _scan_translation_systems(env, table, points):
+        chk.record_columns(inputs, *columns)
 
 
 @_suite(
@@ -761,25 +791,27 @@ def _run_dual_picard(env: _Env, chk: _Checker) -> None:
         powers = induced_powers(lattice_rows(g, table, lattice), pol, 4)
         failing_classes.append(_failing(two_torsion_bundle_scan(g, classes, table, pol, powers)))
         held, first = bundle_systems_hold(g, bundle_block, table, pol, powers)
-        for bundle, holds in zip(bundles, held):
-            chk.record(
-                holds,
+        chk.record_columns(
+            lambda t: {"actor": actor, "bundle": bundles[t]},
+            (
+                held,
                 "four-step bundle system and dual-square identity",
-                lambda: f"steps: {' | '.join(str(s) for s in bundle_system(g, bundle, table, pol).steps)}",
-                {"actor": actor, "bundle": bundle},
-            )
+                lambda t: f"steps: {' | '.join(str(s) for s in bundle_system(g, bundles[t], table, pol).steps)}",
+            ),
+        )
         histogram[g.label()] = sorted(set(first.orders()))
     chk.details = {"translation_bundle_orders": histogram}
 
     failing_classes += [_failing(two_torsion_bundle_scan(g, classes, table, pol)) for g in order2]
-    for g, failing in zip(order4 + order2, failing_classes):
-        witness = failing[0] if failing else None
-        chk.record(
-            witness is None,
+    actors = order4 + order2
+    chk.record_columns(
+        lambda t: {"actor": actors[t].to_element(sig), "classes": len(classes)},
+        (
+            [not failing for failing in failing_classes],
             "translation bundles agree and are 2-torsion",
-            lambda: f"failing class: {BundleClass.from_numerators(env.k, *classes.item(witness))}",
-            {"actor": g.to_element(sig), "classes": len(classes)},
-        )
+            lambda t: f"failing class: {BundleClass.from_numerators(env.k, *classes.item(failing_classes[t][0]))}",
+        ),
+    )
 
 
 @_suite(
@@ -867,9 +899,10 @@ def _run_endo_decomp(env: _Env, chk: _Checker) -> None:
             {"conjugator": "[[1, i], [0, 1]]"},
         )
 
-        # The scan's records only decide this one check, so none is rendered.
+        # The scan's verdicts only decide this one check, so none is rendered.
         points = [_random_point(lattice, rng) for _ in range(POINTS_PER_K)]
-        transported_ok = all(ok for ok, *_ in _scan_translation_systems(env, moved, points))
+        scan = _scan_translation_systems(env, moved, points)
+        transported_ok = all(all(verdicts) for _, *columns in scan for verdicts, _, _ in columns)
         chk.record(
             transported_ok,
             "translation systems and two-torsion scan pass on the transported action",

@@ -52,7 +52,6 @@ from .matrices import (
     IntegerRows,
     Matrix,
     inverse_rows,
-    is_signed_selection,
     smith_form,
     sparse_matvec_mod,
     sparse_rows,
@@ -136,7 +135,8 @@ class TorsionBlock:
     denominators, and then two items agree exactly when their numerators do.
     A block is never changed after it is built, so blocks share their column
     lists, and the negation is built once and kept; an image taken by column
-    selection comes with its negation.
+    selection comes with its negation. ``block * n`` is the n-fold sum in one
+    pass per column, so "killed by n" is one multiple and a zero test.
     """
 
     __slots__ = ("dens", "cols", "_negation")
@@ -170,8 +170,8 @@ class TorsionBlock:
         """Apply a realified integer matrix, given as sparse rows, to every item."""
         return TorsionBlock(self.dens, sparse_matvec_mod(rows, self.cols, self.dens))
 
-    def _select(self, rows: IntegerRows) -> TorsionBlock:
-        """The image, with its negation, under rows that are each one entry +1 or -1 (``is_signed_selection``).
+    def _select(self, rows: IntegerRows) -> TorsionBlock | None:
+        """The image, with its negation, under rows that are each one entry +1 or -1; None for any other rows.
 
         Row r taking column j with +1 is column j of this block, and column j
         of its negation goes into the image's negation; with -1 the other way
@@ -180,13 +180,18 @@ class TorsionBlock:
         """
         cols, negated = self.cols, (-self).cols
         image, negation = [], []
-        for ((j, c),) in rows:
+        for row in rows:
+            if len(row) != 1:
+                return None
+            ((j, c),) = row
             if c == 1:
                 image.append(cols[j])
                 negation.append(negated[j])
-            else:
+            elif c == -1:
                 image.append(negated[j])
                 negation.append(cols[j])
+            else:
+                return None
         out = TorsionBlock(self.dens, image)
         out._negation = TorsionBlock(self.dens, negation)
         out._negation._negation = out
@@ -196,15 +201,21 @@ class TorsionBlock:
         """This block and its images under the powers R, R^2, ... of a realified integer matrix.
 
         Image s is R^s applied to this block: a column selection from the
-        block and its negation, which also gives the image's negation, when
-        every row of R is a single entry +1 or -1 (then so is every row of its
-        powers); the sparse kernel otherwise. The powers are composed once per
-        actor (``matrices.power_rows``) and serve every block the actor moves.
+        block and its negation, which also gives the image's negation, while
+        every row is a single entry +1 or -1 (then so is every row of the
+        powers); the sparse kernel for all the powers once a row is not. The
+        powers are composed once per actor (``matrices.power_rows``) and
+        serve every block the actor moves.
         """
         if len(powers[0]) != len(self.cols):
             raise ValueError(f"{len(powers[0])} rows cannot act on {len(self.cols)} numerators")
-        move = self._select if is_signed_selection(powers[0]) else self.transform
-        return [self, *map(move, powers)]
+        images = [self]
+        for rows in powers:
+            image = self._select(rows)
+            if image is None:
+                return [self, *map(self.transform, powers)]
+            images.append(image)
+        return images
 
     def _same_items(self, other: TorsionBlock) -> list[int]:
         dens = self.dens
@@ -230,6 +241,13 @@ class TorsionBlock:
             dens = self.dens
             self._negation = TorsionBlock(dens, [[-x % d for x, d in zip(a, dens)] for a in self.cols])
         return self._negation
+
+    def __mul__(self, n: int) -> TorsionBlock:
+        """The n-fold sum of this block, item by item as ``_TorsionElement.__mul__``: one pass per column."""
+        if not isinstance(n, int):
+            raise TypeError(f"a TorsionBlock is multiplied by an int, not by {type(n).__name__}")
+        dens = self.dens
+        return TorsionBlock(dens, [[x * n % d for x, d in zip(col, dens)] for col in self.cols])
 
     def is_zero(self) -> list[bool]:
         """Per item: whether it is zero."""

@@ -805,6 +805,39 @@ def test_a_scan_sample_of_mixed_widths_is_rejected():
             TorsionBlock.of(sample, 2 * lattice.dim)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@settings(max_examples=20, deadline=None)
+@given(block=blocks(4))
+def test_a_block_multiple_is_the_n_fold_sum_and_the_item_multiples(n, block):
+    # Mixed denominators, 1 included, and the block of no items.
+    lattice = LatticeSpec.default(1)
+    for b in (block, TorsionBlock.of([], 4)):
+        total = TorsionBlock(b.dens, [[0] * len(b) for _ in b.cols])
+        for _ in range(n):
+            total = total + b
+        multiple = b * n
+        assert multiple.cols == total.cols
+        assert [TorusPoint.from_numerators(lattice, *multiple.item(t)) for t in range(len(b))] == [
+            TorusPoint.from_numerators(lattice, *b.item(t)) * n for t in range(len(b))
+        ]
+    with pytest.raises(TypeError):
+        block * Fraction(1, 2)
+
+
+def test_orbits_move_by_the_kernel_once_a_row_is_not_a_signed_selection():
+    # The selection pass meets the last row only after three it could select:
+    # a row of two entries, or of one entry 2, sends every power to the kernel;
+    # a last row of one entry -1 keeps the selection.
+    dens = [1, 2, 3, 4, 5, 7, 12]
+    block = TorsionBlock(dens, [[(3 * t + 5 * j + 1) % d for t, d in enumerate(dens)] for j in range(4)])
+    swap = [((1, -1),), ((0, 1),), ((3, 1),), ((2, -1),)]
+    for last in (((2, 1), (3, 1)), ((3, 2),), swap[3]):
+        rows = [*swap[:3], last]
+        orbit = block.orbit(power_rows(rows, 4))
+        assert [q.cols for q in orbit] == [q.cols for q in reference_orbit(rows, block, 4)]
+        assert all((-q).cols == [[-x % d for x, d in zip(col, dens)] for col in q.cols] for q in orbit)
+
+
 def test_blocks_combine_only_over_the_same_denominators():
     a = TorsionBlock([2, 3], [[1, 2], [0, 1]])
     b = TorsionBlock([2, 6], [[1, 2], [0, 1]])

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintorus import (
     ALL_SUITES,
@@ -434,14 +436,53 @@ def test_one_two_torsion_block_serves_every_scan_at_a_k(monkeypatch):
 
 
 def test_the_torsion_record_fails_when_sums_do_not_kill_the_points(monkeypatch):
-    # Summing each n-torsion block n times must give zero; a sum that keeps
-    # its left operand leaves the 2- and 3-torsion points alive.
-    monkeypatch.setattr(TorsionBlock, "__add__", lambda self, other: self)
+    # The n-fold sum of each n-torsion block, read as one multiple, must be
+    # zero; a multiple that keeps the block leaves the 2- and 3-torsion points alive.
+    monkeypatch.setattr(TorsionBlock, "__mul__", lambda self, n: self)
     result = run_suite(SuiteConfig(ks=(1,), suites=("spinor_torus",))).suites[0]
     monkeypatch.undo()
     assert result.checks == 121
     assert [f.inputs for f in result.failures] == [{"k": "1", "n": "2"}, {"k": "1", "n": "3"}]
     assert all(f.expected == "every point killed by n" for f in result.failures)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_records_match_one_record_per_item_and_column(data):
+    # One or two verdict columns, each with no, some or every item false,
+    # after a failing record that both checkers already hold.
+    size = data.draw(st.integers(0, 12))
+    columns = []
+    for c in range(data.draw(st.integers(1, 2))):
+        falses = data.draw(st.sampled_from(["none", "some", "all"]))
+        verdicts = {
+            "none": [True] * size,
+            "all": [False] * size,
+            "some": data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+        }[falses]
+        columns.append((verdicts, f"column {c}", lambda t, c=c: f"item {t} in column {c}"))
+    actor = CliffordElement.generator(Signature(2, 0), 1)
+
+    def inputs(t):
+        return {"actor": actor, "item": t}
+
+    by_columns, by_items = suite._Checker("scan:k=1", 1), suite._Checker("scan:k=1", 1)
+    for checker in (by_columns, by_items):
+        checker.record(False, "before", "the scan")
+    by_columns.record_columns(inputs, *columns)
+    for t in range(size):
+        for verdicts, expected, actual in columns:
+            by_items.record(verdicts[t], expected, lambda: actual(t), inputs(t))
+    assert by_columns.checks == by_items.checks == 1 + size * len(columns)
+    assert by_columns.failures == by_items.failures
+    assert by_columns.failures[1:] == [
+        Failure({"k": "1", "actor": "e1", "item": str(t)}, expected, f"item {t} in column {c}")
+        for t in range(size)
+        for c, (verdicts, expected, _) in enumerate(columns)
+        if not verdicts[t]
+    ]
+    with pytest.raises(ValueError):
+        by_columns.record_columns(inputs, ([True], "one", str), ([True, True], "two", str))
 
 
 def test_the_relations_record_fails_on_a_ladder_that_breaks_them(monkeypatch):
