@@ -4,22 +4,36 @@ An algebra is fixed by a :class:`Signature` ``(p, q)`` with ``p + q = 2k``:
 the first ``p`` generators square to ``+1`` and the remaining ``q`` to
 ``-1``. Basis blades are encoded as bitmasks over the generators, with bit
 ``j - 1`` standing for the ``j``-th generator, so the whole multiplication
-table reduces to XORs plus a transposition sign.
+table reduces to XORs plus one sign rule.
 
-Elements are sparse blade-to-coefficient maps. They are immutable: every
-operation returns a fresh element with zero coefficients evicted.
+The sign rule is a sign mask W(a) per blade: the suffix parity of ``a >> 1``
+(bit j is the parity of the generators of a above j, which each generator j
+of b passes when the word e_a e_b is sorted), XOR the bits of a at or above
+p (the shared generators that square to -1). Then
+``e_a * e_b = (-1)^popcount(W(a) & b) * e_(a^b)``. W is tabulated once per
+``(n, p)``; ``blade_mul``, ``blade_square_sign``, ``element_order``, the
+group's ``mul`` and ``inverse`` and the element product all read that table,
+the element product once per left term.
+
+An element is one positive denominator and a sparse map from blade to a
+pair ``(re, im)`` of integer numerators, none of them ``(0, 0)``, with the
+gcd of the denominator and every numerator equal to 1: the coefficient of a
+blade is ``(re + im*i) / den``. The form is canonical, so two elements are
+equal exactly when their denominators and maps are. Elements are immutable:
+products, sums, negation, ``star`` and grade projection work on the ints and
+reduce each result by one gcd. ``terms()``, ``coefficient()`` and the hash
+rebuild the ``GaussianRational`` coefficients.
 
 The public constructor ``CliffordElement(sig, terms)`` checks its input: each
 mask must lie in ``0 .. 2^n - 1``, each coefficient must be an int,
 ``Fraction`` or ``GaussianRational`` (a float is a TypeError), and zeros are
-dropped. ``GeneratorGroupElement.to_element`` goes through it too. The
-operations build their results through the private ``CliffordElement._of``
-instead, which takes a dict of nonzero ``GaussianRational`` coefficients as
-it is: the XOR of two in-range masks is in range, so products, sums,
-negation, ``star`` and grade projection only do the arithmetic. Signatures
-are compared by identity first and by value only when that fails. Powers
-start from the lowest set bit of the exponent and square no further than the
-highest one, so ``u**4`` costs two products.
+dropped. ``GeneratorGroupElement.to_element`` checks its blade against the
+signature. The operations build their results through the private
+``CliffordElement._of`` instead, which takes numerators and a denominator as
+they are: the XOR of two in-range masks is in range. Signatures are compared
+by identity first and by value only when that fails. Powers start from the
+lowest set bit of the exponent and square no further than the highest one,
+so ``u**4`` costs two products.
 
 ``as_signed_blade`` reads a one-term element with a unit coefficient back as
 the signed blade ``i^t * e_I``, and ``signed_terms`` reads each term of an
@@ -33,10 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
 from .errors import IndexOutOfRangeError, SignatureMismatchError
-from .scalars import UNITS, GaussianRational, _binary_power, as_gaussian
+from .scalars import UNITS, GaussianRational, _binary_power, _reduced, as_gaussian
 
 _new = object.__new__
 
@@ -72,34 +88,37 @@ class Signature:
         return 1 if j <= self.p else -1
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the concatenation of two ascending blades.
+def _sign_mask(a: int, p: int) -> int:
+    """W(a): the sign of e_a * e_b is the parity of ``W(a) & b``.
 
-    Each generator j of b passes the generators of a above j, so the sign
-    is the parity of b against the suffix parities of a shifted by one.
+    The suffix parity of ``a >> 1`` counts the generators of a that each
+    generator of b passes; the bits of a at or above p are the generators
+    that square to -1 when b shares them.
     """
-    a >>= 1
+    suffix = a >> 1
     shift = 1
-    while a >> shift:
-        a ^= a >> shift
+    while suffix >> shift:
+        suffix ^= suffix >> shift
         shift <<= 1
-    return -1 if (a & b).bit_count() & 1 else 1
+    return suffix ^ (a >> p << p)
+
+
+@cache
+def _sign_masks(n: int, p: int) -> tuple[int, ...]:
+    """W(a) for every blade a of the n-generator algebra with p positive squares."""
+    return tuple(_sign_mask(a, p) for a in range(1 << n))
 
 
 def blade_mul(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of two basis blades: returns (sign, blade bitmask)."""
-    sign = _reorder_sign(a, b)
-    # Each shared generator past the first p squares to -1.
-    if ((a & b) >> sig.p).bit_count() & 1:
-        sign = -sign
-    return sign, a ^ b
+    w = _sign_masks(sig.p + sig.q, sig.p)[a]
+    return (-1 if (w & b).bit_count() & 1 else 1), a ^ b
 
 
 def blade_square_sign(mask: int, sig: Signature) -> int:
     """Sign of e_I * e_I: reversion sign times the product of generator squares."""
-    sign, rest = blade_mul(mask, mask, sig)
-    assert rest == 0
-    return sign
+    w = _sign_masks(sig.p + sig.q, sig.p)[mask]
+    return -1 if (w & mask).bit_count() & 1 else 1
 
 
 def reversion_sign(grade: int) -> int:
@@ -118,7 +137,7 @@ def blade_label(mask: int) -> str:
 class CliffordElement:
     """A finite Q(i)-combination of basis blades in a fixed signature."""
 
-    __slots__ = ("sig", "_terms")
+    __slots__ = ("sig", "_nums", "_den")
 
     def __init__(
         self,
@@ -126,23 +145,42 @@ class CliffordElement:
         terms: Mapping[int, int | Fraction | GaussianRational] | None = None,
     ) -> None:
         self.sig = sig
-        cleaned: dict[int, GaussianRational] = {}
+        values: dict[int, GaussianRational] = {}
         limit = 1 << sig.n
         for mask, coeff in (terms or {}).items():
             if not 0 <= mask < limit:
                 raise IndexOutOfRangeError(f"blade {mask} outside the {sig.n}-generator algebra")
             value = as_gaussian(coeff)
             if value:
-                cleaned[mask] = value
-        self._terms = cleaned
+                values[mask] = value
+        # Each triple is canonical, so their numerators over the lcm of their
+        # denominators have no common factor with it.
+        den = lcm(*(c._d for c in values.values()))
+        self._nums = {m: (c._a * (den // c._d), c._b * (den // c._d)) for m, c in values.items()}
+        self._den = den
 
     @classmethod
-    def _of(cls, sig: Signature, terms: dict[int, GaussianRational]) -> CliffordElement:
-        """An element on ``terms`` as given: nonzero GaussianRationals on in-range masks."""
+    def _of(cls, sig: Signature, nums: dict[int, tuple[int, int]], den: int) -> CliffordElement:
+        """An element on ``nums`` over ``den`` as given: canonical, on in-range masks."""
         u = _new(cls)
         u.sig = sig
-        u._terms = terms
+        u._nums = nums
+        u._den = den
         return u
+
+    @classmethod
+    def _lowest(cls, sig: Signature, nums: dict[int, tuple[int, int]], den: int) -> CliffordElement:
+        """An element on nonzero numerator pairs over ``den > 0``, divided by their common factor."""
+        g = den
+        if g != 1:
+            for re, im in nums.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            else:
+                nums = {m: (re // g, im // g) for m, (re, im) in nums.items()}
+                den //= g
+        return cls._of(sig, nums, den)
 
     @classmethod
     def zero(cls, sig: Signature) -> CliffordElement:
@@ -166,28 +204,31 @@ class CliffordElement:
 
     def terms(self) -> tuple[tuple[int, GaussianRational], ...]:
         """Blade/coefficient pairs sorted by grade, then by blade mask."""
+        den = self._den
         return tuple(
-            sorted(self._terms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+            (m, _reduced(re, im, den))
+            for m, (re, im) in sorted(self._nums.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         )
 
     def coefficient(self, mask: int) -> GaussianRational:
-        return self._terms.get(mask, as_gaussian(0))
+        re, im = self._nums.get(mask, (0, 0))
+        return _reduced(re, im, self._den)
 
     def scalar_part(self) -> GaussianRational:
         return self.coefficient(0)
 
     def grades(self) -> set[int]:
-        return {mask.bit_count() for mask in self._terms}
+        return {mask.bit_count() for mask in self._nums}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_scalar(self) -> bool:
-        return all(mask == 0 for mask in self._terms)
+        return all(mask == 0 for mask in self._nums)
 
     def grade_project(self, grade: int) -> CliffordElement:
-        return CliffordElement._of(
-            self.sig, {m: c for m, c in self._terms.items() if m.bit_count() == grade}
+        return CliffordElement._lowest(
+            self.sig, {m: c for m, c in self._nums.items() if m.bit_count() == grade}, self._den
         )
 
     def star(self) -> CliffordElement:
@@ -195,14 +236,15 @@ class CliffordElement:
         return CliffordElement._of(
             self.sig,
             {
-                m: c.conjugate() if reversion_sign(m.bit_count()) > 0 else -c.conjugate()
-                for m, c in self._terms.items()
+                m: (re, -im) if reversion_sign(m.bit_count()) > 0 else (-re, im)
+                for m, (re, im) in self._nums.items()
             },
+            self._den,
         )
 
     def is_gaussian_integral(self) -> bool:
         """True when every coefficient lies in Z[i]."""
-        return all(c.is_gaussian_integer() for c in self._terms.values())
+        return self._den == 1
 
     def _require_same_signature(self, other: CliffordElement) -> None:
         if self.sig != other.sig:
@@ -214,11 +256,17 @@ class CliffordElement:
             return NotImplemented
         if other.sig is not self.sig:
             self._require_same_signature(other)
-        merged = dict(self._terms)
-        for mask, coeff in other._terms.items():
-            prev = merged.get(mask)
-            merged[mask] = coeff if prev is None else prev + coeff
-        return CliffordElement._of(self.sig, {m: c for m, c in merged.items() if c})
+        d, e = self._den, other._den
+        g = gcd(d, e)
+        s, t = e // g, d // g
+        merged = {m: (re * s, im * s) for m, (re, im) in self._nums.items()}
+        get = merged.get
+        for mask, (re, im) in other._nums.items():
+            prev = get(mask)
+            merged[mask] = (re * t, im * t) if prev is None else (prev[0] + re * t, prev[1] + im * t)
+        return CliffordElement._lowest(
+            self.sig, {m: c for m, c in merged.items() if c[0] or c[1]}, d * s
+        )
 
     __radd__ = __add__
 
@@ -235,7 +283,9 @@ class CliffordElement:
         return other - self
 
     def __neg__(self) -> CliffordElement:
-        return CliffordElement._of(self.sig, {m: -c for m, c in self._terms.items()})
+        return CliffordElement._of(
+            self.sig, {m: (-re, -im) for m, (re, im) in self._nums.items()}, self._den
+        )
 
     def __mul__(self, other: object) -> CliffordElement:
         other = _coerce_element(other, self.sig)
@@ -244,20 +294,23 @@ class CliffordElement:
         sig = self.sig
         if other.sig is not sig:
             self._require_same_signature(other)
-        acc: dict[int, GaussianRational] = {}
+        signs = _sign_masks(sig.p + sig.q, sig.p)
+        acc: dict[int, tuple[int, int]] = {}
         get = acc.get
-        right = other._terms.items()
-        for ma, ca in self._terms.items():
-            for mb, cb in right:
-                # The module global, so that blade_mul stays the one sign rule.
-                sign, mask = blade_mul(ma, mb, sig)
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
+        right = other._nums.items()
+        for ma, (a, b) in self._nums.items():
+            w = signs[ma]
+            for mb, (c, e) in right:
+                re, im = a * c - b * e, a * e + b * c
+                if (w & mb).bit_count() & 1:
+                    re, im = -re, -im
+                mask = ma ^ mb
                 prev = get(mask)
-                acc[mask] = coeff if prev is None else prev + coeff
+                acc[mask] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
         # A product of two nonzero coefficients is nonzero; only sums cancel.
-        return CliffordElement._of(sig, {m: c for m, c in acc.items() if c})
+        return CliffordElement._lowest(
+            sig, {m: c for m, c in acc.items() if c[0] or c[1]}, self._den * other._den
+        )
 
     def __rmul__(self, other: object) -> CliffordElement:
         other = _coerce_element(other, self.sig)
@@ -279,13 +332,13 @@ class CliffordElement:
             other = CliffordElement.scalar(self.sig, other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.sig == other.sig and self._terms == other._terms
+        return self.sig == other.sig and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self.sig, frozenset(self._terms.items())))
+        return hash((self.sig, frozenset(self.terms())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "<0>"
         parts = [f"({c})*{blade_label(m)}" for m, c in self.terms()]
         return "<" + " + ".join(parts) + ">"
@@ -300,8 +353,9 @@ def _coerce_element(x: object, sig: Signature) -> CliffordElement | None:
 
 
 _PHASE_LABELS = ("", "i*", "-", "-i*")
-# The power t of each unit i^t, keyed by its canonical (a, b, d) triple.
-_UNIT_POWERS = {(u._a, u._b, u._d): t for t, u in enumerate(UNITS)}
+# The numerators (re, im) of each unit i^t over the denominator 1, and back.
+_UNIT_NUMS = tuple((u._a, u._b) for u in UNITS)
+_UNIT_POWERS = {pair: t for t, pair in enumerate(_UNIT_NUMS)}
 
 
 @dataclass(frozen=True)
@@ -331,19 +385,21 @@ class GeneratorGroupElement:
         return UNITS[self.i_power]
 
     def mul(self, other: GeneratorGroupElement, sig: Signature) -> GeneratorGroupElement:
-        sign, mask = blade_mul(self.blade, other.blade, sig)
-        t = (self.i_power + other.i_power + (2 if sign < 0 else 0)) % 4
-        return GeneratorGroupElement._of(mask, t)
+        w = _sign_masks(sig.p + sig.q, sig.p)[self.blade]
+        t = self.i_power + other.i_power + ((w & other.blade).bit_count() & 1) * 2
+        return GeneratorGroupElement._of(self.blade ^ other.blade, t & 3)
 
     def inverse(self, sig: Signature) -> GeneratorGroupElement:
         extra = 0 if blade_square_sign(self.blade, sig) > 0 else 2
-        return GeneratorGroupElement(self.blade, (-self.i_power + extra) % 4)
+        return GeneratorGroupElement._of(self.blade, (extra - self.i_power) & 3)
 
     def is_identity(self) -> bool:
         return self.blade == 0 and self.i_power == 0
 
     def to_element(self, sig: Signature) -> CliffordElement:
-        return CliffordElement.blade(sig, self.blade, self.phase)
+        if self.blade >> sig.n:
+            raise IndexOutOfRangeError(f"blade {self.blade} outside the {sig.n}-generator algebra")
+        return CliffordElement._of(sig, {self.blade: _UNIT_NUMS[self.i_power]}, 1)
 
     def label(self) -> str:
         """Compact display name such as ``-i*e{1,2}``."""
@@ -358,9 +414,11 @@ def signed_terms(u: CliffordElement) -> dict[int, int] | None:
 
     None when some coefficient is not a unit 1, i, -1, -i; zero reads as {}.
     """
+    if u._den != 1:
+        return None
     powers = {}
-    for mask, coeff in u._terms.items():
-        t = _UNIT_POWERS.get((coeff._a, coeff._b, coeff._d))
+    for mask, pair in u._nums.items():
+        t = _UNIT_POWERS.get(pair)
         if t is None:
             return None
         powers[mask] = t
@@ -372,10 +430,10 @@ def as_signed_blade(u: CliffordElement) -> GeneratorGroupElement | None:
 
     A signed blade is exactly one term whose coefficient is a unit 1, i, -1, -i.
     """
-    if len(u._terms) != 1:
+    if len(u._nums) != 1 or u._den != 1:
         return None
-    ((mask, coeff),) = u._terms.items()
-    t = _UNIT_POWERS.get((coeff._a, coeff._b, coeff._d))
+    ((mask, pair),) = u._nums.items()
+    t = _UNIT_POWERS.get(pair)
     return None if t is None else GeneratorGroupElement._of(mask, t)
 
 
@@ -390,7 +448,7 @@ def element_order(g: GeneratorGroupElement, sig: Signature) -> int:
 def generator_group(sig: Signature) -> tuple[GeneratorGroupElement, ...]:
     """All 2^(2k+2) elements, blades ascending and phase powers 0..3 within a blade."""
     return tuple(
-        GeneratorGroupElement(mask, t)
+        GeneratorGroupElement._of(mask, t)
         for mask in range(1 << sig.n)
         for t in range(4)
     )

@@ -467,12 +467,17 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     for g, element in zip(group, elements):
         if not g.inverse(sig).mul(g, sig).is_identity():
             inverse_ok = False
+        # g^order == 1 and g^(order/2) != 1, from one square.
         order = element_order(g, sig)
-        if order not in (1, 2, 4):
-            order_ok = False
-        if element**order != one:
-            order_ok = False
-        if order > 1 and element ** (order // 2) == one:
+        if order == 1:
+            minimal = element == one
+        else:
+            square = element * element
+            if order == 2:
+                minimal = square == one and element != one
+            else:
+                minimal = order == 4 and square * square == one and square != one
+        if not minimal:
             order_ok = False
     # Closure, proved on generators: for each x in {e_1, ..., e_n, i} and each
     # h in the group, the Clifford product x*h must read back as a signed
@@ -484,7 +489,7 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     # `signed_terms`, must be the blade -> phase map of x.mul over the row.
     # This proves closure under the CliffordElement product and `mul` with a
     # generator on the left; it does not prove `mul` on composite left factors
-    # at k >= 3. Both sides share `blade_mul`, so the spinor matrices check it:
+    # at k >= 3. Both sides read the sign masks, so the spinor matrices check them:
     # for each e_j and each blade e_I, image(e_j.mul(e_I)) == image(e_j) @
     # image(e_I), as signed permutations. Phases are central and `mul` adds
     # them, which the rows check, so this covers every h in the group. At

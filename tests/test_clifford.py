@@ -92,26 +92,33 @@ def test_blade_mul_matches_bubble_sort_for_every_pair(n):
                 assert blade_mul(a, b, sig) == bubble_sort_blade_mul(a, b, sig), (sig, a, b)
 
 
-def _bit_loop_reorder_sign(a: int, b: int) -> int:
-    """The reference: for each generator of a, count the generators of b below it."""
+def _bit_loop_sign(a: int, b: int, p: int) -> int:
+    """The reference: for each generator of a, count the generators of b below
+    it, and count the shared generators at or above p, which square to -1."""
+    swaps = ((a & b) >> p).bit_count()
     a >>= 1
-    swaps = 0
     while a:
         swaps += (a & b).bit_count()
         a >>= 1
     return -1 if swaps & 1 else 1
 
 
-def test_reorder_sign_matches_the_bit_loop():
+def _mask_sign(w: int, b: int) -> int:
+    return -1 if (w & b).bit_count() & 1 else 1
+
+
+def test_sign_mask_matches_the_bit_loop():
     # Every pair of blades for n <= 8 generators, then random pairs up to n = 16.
     for a in range(1 << 8):
-        for b in range(1 << 8):
-            assert clifford._reorder_sign(a, b) == _bit_loop_reorder_sign(a, b), (a, b)
+        for p in (0, 3, 8):
+            w = clifford._sign_mask(a, p)
+            for b in range(1 << 8):
+                assert _mask_sign(w, b) == _bit_loop_sign(a, b, p), (a, b, p)
     rng = random.Random(16)
     for n in range(9, 17):
         for _ in range(2000):
-            a, b = rng.getrandbits(n), rng.getrandbits(n)
-            assert clifford._reorder_sign(a, b) == _bit_loop_reorder_sign(a, b), (a, b)
+            a, b, p = rng.getrandbits(n), rng.getrandbits(n), rng.randrange(n + 1)
+            assert _mask_sign(clifford._sign_mask(a, p), b) == _bit_loop_sign(a, b, p), (a, b, p)
 
 
 def test_reversion_sign_has_period_four():
@@ -262,8 +269,9 @@ def test_signature_validation():
     assert blade_mul(0b10, 0b10, sig) == (-1, 0)
 
 
-# The lean product against the plain one: a double loop over the terms that
-# builds every result through the public constructor, which drops zeros.
+# The integer-numerator operations against a reference on GaussianRationals:
+# dicts of blade -> coefficient read from `terms()`, a double loop signed by
+# the bubble sort, and zeros dropped.
 SIGNATURES = [Signature(p, n - p) for n in (2, 4, 6) for p in range(n + 1)]
 UNIT_I = GaussianRational(0, 1)
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -289,33 +297,37 @@ def element_pairs(draw):
     return CliffordElement(sig, u_terms), CliffordElement(sig, v_terms)
 
 
-def reference_mul(u, v):
+def reference_mul(sig, u, v):
     acc = {}
-    for ma, ca in u._terms.items():
-        for mb, cb in v._terms.items():
-            sign, mask = blade_mul(ma, mb, u.sig)
+    for ma, ca in u.items():
+        for mb, cb in v.items():
+            sign, mask = bubble_sort_blade_mul(ma, mb, sig)
             acc[mask] = acc.get(mask, GaussianRational(0)) + sign * ca * cb
-    return CliffordElement(u.sig, acc)
+    return {m: c for m, c in acc.items() if c}
 
 
 def reference_add(u, v):
-    merged = dict(u._terms)
-    for mask, coeff in v._terms.items():
+    merged = dict(u)
+    for mask, coeff in v.items():
         merged[mask] = merged.get(mask, GaussianRational(0)) + coeff
-    return CliffordElement(u.sig, merged)
+    return {m: c for m, c in merged.items() if c}
 
 
-def reference_pow(u, exponent):
-    result = CliffordElement.scalar(u.sig, 1)
+def reference_pow(sig, u, exponent):
+    result = {0: GaussianRational(1)}
     for _ in range(exponent):
-        result = reference_mul(result, u)
+        result = reference_mul(sig, result, u)
     return result
 
 
-def assert_same_terms(lean, reference):
-    assert lean.sig == reference.sig
-    assert lean._terms == reference._terms
-    assert all(type(c) is GaussianRational and c for c in lean._terms.values())
+def assert_same_terms(lean, sig, reference):
+    """``lean`` holds exactly the nonzero coefficients of ``reference``, in canonical form."""
+    assert lean.sig == sig
+    assert dict(lean.terms()) == reference
+    assert all(type(c) is GaussianRational and c for _, c in lean.terms())
+    # The canonical form is unique: the public constructor builds the same element.
+    assert lean == CliffordElement(sig, reference)
+    assert hash(lean) == hash((sig, frozenset(reference.items())))
 
 
 @lru_cache(maxsize=None)
@@ -336,25 +348,57 @@ ONE = CliffordElement.scalar(S20, 1)
 def test_lean_operations_match_the_reference_double_loop(pair):
     u, v = pair
     sig = u.sig
-    assert_same_terms(u * v, reference_mul(u, v))
-    assert_same_terms(v * u, reference_mul(v, u))
-    assert_same_terms(u + v, reference_add(u, v))
-    assert_same_terms(-u, CliffordElement(sig, {m: -c for m, c in u._terms.items()}))
+    ut, vt = dict(u.terms()), dict(v.terms())
+    assert_same_terms(u * v, sig, reference_mul(sig, ut, vt))
+    assert_same_terms(v * u, sig, reference_mul(sig, vt, ut))
+    assert_same_terms(u + v, sig, reference_add(ut, vt))
+    negated = {m: -c for m, c in vt.items()}
+    assert_same_terms(-v, sig, negated)
+    assert_same_terms(u - v, sig, reference_add(ut, negated))
     assert_same_terms(
-        u.star(),
-        CliffordElement(
-            sig, {m: c.conjugate() * reversion_sign(m.bit_count()) for m, c in u._terms.items()}
-        ),
+        u.star(), sig, {m: c.conjugate() * reversion_sign(m.bit_count()) for m, c in ut.items()}
     )
     for grade in range(sig.n + 1):
         assert_same_terms(
-            u.grade_project(grade),
-            CliffordElement(sig, {m: c for m, c in u._terms.items() if m.bit_count() == grade}),
+            u.grade_project(grade), sig, {m: c for m, c in ut.items() if m.bit_count() == grade}
         )
     for exponent in range(6):
-        assert_same_terms(u**exponent, reference_pow(u, exponent))
+        assert_same_terms(u**exponent, sig, reference_pow(sig, ut, exponent))
     table = table_for(sig)
     assert table.represent(u * v) == table.represent(u) @ table.represent(v)
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(p, n - p) for n in (2, 4, 6) for p in (n, n - 1, 0)], ids=lambda s: f"{s.p},{s.q}"
+)
+def test_results_lose_their_common_factor_and_cancel_to_zero(sig):
+    square = sig.square_sign(1)
+    one = CliffordElement.scalar(sig, 1)
+    # (1/2)e1 * 2e1 = e1^2, and ((1+i)/2)e1 * (1-i)e1 = e1^2 too: the numerators
+    # share the factor 2 with the denominator, which the product divides out.
+    for left, right in [
+        (Fraction(1, 2), 2),
+        (GaussianRational(Fraction(1, 2), Fraction(1, 2)), GaussianRational(1, -1)),
+    ]:
+        product = CliffordElement.blade(sig, 0b1, left) * CliffordElement.blade(sig, 0b1, right)
+        assert product == square * one
+        assert product.is_gaussian_integral()
+        assert product.terms() == ((0, GaussianRational(square)),)
+        assert hash(product) == hash(square * one)
+    half = CliffordElement.blade(sig, 0b1, Fraction(1, 2))
+    assert half + half == CliffordElement.generator(sig, 1)
+    assert (half + half).is_gaussian_integral()
+    mixed = CliffordElement(sig, {0: Fraction(1, 2), 0b1: 1})
+    assert mixed.grade_project(1) == CliffordElement.generator(sig, 1)
+    assert mixed.grade_project(1).is_gaussian_integral()
+    # x^2 = 1 for x = e1, or i*e1 when e1 squares to -1, so (1 + x)(1 - x) = 0.
+    top = (1 << sig.n) - 1
+    x = CliffordElement.blade(sig, 0b1, 1 if square > 0 else UNIT_I)
+    third = CliffordElement.blade(sig, top, Fraction(1, 3))
+    for zero in ((one + x) * (one - x), third - third, (x * Fraction(1, 3)) * (x * 3) - one):
+        assert zero.is_zero() and zero.terms() == ()
+        assert zero == CliffordElement.zero(sig) and zero.is_gaussian_integral()
+        assert hash(zero) == hash((sig, frozenset()))
 
 
 def test_powers_make_one_product_per_squaring_and_set_bit(monkeypatch):
@@ -371,7 +415,7 @@ def test_powers_make_one_product_per_squaring_and_set_bit(monkeypatch):
         calls.clear()
         power = u**exponent
         assert len(calls) == products
-        assert_same_terms(power, reference_pow(u, exponent))
+        assert_same_terms(power, S20, reference_pow(S20, dict(u.terms()), exponent))
     z = GaussianRational(Fraction(2, 3), -1)
     for exponent in range(-3, 9):
         expected = GaussianRational(1)
@@ -402,20 +446,34 @@ def test_public_constructors_still_check_their_input():
         CliffordElement.generator(sig, 1) + CliffordElement.generator(other, 1)
 
 
-def test_element_and_group_products_share_blade_mul(monkeypatch):
-    calls = []
-    sign_rule = clifford.blade_mul
+def test_element_and_group_products_read_one_sign_mask_table(monkeypatch):
+    # Swap the table of sign masks for one of zeros: every product, square and
+    # inverse turns positive together, and each product fetches the table once.
+    reads = []
 
-    def counted(a, b, sig):
-        calls.append((a, b))
-        return sign_rule(a, b, sig)
+    def zeros(n, p):
+        reads.append((n, p))
+        return (0,) * (1 << n)
 
-    monkeypatch.setattr(clifford, "blade_mul", counted)
+    monkeypatch.setattr(clifford, "_sign_masks", zeros)
     sig = Signature(3, 1)
-    CliffordElement.generator(sig, 1) * CliffordElement.generator(sig, 4)
-    assert calls == [(0b0001, 0b1000)]
-    GeneratorGroupElement(0b0110, 1).mul(GeneratorGroupElement(0b0011, 2), sig)
-    assert calls[1:] == [(0b0110, 0b0011)]
+    e1, e4 = CliffordElement.generator(sig, 1), CliffordElement.generator(sig, 4)
+    assert (e1 + e4) * e1 == CliffordElement(sig, {0: 1, 0b1001: 1})
+    assert reads == [(4, 3)]
+    g, h = GeneratorGroupElement(0b1000, 0), GeneratorGroupElement(0b0110, 1)
+    assert g.mul(h, sig) == GeneratorGroupElement(0b1110, 1)
+    assert reads == [(4, 3)] * 2
+    assert blade_mul(0b1000, 0b1000, sig) == (1, 0)
+    assert blade_square_sign(0b1000, sig) == 1
+    assert g.inverse(sig) == g
+    assert element_order(g, sig) == 2
+    monkeypatch.undo()
+    # The true table: e4 e1 = -e1 e4, e4^2 = -1, and e4 has order 4.
+    assert (e1 + e4) * e1 == CliffordElement(sig, {0: 1, 0b1001: -1})
+    assert g.mul(h, sig) == GeneratorGroupElement(0b1110, 1)
+    assert blade_mul(0b1000, 0b1000, sig) == (-1, 0)
+    assert g.inverse(sig) == GeneratorGroupElement(0b1000, 2)
+    assert element_order(g, sig) == 4
 
 
 def test_group_products_and_readback_build_results_without_revalidating(monkeypatch):
@@ -428,11 +486,29 @@ def test_group_products_and_readback_build_results_without_revalidating(monkeypa
         checks.append((self.blade, self.i_power))
         validate(self)
 
+    constructed = []
+    construct = CliffordElement.__init__
+
+    def counted_element(self, *args):
+        constructed.append(args)
+        construct(self, *args)
+
     monkeypatch.setattr(GeneratorGroupElement, "__post_init__", counted)
+    monkeypatch.setattr(CliffordElement, "__init__", counted_element)
     pairs = [(g, h) for g in group for h in group]
     products = [g.mul(h, sig) for g, h in pairs]
-    readback = [as_signed_blade(g.to_element(sig)) for g in group]
-    assert checks == []
+    elements = [g.to_element(sig) for g in group]
+    readback = [as_signed_blade(u) for u in elements]
+    inverses = [g.inverse(sig) for g in group]
+    rebuilt = generator_group(sig)
+    assert checks == [] and constructed == []
+    assert rebuilt == group
+    assert elements == [CliffordElement(sig, {g.blade: g.phase}) for g in group]
+    for g, inverse in zip(group, inverses):
+        built = GeneratorGroupElement(inverse.blade, inverse.i_power)
+        assert inverse == built and hash(inverse) == hash(built) and repr(inverse) == repr(built)
+        assert inverse.mul(g, sig).is_identity() and g.mul(inverse, sig).is_identity()
+    checks.clear()
     for (g, h), product in zip(pairs, products):
         sign, mask = blade_mul(g.blade, h.blade, sig)
         built = GeneratorGroupElement(mask, (g.i_power + h.i_power + (0 if sign > 0 else 2)) % 4)
@@ -444,3 +520,5 @@ def test_group_products_and_readback_build_results_without_revalidating(monkeypa
     for blade, i_power in ((0, 4), (0, -1), (-1, 0)):
         with pytest.raises(ValueError):
             GeneratorGroupElement(blade, i_power)
+    with pytest.raises(IndexOutOfRangeError):
+        GeneratorGroupElement(1 << sig.n, 0).to_element(sig)

@@ -11,12 +11,15 @@ reach: ``spintorus verify --k 3 --suite clifford_core,spinor_rep,endo_decomp
 clifford_core,spinor_rep --format json`` in an indefinite signature. One
 more, ``spintorus verify --k 4 --suite endo_decomp --format json``, pins
 the endomorphism audit one k further: all 512 Smith divisors, the index and
-the determinant norm. The last, ``spintorus verify --k 2 --signature 3,1
---suite spinor_torus,clifford_action,dual_picard,endo_decomp --format
-json``, pins the torus suites and the audit in that indefinite signature,
-where the signed blades act by the same signed permutations as at (4, 0)
-and the torus suites check as many statements. A refactor that keeps every verdict, check count and
-failure text keeps these bytes.
+the determinant norm, and ``spintorus verify --k 4 --suite
+clifford_core,spinor_rep --format json`` pins the Clifford products, the
+signed-blade group and the spinor images at the same k. The last,
+``spintorus verify --k 2 --signature 3,1 --suite
+spinor_torus,clifford_action,dual_picard,endo_decomp --format json``, pins
+the torus suites and the audit in that indefinite signature, where the
+signed blades act by the same signed permutations as at (4, 0) and the
+torus suites check as many statements. A refactor that keeps every verdict,
+check count and failure text keeps these bytes.
 """
 
 from __future__ import annotations
@@ -45,12 +48,15 @@ ALGEBRA_SUITES = ("clifford_core", "spinor_rep", "endo_decomp")
             SuiteConfig(ks=(2,), signature=(3, 1), suites=ALGEBRA_SUITES[:2]),
         ),
         ("verify_k4_endo.json", SuiteConfig(ks=(4,), suites=("endo_decomp",))),
+        ("verify_k4_algebra.json", SuiteConfig(ks=(4,), suites=ALGEBRA_SUITES[:2])),
         (
             "verify_k2_sig31_torus.json",
             SuiteConfig(ks=(2,), signature=(3, 1), suites=TORUS_SUITES + ("endo_decomp",)),
         ),
     ],
-    ids=["default", "shear", "k2-torus", "k3-algebra", "k2-sig31-algebra", "k4-endo", "k2-sig31-torus"],
+    ids=[
+        "default", "shear", "k2-torus", "k3-algebra", "k2-sig31-algebra", "k4-endo", "k4-algebra", "k2-sig31-torus",
+    ],
 )
 def test_report_matches_the_golden_file(name, config):
     report = run_suite(config)

@@ -44,12 +44,15 @@ def test_every_export_resolves():
 
 def test_only_the_clifford_module_reads_element_terms():
     # Other modules go through `terms()`, `coefficient()`, `signed_terms()` or
-    # `as_signed_blade()`, so the term dict stays private to `clifford.py`.
+    # `as_signed_blade()`, so the numerators and the denominator stay private
+    # to `clifford.py`.
+    private = ("_nums", "_den")
+    assert spintorus.CliffordElement.__slots__ == ("sig",) + private
     readers = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.rglob("*.py"))
         if path.name != "clifford.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+        if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert readers == []

@@ -263,10 +263,18 @@ def _closure_failure(k: int) -> Failure:
 
 
 def _core_result(monkeypatch, k: int, signature: tuple[int, int] | None = None):
-    """Run clifford_core under the active patches, then undo them."""
-    result = run_suite(SuiteConfig(ks=(k,), signature=signature, suites=("clifford_core",))).suites[0]
-    monkeypatch.undo()
-    return result
+    """Run clifford_core under the active patches, then undo them and drop the sign tables they built."""
+    try:
+        return run_suite(SuiteConfig(ks=(k,), signature=signature, suites=("clifford_core",))).suites[0]
+    finally:
+        monkeypatch.undo()
+        clifford._sign_masks.cache_clear()
+
+
+def _patch_sign_mask(monkeypatch, rule) -> None:
+    """Swap the sign-mask rule; the per-(n, p) tables are rebuilt from it."""
+    clifford._sign_masks.cache_clear()
+    monkeypatch.setattr(clifford, "_sign_mask", rule)
 
 
 def _mul_with_flipped_sign(self, other, sig):
@@ -275,8 +283,12 @@ def _mul_with_flipped_sign(self, other, sig):
     return GeneratorGroupElement(mask, t)
 
 
-def _blade_mul_without_square_sign(a, b, sig):
-    return clifford._reorder_sign(a, b), a ^ b
+_sign_mask = clifford._sign_mask
+
+
+def _sign_mask_without_square_sign(a, p):
+    # No bit of a lies at or above its bit length: the reorder part alone.
+    return _sign_mask(a, a.bit_length())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -286,18 +298,19 @@ def test_closure_record_catches_a_flipped_sign_in_mul(monkeypatch, k):
     assert _closure_failure(k) in result.failures
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_closure_record_catches_a_blade_mul_without_the_square_sign(monkeypatch, k):
-    # Clifford products and `mul` share blade_mul here, so only the matrix
+    # Clifford products and `mul` share the sign masks here, so only the matrix
     # images can tell: the last generator squares to -1 in signature (2k-1, 1).
-    monkeypatch.setattr(clifford, "blade_mul", _blade_mul_without_square_sign)
+    _patch_sign_mask(monkeypatch, _sign_mask_without_square_sign)
     result = _core_result(monkeypatch, k, signature=(2 * k - 1, 1))
     assert _closure_failure(k) in result.failures
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_closure_record_catches_a_reorder_sign_of_always_plus_one(monkeypatch, k):
-    monkeypatch.setattr(clifford, "_reorder_sign", lambda a, b: 1)
+    # The square part alone: the bits of a at or above p.
+    _patch_sign_mask(monkeypatch, lambda a, p: a >> p << p)
     result = _core_result(monkeypatch, k)
     assert _closure_failure(k) in result.failures
 
