@@ -16,12 +16,13 @@ every entry.
 
 The integer routines take a matrix with integer entries kept as sparse
 rows. One sparse kernel applies them to a column-major block of integer
-numerator vectors, each reduced modulo its own denominator. Sparse rows
-also compose (a row of one entry picks a row of the inner factor), and
-rows that are each a single ±1 entry (the realified
-signed permutations) are recognised, so that a block can take their image
-by selecting columns instead. ``inverse_rows`` inverts sparse integer rows
-by integer row operations alone (None when the inverse is not integral).
+numerator vectors, each reduced modulo its own denominator: a block of one
+vector (one point or class) is summed entry by entry as plain ints, and a
+wider block makes one pass over the block per entry of a row, the last
+pass taking the remainders. Sparse rows also compose (a row of one entry
+picks a row of the inner factor). ``inverse_rows`` inverts sparse integer
+rows by integer row operations alone (None when the inverse is not
+integral).
 
 The Smith form and the determinant (``det_of_sparse_rows``, which
 ``Matrix.det`` hands its nonzero entries) read sparse rows and eliminate
@@ -560,19 +561,37 @@ def sparse_matvec_mod(
     ``[0, dens[t])``. Entry t of output row r is
     ``sum(c * cols[j][t] for j, c in rows[r]) % dens[t]``: every vector is
     reduced modulo its own denominator, so vectors of different orders share
-    one pass over the rows. A row with a single entry is one pass over its
-    column, and the single entry 1 copies it.
+    one pass over the rows, and an empty row gives zeros.
+
+    A block of one vector sums each row as plain ints. In a wider block a
+    row with a single entry is one pass over its column, and the single
+    entry 1 copies it; a longer row starts from the products of its first
+    entry and adds its last entry in the pass that takes the remainders.
     """
+    if len(dens) == 1:
+        (d,) = dens
+        out = []
+        for row in rows:
+            x = 0
+            for j, c in row:
+                x += c * cols[j][0]
+            out.append([x % d])
+        return out
     out = []
     for row in rows:
         if len(row) == 1:
             ((j, c),) = row
             out.append(list(cols[j]) if c == 1 else [c * x % d for x, d in zip(cols[j], dens)])
             continue
-        acc = [0] * len(dens)
-        for j, c in row:
+        if not row:
+            out.append([0] * len(dens))
+            continue
+        j, c = row[0]
+        acc = [c * x for x in cols[j]]
+        for j, c in row[1:-1]:
             acc = [a + c * x for a, x in zip(acc, cols[j])]
-        out.append([a % d for a, d in zip(acc, dens)])
+        j, c = row[-1]
+        out.append([(a + c * x) % d for a, x, d in zip(acc, cols[j], dens)])
     return out
 
 
@@ -608,11 +627,6 @@ def power_rows(rows: IntegerRows, steps: int) -> list[IntegerRows]:
     for _ in range(steps - 1):
         powers.append(compose_rows(rows, powers[-1]))
     return powers
-
-
-def is_signed_selection(rows: IntegerRows) -> bool:
-    """Whether every row is a single entry +1 or -1, so that applying the rows selects signed columns."""
-    return all(len(row) == 1 and row[0][1] in (1, -1) for row in rows)
 
 
 def inverse_rows(rows: IntegerRows, n: int) -> IntegerRows | None:

@@ -25,10 +25,11 @@ from ._version import __version__
 from .action import (
     TranslationSystem,
     act,
+    apply_matrix,
     degenerate_pair,
     four_step,
+    lattice_matrix,
     lattice_rows,
-    preserves_lattice,
     translation_system,
     two_torsion_pair,
 )
@@ -51,7 +52,7 @@ from .endo import (
     subring_index,
     transport_table,
 )
-from .errors import EnumerationTooLargeError, NotIntegralError
+from .errors import EnumerationTooLargeError, LatticeNotPreservedError, NotIntegralError
 from .exprs import element_source
 from .matrices import Matrix, power_rows
 from .picard import (
@@ -460,14 +461,14 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
 
     group = generator_group(sig)
     chk.record(len(group) == 1 << (sig.n + 2), 1 << (sig.n + 2), len(group))
-    elements = [g.to_element(sig) for g in group]
     one = CliffordElement.scalar(sig, 1)
     inverse_ok = True
     order_ok = True
-    for g, element in zip(group, elements):
+    for g in group:
         if not g.inverse(sig).mul(g, sig).is_identity():
             inverse_ok = False
         # g^order == 1 and g^(order/2) != 1, from one square.
+        element = g.to_element(sig)
         order = element_order(g, sig)
         if order == 1:
             minimal = element == one
@@ -498,7 +499,7 @@ def _run_clifford_core(env: _Env, chk: _Checker) -> None:
     row_sums = [CliffordElement(sig, {h.blade: h.phase for h in row}) for row in rows]
     generators = [GeneratorGroupElement(1 << j, 0) for j in range(sig.n)]
     generators.append(GeneratorGroupElement(0, 1))
-    left_factors = zip(group, elements) if env.k <= 2 else [(x, x.to_element(sig)) for x in generators]
+    left_factors = ((x, x.to_element(sig)) for x in (group if env.k <= 2 else generators))
     closure_ok = all(
         signed_terms(x_element * row_sum) == {w.blade: w.i_power for w in (x.mul(h, sig) for h in row)}
         for x, x_element in left_factors
@@ -690,11 +691,12 @@ def _run_clifford_action(env: _Env, chk: _Checker) -> None:
     for _ in range(20):
         h = _random_integral_element(sig, rng)
         ambient = _random_ambient(lattice, rng)
-        if not preserves_lattice(h, table, lattice):
+        try:
+            matrix = lattice_matrix(h, table, lattice)
+        except LatticeNotPreservedError:
             continue
-        matrix = table.represent(h)
-        direct = lattice.reduce(matrix.matvec(ambient))
-        through_quotient = act(h, lattice.reduce(ambient), table)
+        direct = lattice.reduce(table.represent(h).matvec(ambient))
+        through_quotient = apply_matrix(matrix, lattice.reduce(ambient))
         chk.record(
             direct == through_quotient,
             direct,

@@ -40,14 +40,15 @@ from spintorus import (
     generator_group,
     group_lattice_matrix,
     point_to_bundle,
+    preserves_lattice,
     run_suite,
     torsion_points,
     two_torsion_bundle_check,
 )
-from spintorus import action, suite
+from spintorus import action, suite, torus
 from spintorus.action import degenerate_pair, four_step, lattice_rows, two_torsion_pair
 from spintorus.errors import LatticeNotPreservedError
-from spintorus.matrices import is_signed_selection, power_rows, realify, sparse_matvec_mod, sparse_rows
+from spintorus.matrices import IntegerRows, power_rows, realify, sparse_matvec_mod, sparse_rows
 from spintorus.picard import bundle_systems_hold, induced_powers, two_torsion_bundle_scan
 from spintorus.scalars import as_gaussian
 from spintorus.torus import TorsionBlock, is_principal, torsion_block
@@ -309,6 +310,50 @@ def test_endo_decomp_conjugates_each_signed_blade_once(monkeypatch):
         assert 0 < len(calls) <= distinct
 
 
+def test_the_compatibility_loop_conjugates_each_sampled_element_once(monkeypatch):
+    # A sampled element that is not a signed blade is represented once for its
+    # lattice matrix and once more, if it preserves the lattice, for the ambient
+    # side; it is conjugated once. Signed blades read the memo, whose entries
+    # were each conjugated once when built.
+    sampled, conjugated, represented, tables = [], [], [], []
+    draw = suite._random_integral_element
+    conjugate = action._lattice_coordinates
+    represent = RepresentationTable.represent
+    init = RepresentationTable._init
+
+    def drawn(*args):
+        sampled.append(draw(*args))
+        return sampled[-1]
+
+    def counted_conjugation(ambient, lattice):
+        conjugated.append(lattice)
+        return conjugate(ambient, lattice)
+
+    def counted_representation(self, u):
+        represented.append(u)
+        return represent(self, u)
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(suite, "_random_integral_element", drawn)
+    monkeypatch.setattr(action, "_lattice_coordinates", counted_conjugation)
+    monkeypatch.setattr(RepresentationTable, "represent", counted_representation)
+    monkeypatch.setattr(RepresentationTable, "_init", recorded)
+    shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
+    report = run_suite(SuiteConfig(ks=(1,), suites=("clifford_action",), lattice=shear))
+    monkeypatch.undo()
+    assert report.all_passed() and len(sampled) == 20
+    (table,) = tables
+    general = [h for h in sampled if as_signed_blade(h) is None]
+    preserved = [h for h in sampled if preserves_lattice(h, table, shear)]
+    assert any(h in preserved for h in general)
+    assert len(conjugated) == len(table.lattice_images) + len(general)
+    assert len(represented) == len(general) + len(preserved)
+    assert all(any(u is h for h in sampled) for u in represented)
+
+
 @pytest.mark.parametrize("suite_name, entry_points", [
     ("clifford_action", ("act",)),
     ("dual_picard", ("act", "bundle_action")),
@@ -554,6 +599,50 @@ def test_two_torsion_on_mixed_denominators_matches_the_literal_form():
     assert 0 < sum(expected) < len(expected)
 
 
+# The kernel against its literal formula. Rows mix the kinds the kernel
+# tells apart: no entry, one entry +1 or -1, one other entry, and 2 to 4 entries.
+KERNEL_COLUMNS = 6
+kernel_coefficients = st.integers(-7, 7).filter(bool)
+kernel_rows = st.one_of(
+    st.just(()),
+    st.tuples(st.tuples(st.integers(0, KERNEL_COLUMNS - 1), st.sampled_from((1, -1)))),
+    st.tuples(st.tuples(st.integers(0, KERNEL_COLUMNS - 1), kernel_coefficients)),
+    st.lists(
+        st.tuples(st.integers(0, KERNEL_COLUMNS - 1), kernel_coefficients), min_size=2, max_size=4, unique_by=lambda e: e[0]
+    ).map(lambda row: tuple(sorted(row))),
+)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 100])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_matvec_mod_matches_its_literal_formula(width, data):
+    dens = data.draw(st.lists(st.integers(1, 36), min_size=width, max_size=width))
+    raw = data.draw(st.lists(st.integers(0, 10**6), min_size=width * KERNEL_COLUMNS, max_size=width * KERNEL_COLUMNS))
+    cols = [[x % d for x, d in zip(raw[j * width:(j + 1) * width], dens)] for j in range(KERNEL_COLUMNS)]
+    rows = data.draw(st.lists(kernel_rows, min_size=1, max_size=8))
+    literal = [[sum(c * cols[j][t] for j, c in row) % dens[t] for t in range(width)] for row in rows]
+    assert sparse_matvec_mod(rows, cols, dens) == literal
+
+
+def test_a_shear_lattice_run_reaches_both_kernel_branches(monkeypatch):
+    # On the README lattice most conjugated blades have rows of two entries:
+    # single points and classes take the one-item branch, blocks the wider one.
+    kernel = torus.sparse_matvec_mod
+    reached = set()
+
+    def recorded(rows, cols, dens):
+        if any(len(row) > 1 for row in rows):
+            reached.add("one item" if len(dens) == 1 else "block")
+        return kernel(rows, cols, dens)
+
+    monkeypatch.setattr(torus, "sparse_matvec_mod", recorded)
+    shear = LatticeSpec(1, Matrix([[1, GaussianRational(0, 1)], [0, 1]]))
+    report = run_suite(SuiteConfig(ks=(1,), suites=("clifford_action", "dual_picard"), lattice=shear))
+    assert report.all_passed()
+    assert reached == {"one item", "block"}
+
+
 # The reference for the selection kernel and the fused identities: every
 # orbit step through the sparse kernel, and each identity as block
 # arithmetic on the translations M and N.
@@ -652,6 +741,11 @@ def test_selection_and_fused_identities_match_the_sparse_reference(k, p, name, d
             held, first = bundle_systems_hold(g, block, table, pol)
             assert held == [a and b for a, b in zip(four, closes)]
             assert first.cols == lm.cols
+
+
+def is_signed_selection(rows: IntegerRows) -> bool:
+    """Whether every row is a single entry +1 or -1, so that applying the rows selects signed columns."""
+    return all(len(row) == 1 and row[0][1] in (1, -1) for row in rows)
 
 
 @pytest.mark.parametrize("k", [1, 2])
